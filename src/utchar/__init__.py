@@ -5,9 +5,9 @@ from .scalars import (CyclotomicNumber, Field, FieldElement,
                       additive_character, cyclo_make, cyclotomic_polynomial,
                       field_make, galois_apply, in_subfield)
 from .algebra import (CapExceeded, GroupElement, NilAlgebra, NilMatrix,
-                      Pattern, Subspace, enumerate_group, ideal_check,
-                      pattern_is_closed, quotient_project, trunc_exp,
-                      trunc_log)
+                      Pattern, Subspace, VerificationFailed, enumerate_group,
+                      ideal_check, pattern_is_closed, quotient_project,
+                      trunc_exp, trunc_log)
 from .duals import (Functional, SetPartition, act_coadjoint, act_left,
                     act_right, bilinear, is_quasi_monomial, orbit, shape,
                     torus_act, torus_orbit)

@@ -19,6 +19,10 @@ class CapExceeded(RuntimeError):
     """An enumeration would exceed the configured cap."""
 
 
+class VerificationFailed(AssertionError):
+    """A mathematical check of a computed result did not hold."""
+
+
 class Pattern:
     """A set of strictly upper triangular positions (i, j), 1-based."""
 
@@ -50,6 +54,8 @@ class Pattern:
         return len(self.positions)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, Pattern)
                 and self.n == other.n and self.positions == other.positions)
 
@@ -100,6 +106,8 @@ class NilMatrix:
         return self._rows
 
     def _same(self, other):
+        if self.pattern is other.pattern and self.field is other.field:
+            return
         if self.pattern != other.pattern or self.field != other.field:
             raise ValueError("pattern/field mismatch")
 
@@ -304,10 +312,10 @@ def rref(rows, field):
     return [pivots[c] for c in sorted(pivots)]
 
 
-def residue(vec, rows, field):
-    """Reduce vec against echelon rows; zero residue means membership."""
+def residue(vec, by_pivot, field):
+    """Reduce vec against echelon rows keyed by pivot column; zero residue
+    means membership."""
     vec = {c: v for c, v in vec.items() if v}
-    by_pivot = {min(r): r for r in rows}
     while vec:
         c = min(vec)
         if c not in by_pivot:
@@ -339,7 +347,7 @@ class Subspace:
     """An F_q-subspace of a pattern coordinate space in canonical reduced
     row-echelon form."""
 
-    __slots__ = ("pattern", "field", "rows", "pivots", "_mats")
+    __slots__ = ("pattern", "field", "rows", "pivots", "_mats", "_by_pivot")
 
     def __init__(self, pattern, field, rows):
         self.pattern = pattern
@@ -347,6 +355,7 @@ class Subspace:
         self.rows = tuple(tuple(sorted(r.items())) for r in rows)
         self.pivots = tuple(r[0][0] for r in self.rows)
         self._mats = None
+        self._by_pivot = None
 
     @classmethod
     def from_vectors(cls, pattern, field, vectors):
@@ -372,6 +381,13 @@ class Subspace:
     def row_dicts(self):
         return [dict(r) for r in self.rows]
 
+    def by_pivot(self):
+        """{pivot column: row dict}, built once; callers must not mutate
+        the dicts."""
+        if self._by_pivot is None:
+            self._by_pivot = {r[0][0]: dict(r) for r in self.rows}
+        return self._by_pivot
+
     def basis_matrices(self):
         if self._mats is None:
             self._mats = tuple(
@@ -380,7 +396,7 @@ class Subspace:
         return self._mats
 
     def contains_vector(self, vec):
-        return not residue(vec, self.row_dicts(), self.field)
+        return not residue(vec, self.by_pivot(), self.field)
 
     def contains(self, mat):
         return self.contains_vector(mat.vector())
@@ -390,8 +406,8 @@ class Subspace:
         vec = {c: v for c, v in mat.vector().items() if v}
         f = self.field
         coeffs = {}
-        by_pivot = {r[0][0]: dict(r) for r in self.rows}
-        pivot_pos = {r[0][0]: a for a, r in enumerate(self.rows)}
+        by_pivot = self.by_pivot()
+        pivot_pos = {c: a for a, c in enumerate(self.pivots)}
         while vec:
             c = min(vec)
             if c not in by_pivot:
@@ -401,8 +417,9 @@ class Subspace:
         return [coeffs.get(a, 0) for a in range(self.dim)]
 
     def is_subspace_of(self, other):
-        rows = other.row_dicts()
-        return all(not residue(dict(r), rows, self.field) for r in self.rows)
+        by_pivot = other.by_pivot()
+        return all(not residue(dict(r), by_pivot, self.field)
+                   for r in self.rows)
 
     def sum_with(self, other):
         return Subspace.from_vectors(
@@ -449,6 +466,8 @@ class Subspace:
             yield acc
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, Subspace)
                 and self.pattern == other.pattern
                 and self.field == other.field

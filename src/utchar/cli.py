@@ -12,7 +12,8 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field as dc_field
 
-from .algebra import DEFAULT_CAP, CapExceeded, NilAlgebra, Pattern
+from .algebra import (DEFAULT_CAP, CapExceeded, NilAlgebra, Pattern,
+                      VerificationFailed)
 from .characters import (GroupTable, exp_kirillov, kirillov, supercharacter,
                          theta_lambda, xi)
 from .chain import chain_compute
@@ -61,6 +62,18 @@ def _factor_prime_power(q):
 def _field_for(spec):
     p, e = _factor_prime_power(spec.q)
     return field_make(p, e, spec.modulus)
+
+
+def _functional_for(spec, algebra):
+    """The JobSpec's lambda on the algebra.  Each coefficient must be a
+    field-element encoding in [0, q); Functional.from_entries would
+    otherwise silently reduce it."""
+    for i, j, c in spec.lam:
+        if not 0 <= c < spec.q:
+            raise ValueError(f"lambda coefficient {c} at ({i}, {j}) is not "
+                             f"an encoding in [0, {spec.q})")
+    return Functional.from_entries(algebra,
+                                   {(i, j): c for i, j, c in spec.lam})
 
 
 def _parse_lambda(text):
@@ -114,8 +127,7 @@ def ser_partition(partition):
 def cmd_chain(spec):
     field = _field_for(spec)
     algebra = NilAlgebra.pattern_algebra(Pattern.full(spec.n), field)
-    lam = Functional.from_entries(algebra,
-                                  {(i, j): c for i, j, c in spec.lam})
+    lam = _functional_for(spec, algebra)
     ch = chain_compute(algebra, lam)
     return {
         "command": "chain",
@@ -228,8 +240,7 @@ def _ser_witness(witness):
 def cmd_orbit(spec):
     field = _field_for(spec)
     algebra = NilAlgebra.pattern_algebra(Pattern.full(spec.n), field)
-    lam = Functional.from_entries(algebra,
-                                  {(i, j): c for i, j, c in spec.lam})
+    lam = _functional_for(spec, algebra)
     orb = orbit(lam, spec.which, spec.cap)
     return {
         "command": "orbit",
@@ -246,8 +257,7 @@ def cmd_table(spec):
     field = _field_for(spec)
     algebra = NilAlgebra.pattern_algebra(Pattern.full(spec.n), field)
     group = GroupTable.from_algebra(algebra, spec.cap)
-    lam = Functional.from_entries(algebra,
-                                  {(i, j): c for i, j, c in spec.lam})
+    lam = _functional_for(spec, algebra)
     if spec.which == "theta":
         fn = theta_lambda(group, lam)
     elif spec.which == "kirillov":
@@ -368,6 +378,9 @@ def main(argv=None):
     except CapExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except VerificationFailed as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     except (ValueError, AssertionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -9,7 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (DEFAULT_CAP, NilAlgebra, NilMatrix, Pattern,
-                      Subspace, ideal_check, solution_space)
+                      Subspace, VerificationFailed, ideal_check,
+                      solution_space)
 from .chain import chain_compute, quasimonomial_kernels
 from .characters import (GroupTable, abelian_dual, exp_kirillov,
                          homomorphism_defect, induce, kirillov,
@@ -272,8 +273,11 @@ def verify_chain_closed_forms(r, field):
     of the quasi-monomial part, and check that the corner-corrected
     functional kills all products in s_bar."""
     atlas = build_regions(r)
-    algebra = NilAlgebra.pattern_algebra(Pattern.full(atlas.n), field)
-    lam = exotic_functional(r, field)
+    plus, minus = exotic_functional_parts(r, field)
+    lam = plus - minus
+    # one algebra (and one Pattern object) for the whole pipeline, so that
+    # NilMatrix products take the identity fast path of _same
+    algebra = lam.algebra
     closed = closed_form_chain(atlas, algebra)
     ch = chain_compute(algebra, lam)
     matches = {}
@@ -283,7 +287,7 @@ def verify_chain_closed_forms(r, field):
         matches[f"s{i}"] = (len(ch.s_list) > i
                             and ch.s_list[i] == closed[f"s{i}"])
     # first step of the quasi-monomial part, combinatorially
-    qk = quasimonomial_kernels(algebra, exotic_quasimonomial(r, field))
+    qk = quasimonomial_kernels(algebra, plus)
     perp_l_ok = qk.perp_l == (atlas.lettered | atlas.Z | atlas.Zp)
     perp_s_ok = qk.perp_s == atlas.Z
     # (lam - corner)(XY) = 0 on all basis pairs of s_bar
@@ -492,15 +496,6 @@ def corner_character_analysis(n, field, cap=DEFAULT_CAP):
     )
 
 
-def _all_distinct(functions):
-    seen = []
-    for f in functions:
-        if any(f == g for g in seen):
-            return False
-        seen.append(f)
-    return True
-
-
 def _cyclic_value_level(order, p):
     """Least i with a cyclic group of roots of unity of the given order
     inside Q(zeta_{p^i}); the order must be a power of p."""
@@ -568,10 +563,10 @@ def exotic_report(r, field, n=None, cap=DEFAULT_CAP):
         raise ValueError("need n > 6r")
     tech, ch, atlas = verify_chain_closed_forms(r, field)
     if not tech.ok:
-        raise AssertionError("closed-form chain verification failed")
+        raise VerificationFailed("closed-form chain verification failed")
     split = abelian_quotient_split(r, field, ch)
     if not split.ok:
-        raise AssertionError(f"quotient split failed: {split.checks}")
+        raise VerificationFailed(f"quotient split failed: {split.checks}")
     algebra = ch.algebra
     lam = ch.functional
     corner_pos = (1, 2 * r + 1)

@@ -149,6 +149,28 @@ def subspace_dense_rows(space):
     return out
 
 
+def dense_product(pattern, field, x, y):
+    """Product of two dense coordinate vectors over pattern.order, by the
+    textbook triple loop on full n x n matrices."""
+    n = pattern.n
+
+    def to_square(vec):
+        mat = [[0] * (n + 1) for _ in range(n + 1)]
+        for (i, j), v in zip(pattern.order, vec):
+            mat[i][j] = v
+        return mat
+
+    a, b = to_square(x), to_square(y)
+    prod = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        for k in range(1, n + 1):
+            if a[i][k]:
+                for j in range(1, n + 1):
+                    prod[i][j] = field.add(prod[i][j],
+                                           field.mul(a[i][k], b[k][j]))
+    return [prod[i][j] for i, j in pattern.order]
+
+
 def full_group_orbit(group, lam, which):
     """Orbit computed by applying every group element (and pairs for the
     two-sided orbit) rather than by generator BFS."""

@@ -7,7 +7,8 @@ from utchar.algebra import (CapExceeded, GroupElement, NilAlgebra, NilMatrix,
                             trunc_log)
 from utchar.scalars import field_make
 
-from oracles import random_element
+from oracles import (dense_product, dense_rref, random_element,
+                     subspace_dense_rows)
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -194,3 +195,111 @@ def test_solution_space_and_restrict_to_zero():
     assert shrunk.dim == 3
     assert all(m.coeff(2, 3) == 0 and m.coeff(1, 4) == 0
                for m in shrunk.basis_matrices())
+
+
+SMALL_AMBIENTS = [(Pattern.full(4), F2), (Pattern.full(4), F3),
+                  (Pattern.full(5), F2)]
+
+
+def _dense_rank(rows, field):
+    return len(dense_rref(rows, field))
+
+
+def _combine(gens, coeffs, field, width):
+    vec = [0] * width
+    for c, g in zip(coeffs, gens):
+        for k in range(width):
+            vec[k] = field.add(vec[k], field.mul(c, g[k]))
+    return vec
+
+
+def _sparse(vec):
+    return {k: v for k, v in enumerate(vec) if v}
+
+
+@st.composite
+def _generators(draw, width, q, max_size=5):
+    """Dense generator vectors: random ones, and unit vectors so that
+    coordinate subspaces (often ideals) come up too."""
+    coeff = st.integers(0, q - 1)
+    vec = st.one_of(
+        st.lists(coeff, min_size=width, max_size=width),
+        st.integers(0, width - 1).map(
+            lambda k: [1 if c == k else 0 for c in range(width)]))
+    return draw(st.lists(vec, max_size=max_size))
+
+
+@st.composite
+def _subspace_queries(draw):
+    pattern, field = draw(st.sampled_from(SMALL_AMBIENTS))
+    width, q = len(pattern.order), field.q
+    gens = draw(_generators(width, q))
+    other = draw(_generators(width, q))
+    combos = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=len(gens),
+                                    max_size=len(gens)), max_size=6))
+    inside = [_combine(gens, c, field, width) for c in combos]
+    anywhere = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=width,
+                                      max_size=width), min_size=1, max_size=6))
+    return pattern, field, gens, other, inside + anywhere
+
+
+@given(_subspace_queries())
+def test_cached_pivot_map_matches_dense_oracle(case):
+    pattern, field, gens, other_gens, queries = case
+    space = Subspace.from_vectors(pattern, field, [_sparse(g) for g in gens])
+    dense = subspace_dense_rows(space)
+    assert space.dim == _dense_rank(gens, field)
+    # repeated queries on the same object reuse the cached pivot map
+    for _ in range(2):
+        for vec in queries:
+            inside = _dense_rank(dense + [vec], field) == space.dim
+            assert space.contains_vector(_sparse(vec)) == inside
+            mat = NilMatrix.from_vector(pattern, field, _sparse(vec))
+            assert space.contains(mat) == inside
+            coords = space.coordinates(mat)
+            if inside:
+                assert _combine(dense, coords, field, len(vec)) == vec
+            else:
+                assert coords is None
+    other = Subspace.from_vectors(pattern, field,
+                                  [_sparse(g) for g in other_gens])
+    other_dense = subspace_dense_rows(other)
+    both = _dense_rank(dense + other_dense, field)
+    assert space.is_subspace_of(other) == (both == other.dim)
+    assert other.is_subspace_of(space) == (both == space.dim)
+    summed = space.sum_with(other)
+    assert summed.dim == both
+    assert space.is_subspace_of(summed) and other.is_subspace_of(summed)
+    assert space.is_subspace_of(space) and space == space
+
+
+def _dense_ideal_class(pattern, field, sub_rows):
+    width = len(pattern.order)
+    units = [[1 if c == k else 0 for c in range(width)] for k in range(width)]
+
+    def inside(vec):
+        return _dense_rank(sub_rows + [vec], field) == len(sub_rows)
+
+    def closed(lefts, rights):
+        return all(inside(dense_product(pattern, field, x, y))
+                   for x in lefts for y in rights)
+
+    right = closed(sub_rows, units)
+    left = closed(units, sub_rows)
+    if right and left:
+        return "two-sided-ideal"
+    if right:
+        return "right-ideal"
+    if closed(sub_rows, sub_rows):
+        return "subalgebra"
+    return "none"
+
+
+@given(_generators(6, 2, max_size=4))
+def test_ideal_check_matches_dense_products(gens):
+    p4 = Pattern.full(4)
+    u42 = NilAlgebra.pattern_algebra(p4, F2)
+    sub = Subspace.from_vectors(p4, F2, [_sparse(g) for g in gens])
+    want = _dense_ideal_class(p4, F2, subspace_dense_rows(sub))
+    assert ideal_check(sub, u42) == want
+    assert ideal_check(sub, u42.span) == want

@@ -5,6 +5,7 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
+from utchar import cli, exotic
 from utchar.cli import JobSpec, build_parser, main, render, run, spec_from_args
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "schemas"
@@ -138,6 +139,42 @@ def test_bad_lambda_reports_validation_error(capsys):
                  "[[1,2]]"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+
+
+def test_out_of_range_lambda_encoding_is_rejected(capsys):
+    # 5 is not an encoding of F_4; it used to be read as 5 mod 4 = 1
+    for argv in (["chain", "--n", "4", "--q", "4", "--lambda", "[[1,3,5]]"],
+                 ["orbit", "--n", "3", "--q", "2", "--lambda", "[[1,3,-1]]",
+                  "--which", "left"],
+                 ["table", "--n", "3", "--q", "3", "--lambda", "[[1,3,3]]",
+                  "--which", "theta"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "lambda coefficient" in captured.err
+    with pytest.raises(ValueError):
+        run(JobSpec(command="chain", q=4, n=4, lam=[[1, 3, 4]]))
+    assert main(["chain", "--n", "4", "--q", "4", "--lambda",
+                 "[[1,3,3]]"]) == 0
+
+
+def _failing_closed_forms(real):
+    def verify(r, field):
+        tech, ch, atlas = real(r, field)
+        tech.matches["l1"] = False
+        return tech, ch, atlas
+    return verify
+
+
+def test_failed_verification_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(exotic, "verify_chain_closed_forms",
+                        _failing_closed_forms(exotic.verify_chain_closed_forms))
+    assert main(["exotic", "--r", "2", "--q", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "closed-form" in captured.err
+    monkeypatch.setattr(cli, "verify_chain_closed_forms",
+                        _failing_closed_forms(cli.verify_chain_closed_forms))
+    assert main(["verify", "--r", "2", "--q", "2"]) == 1
+    assert json.loads(capsys.readouterr().out)["pass"] is False
 
 
 def test_field_with_explicit_modulus():
