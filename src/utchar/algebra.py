@@ -324,23 +324,47 @@ def residue(vec, by_pivot, field):
     return vec
 
 
-def left_kernel(rows, width, field):
-    """Coefficient vectors c with sum_a c[a] * rows[a] = 0.
-
-    Columns 0..width-1 are the matrix columns; row a is tagged with the
-    augmented column width + a so the eliminated combinations survive.
-    """
-    tagged = []
-    for a, row in enumerate(rows):
-        t = {c: v for c, v in row.items() if v}
-        t[width + a] = 1
-        tagged.append(t)
-    reduced = rref(tagged, field)
-    out = []
-    for row in reduced:
-        if min(row) >= width:
-            out.append({c - width: v for c, v in row.items()})
+def combine_rows(coeffs, rows, field):
+    """sum_a coeffs[a] * rows[a] for sparse coefficients {a: c}, sparse."""
+    out = {}
+    for a, ca in coeffs.items():
+        for c, v in rows[a].items():
+            s = field.add(out.get(c, 0), field.mul(ca, v))
+            if s:
+                out[c] = s
+            else:
+                out.pop(c, None)
     return out
+
+
+def transpose(rows, width):
+    """The columns of sparse rows with the given number of columns, as
+    sparse rows."""
+    cols = [{} for _ in range(width)]
+    for a, row in enumerate(rows):
+        for c, v in row.items():
+            cols[c][a] = v
+    return cols
+
+
+def null_space(constraint_rows, width, field):
+    """A basis of {x in F_q^width : sum_c r[c] x[c] = 0 for every row r},
+    one vector per free column of the reduced constraints."""
+    reduced = rref(list(constraint_rows), field)
+    basis = {c: {c: 1} for c in range(width)}
+    for r in reduced:
+        pivot = min(r)
+        del basis[pivot]
+        for c, v in r.items():  # reduced: other entries are free columns
+            if c != pivot:
+                basis[c][pivot] = field.neg(v)
+    return list(basis.values())
+
+
+def left_kernel(rows, width, field):
+    """A basis of the coefficient vectors c with sum_a c[a] * rows[a] = 0,
+    for rows with the given number of columns."""
+    return null_space(transpose(rows, width), len(rows), field)
 
 
 class Subspace:
@@ -439,18 +463,8 @@ class Subspace:
             mrows.append({col_pos[c]: v for c, v in rdict.items()
                           if c in col_pos})
         combos = left_kernel(mrows, len(cols), self.field)
-        f = self.field
-        vectors = []
-        for combo in combos:
-            vec = {}
-            for a, ca in combo.items():
-                for c, v in basis_rows[a].items():
-                    s = f.add(vec.get(c, 0), f.mul(ca, v))
-                    if s:
-                        vec[c] = s
-                    else:
-                        vec.pop(c, None)
-            vectors.append(vec)
+        vectors = [combine_rows(combo, basis_rows, self.field)
+                   for combo in combos]
         return Subspace.from_vectors(self.pattern, self.field, vectors)
 
     def enumerate_matrices(self, cap=DEFAULT_CAP):
@@ -482,19 +496,8 @@ class Subspace:
 
 def solution_space(pattern, field, constraint_rows):
     """Kernel of the linear constraints (rows over position coordinates)."""
-    width = len(pattern.order)
-    reduced = rref(list(constraint_rows), field)
-    pivot_cols = {min(r) for r in reduced}
-    free_cols = [c for c in range(width) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        vec = {fc: 1}
-        for r in reduced:
-            coeff = r.get(fc, 0)
-            if coeff:
-                vec[min(r)] = field.neg(coeff)
-        basis.append(vec)
-    return Subspace.from_vectors(pattern, field, basis)
+    return Subspace.from_vectors(
+        pattern, field, null_space(constraint_rows, len(pattern.order), field))
 
 
 # ---------------------------------------------------------------------------

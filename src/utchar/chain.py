@@ -1,12 +1,19 @@
 """The alternating left-kernel chain of subspaces attached to a functional,
 its stabilization, and the combinatorial fast path for quasi-monomial
-functionals on pattern algebras."""
+functionals on pattern algebras.
+
+Every step of the chain restricts one fixed matrix, the Gram matrix
+B[a][b] = lam(e_a e_b) of the form lam(XY) on the algebra basis.  B is
+built once per chain from the structurally nonzero basis products; each
+step is then sparse F_q linear algebra on B and the current basis of s^i,
+with no further matrix products."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Subspace, ideal_check, left_kernel
+from .algebra import (Subspace, VerificationFailed, combine_rows,
+                      ideal_check, left_kernel, transpose)
 from .duals import Functional, is_quasi_monomial
 
 
@@ -50,68 +57,94 @@ class ChainResult:
         return self.s_list[1].dim - self.l_list[1].dim
 
     def validate(self):
-        """Assert the chain containments and the subalgebra/ideal laws."""
+        """Check the chain containments and the subalgebra/ideal laws;
+        raises VerificationFailed at the first one that fails."""
+        def require(ok, what):
+            if not ok:
+                raise VerificationFailed(f"chain check failed: {what}")
+
         for i in range(len(self.l_list) - 1):
-            assert self.l_list[i].is_subspace_of(self.l_list[i + 1])
+            require(self.l_list[i].is_subspace_of(self.l_list[i + 1]),
+                    f"l^{i} <= l^{i + 1}")
         for i in range(len(self.s_list) - 1):
-            assert self.s_list[i + 1].is_subspace_of(self.s_list[i])
-        assert self.l_bar.is_subspace_of(self.s_bar)
+            require(self.s_list[i + 1].is_subspace_of(self.s_list[i]),
+                    f"s^{i + 1} <= s^{i}")
+        require(self.l_bar.is_subspace_of(self.s_bar), "l_bar <= s_bar")
         for i in range(1, len(self.s_list)):
-            assert ideal_check(self.s_list[i], self.s_list[i - 1]) in (
-                "subalgebra", "right-ideal", "two-sided-ideal")
-            assert ideal_check(self.l_list[i], self.s_list[i - 1]) in (
-                "right-ideal", "two-sided-ideal")
-            assert ideal_check(self.l_list[i], self.s_list[i]) == \
-                "two-sided-ideal"
+            require(ideal_check(self.s_list[i], self.s_list[i - 1]) in (
+                "subalgebra", "right-ideal", "two-sided-ideal"),
+                f"s^{i} is a subalgebra of s^{i - 1}")
+            require(ideal_check(self.l_list[i], self.s_list[i - 1]) in (
+                "right-ideal", "two-sided-ideal"),
+                f"l^{i} is a right ideal of s^{i - 1}")
+            require(ideal_check(self.l_list[i], self.s_list[i]) ==
+                    "two-sided-ideal",
+                    f"l^{i} is a two-sided ideal of s^{i}")
         return True
 
 
-def _restricted_left_kernel(lam, left_space, right_space):
-    """{X in left_space : lam(X Y) = 0 for all Y in right_space} as a
-    canonical subspace."""
-    algebra = lam.algebra
-    field = algebra.field
-    lmats = left_space.basis_matrices()
-    rmats = right_space.basis_matrices()
-    rows = []
-    for u in lmats:
+def gram_matrix(lam):
+    """B[a][b] = lam(e_a e_b) on the algebra basis, as sparse rows.  Only
+    pairs where a column index of e_a is a row index of e_b are multiplied;
+    every other product is structurally zero."""
+    basis = lam.algebra.basis()
+    by_row = {}
+    for b, w in enumerate(basis):
+        for k in w.rows():
+            by_row.setdefault(k, []).append(b)
+    gram = []
+    for u in basis:
+        partners = sorted({b for (_, k) in u.entries
+                           for b in by_row.get(k, ())})
         row = {}
-        for c, w in enumerate(rmats):
-            v = lam.evaluate(u @ w)
+        for b in partners:
+            v = lam.evaluate(u @ basis[b])
             if v:
-                row[c] = v
-        rows.append(row)
-    coeff_vectors = left_kernel(rows, len(rmats), field)
-    vectors = []
-    for coeffs in coeff_vectors:
-        vec = {}
-        for a, ca in coeffs.items():
-            for col, v in lmats[a].vector().items():
-                s = field.add(vec.get(col, 0), field.mul(ca, v))
-                if s:
-                    vec[col] = s
-                else:
-                    vec.pop(col, None)
-        vectors.append(vec)
-    return Subspace.from_vectors(algebra.pattern, field, vectors)
+                row[b] = v
+        gram.append(row)
+    return gram
+
+
+def _span_of(algebra, combos, rows):
+    """The canonical span of the combinations sum_a k[a] * rows[a]."""
+    return Subspace.from_vectors(
+        algebra.pattern, algebra.field,
+        [combine_rows(k, rows, algebra.field) for k in combos])
 
 
 def chain_compute(algebra, lam, validate=False):
     """Run the inductive kernel chain for lam on the algebra until the
-    descending side stabilizes."""
+    descending side stabilizes.
+
+    With C the basis of s^{i-1} in algebra coordinates, the form lam(XY)
+    on s^{i-1} is M1 = C B C^T; l^i comes from the left kernel K1 of M1,
+    and s^i from the left kernel of M1 K1^T (the form against the spanning
+    set K1 of l^i)."""
+    if lam.algebra.span != algebra.span:
+        raise ValueError("the functional lives on another algebra")
     field = algebra.field
+    gram = gram_matrix(lam)
+    pivot_pos = {c: a for a, c in enumerate(algebra.span.pivots)}
     s_list = [algebra.span]
     l_list = [Subspace.zero(algebra.pattern, field)]
     for _ in range(algebra.dim + 1):
         s_prev = s_list[-1]
-        l_next = _restricted_left_kernel(lam, s_prev, s_prev)
-        s_next = _restricted_left_kernel(lam, s_prev, l_next)
-        l_list.append(l_next)
-        s_list.append(s_next)
-        if s_next == s_prev:
+        rows = s_prev.row_dicts()
+        coords = [{pivot_pos[c]: v for c, v in row.items() if c in pivot_pos}
+                  for row in rows]
+        coord_cols = transpose(coords, algebra.dim)
+        form = [combine_rows(combine_rows(c, gram, field), coord_cols, field)
+                for c in coords]
+        l_combos = left_kernel(form, len(rows), field)
+        l_cols = transpose(l_combos, len(rows))
+        against_l = [combine_rows(m, l_cols, field) for m in form]
+        s_combos = left_kernel(against_l, len(l_combos), field)
+        l_list.append(_span_of(algebra, l_combos, rows))
+        s_list.append(_span_of(algebra, s_combos, rows))
+        if s_list[-1] == s_prev:
             break
     else:
-        raise AssertionError("chain failed to stabilize")
+        raise VerificationFailed("chain failed to stabilize")
     result = ChainResult(algebra, lam, l_list, s_list, len(s_list) - 1)
     if validate:
         result.validate()
@@ -179,6 +212,6 @@ def quasimonomial_irreducible(algebra, lam, validate=False):
     chain together with the verdict (expected True on closed patterns)."""
     fast = quasimonomial_kernels(algebra, lam)
     chain = chain_compute(algebra, lam, validate=validate)
-    assert chain.l_list[1] == fast.l1 and chain.s_list[1] == fast.s1, \
-        "fast path disagrees with the kernel chain"
+    if chain.l_list[1] != fast.l1 or chain.s_list[1] != fast.s1:
+        raise VerificationFailed("fast path disagrees with the kernel chain")
     return chain.l_bar == chain.s_bar, chain

@@ -160,6 +160,8 @@ class Field:
         self.e = e
         self.q = q
         self.modulus = modulus
+        self._add_table = None
+        self._neg_table = None
         self._mul_table = None
         self._inv_table = None
         self._trace_table = None
@@ -183,11 +185,15 @@ class Field:
 
     def _build_tables(self):
         q, p = self.q, self.p
+        digits = [self._decode(a) for a in range(q)]
+        self._add_table = [
+            [self._encode([x + y for x, y in zip(ca, cb)]) for cb in digits]
+            for ca in digits]
+        self._neg_table = [self._encode([-x for x in ca]) for ca in digits]
         mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            ca = self._decode(a)
+        for a, ca in enumerate(digits):
             for b in range(a, q):
-                cb = self._decode(b)
+                cb = digits[b]
                 prod = self._encode(
                     _poly_mulmod(ca, cb, self.modulus, p) + [0] * self.e)
                 mul[a][b] = prod
@@ -203,15 +209,23 @@ class Field:
     def add(self, a, b):
         if self.e == 1:
             return (a + b) % self.p
+        if self._add_table is not None:
+            return self._add_table[a][b]
         return self._encode(
             [x + y for x, y in zip(self._decode(a), self._decode(b))])
 
     def neg(self, a):
         if self.e == 1:
             return (-a) % self.p
+        if self._neg_table is not None:
+            return self._neg_table[a]
         return self._encode([-x for x in self._decode(a)])
 
     def sub(self, a, b):
+        if self.e == 1:
+            return (a - b) % self.p
+        if self._add_table is not None:
+            return self._add_table[a][self._neg_table[b]]
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):

@@ -2,13 +2,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from utchar.algebra import (CapExceeded, GroupElement, NilAlgebra, NilMatrix,
-                            Pattern, Subspace, ideal_check, pattern_is_closed,
-                            quotient_project, rref, solution_space, trunc_exp,
-                            trunc_log)
+                            Pattern, Subspace, ideal_check, left_kernel,
+                            pattern_is_closed, quotient_project, rref,
+                            solution_space, trunc_exp, trunc_log)
 from utchar.scalars import field_make
 
-from oracles import (dense_product, dense_rref, random_element,
-                     subspace_dense_rows)
+from oracles import (dense_left_kernel, dense_product, dense_rref,
+                     random_element, subspace_dense_rows)
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -195,6 +195,21 @@ def test_solution_space_and_restrict_to_zero():
     assert shrunk.dim == 3
     assert all(m.coeff(2, 3) == 0 and m.coeff(1, 4) == 0
                for m in shrunk.basis_matrices())
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_left_kernel_matches_dense_oracle(p, e, rng):
+    field = field_make(p, e)
+    for _ in range(40):
+        nrows, width = rng.randrange(0, 9), rng.randrange(0, 9)
+        density = rng.random()
+        dense = [[rng.randrange(field.q) if rng.random() < density else 0
+                  for _ in range(width)] for _ in range(nrows)]
+        sparse = [{c: v for c, v in enumerate(row) if v} for row in dense]
+        kernel = left_kernel(sparse, width, field)
+        as_dense = [[vec.get(a, 0) for a in range(nrows)] for vec in kernel]
+        assert len(dense_rref(as_dense, field)) == len(kernel)
+        assert dense_rref(as_dense, field) == dense_left_kernel(dense, field)
 
 
 SMALL_AMBIENTS = [(Pattern.full(4), F2), (Pattern.full(4), F3),

@@ -1,16 +1,27 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
-from utchar.algebra import NilAlgebra, Pattern, Subspace
-from utchar.chain import (chain_compute, quasimonomial_irreducible,
-                          quasimonomial_kernels)
-from utchar.duals import Functional, orbit
+import utchar
+from utchar import chain as chain_module
+from utchar.algebra import NilAlgebra, Pattern, Subspace, VerificationFailed
+from utchar.chain import (chain_compute, gram_matrix,
+                          quasimonomial_irreducible, quasimonomial_kernels)
+from utchar.duals import Functional, is_quasi_monomial, orbit
+from utchar.exotic import constant_diagonal_algebra
 from utchar.scalars import field_make
 
-from oracles import (brute_force_first_kernels, random_closed_pattern,
+from oracles import (brute_force_first_kernels, dense_chain,
+                     random_closed_pattern, random_functional,
                      random_quasimonomial, subspace_dense_rows)
 
 F2 = field_make(2)
 F3 = field_make(3)
+FIELDS = (F2, F3, field_make(2, 2), field_make(5))
 
 
 def constraint_space(alg, zero_positions):
@@ -134,3 +145,143 @@ def test_degree_identities_against_orbit_sizes(rng):
         inter = {f.key() for f in left} & {f.key() for f in right}
         assert len(left) == 2 ** ch.chi_degree_exponent
         assert len(inter) == 2 ** ch.chi_norm_exponent
+
+
+def assert_matches_dense_chain(alg, lam):
+    ch = chain_compute(alg, lam)
+    l_steps, s_steps = dense_chain(alg, lam)
+    assert ch.d == len(l_steps) == len(s_steps)
+    for i in range(ch.d):
+        assert subspace_dense_rows(ch.l_list[i + 1]) == l_steps[i]
+        assert subspace_dense_rows(ch.s_list[i + 1]) == s_steps[i]
+    return ch
+
+
+def perturbed_staircase(rng, alg):
+    """lam_{i,i+2} != 0 for all i plus one random entry: long chains."""
+    n, q = alg.pattern.n, alg.field.q
+    entries = {(i, i + 2): rng.randrange(1, q) for i in range(1, n - 1)}
+    i = rng.randrange(1, n)
+    entries[(i, rng.randrange(i + 1, n + 1))] = rng.randrange(1, q)
+    return Functional.from_entries(alg, entries)
+
+
+def test_chain_matches_dense_oracle_on_closed_patterns(rng):
+    hits, ds = 0, []
+    while hits < 80:
+        field = FIELDS[hits % 4]
+        if hits % 2:
+            alg = NilAlgebra.pattern_algebra(
+                random_closed_pattern(rng, rng.randrange(4, 10)), field)
+            lam = random_functional(rng, alg)
+        else:
+            alg = NilAlgebra.pattern_algebra(
+                Pattern.full(rng.randrange(5, 9)), field)
+            lam = perturbed_staircase(rng, alg)
+        if is_quasi_monomial(lam):
+            continue
+        ds.append(assert_matches_dense_chain(alg, lam).d)
+        hits += 1
+    assert {1, 2, 3, 4} <= set(ds)
+
+
+def random_subspace_algebra(rng, field):
+    """The subalgebra s^1 of a random functional on u_n(q)."""
+    u = NilAlgebra.pattern_algebra(Pattern.full(rng.randrange(4, 7)), field)
+    s1 = chain_compute(u, random_functional(rng, u)).s_list[1]
+    return NilAlgebra.from_subspace(s1, field)
+
+
+def test_chain_matches_dense_oracle_on_subspace_algebras(rng):
+    for k in range(16):
+        alg = random_subspace_algebra(rng, FIELDS[k % 4])
+        assert_matches_dense_chain(alg, random_functional(rng, alg))
+    for n in range(3, 7):
+        for field in FIELDS:
+            alg = constant_diagonal_algebra(n, field)
+            assert_matches_dense_chain(alg, random_functional(rng, alg))
+            ch = assert_matches_dense_chain(
+                alg, Functional.from_entries(alg, {(1, n): 1}))
+            # kappa(D_a D_b) = [a + b = n - 1]: only D_{n-1} is in the kernel
+            assert ch.l_bar.dim == 1
+
+
+def test_gram_matrix_skips_only_zero_products(rng):
+    for k in range(12):
+        alg = random_subspace_algebra(rng, FIELDS[k % 4])
+        lam = random_functional(rng, alg)
+        basis = alg.basis()
+        full = [{b: v for b, w in enumerate(basis)
+                 if (v := lam.evaluate(u @ w))} for u in basis]
+        assert gram_matrix(lam) == full
+
+
+def staircase_chain():
+    u6 = NilAlgebra.pattern_algebra(Pattern.full(6), F2)
+    lam = Functional.from_entries(
+        u6, {(1, 3): 1, (2, 4): 1, (3, 5): 1, (4, 6): 1})
+    return chain_compute(u6, lam)
+
+
+def test_corrupted_chain_fails_validation():
+    ch = staircase_chain()
+    assert ch.validate()
+    l_list = list(ch.l_list)
+    l_list[1], l_list[2] = l_list[2], l_list[1]
+    with pytest.raises(VerificationFailed, match="l\\^1 <= l\\^2"):
+        replace(ch, l_list=l_list).validate()
+    s_list = list(ch.s_list)
+    s_list[1] = ch.l_list[1]
+    with pytest.raises(VerificationFailed):
+        replace(ch, s_list=s_list).validate()
+
+
+def test_functional_on_another_algebra_is_rejected():
+    u3 = NilAlgebra.pattern_algebra(Pattern.full(3), F2)
+    a3 = constant_diagonal_algebra(3, F2)
+    with pytest.raises(ValueError, match="another algebra"):
+        chain_compute(u3, Functional.from_entries(a3, {(1, 3): 1}))
+
+
+def test_unstable_chain_and_fast_path_mismatch_fail(monkeypatch):
+    u3 = NilAlgebra.pattern_algebra(Pattern.full(3), F2)
+    lam = Functional.from_entries(u3, {(1, 3): 1})
+    with monkeypatch.context() as m:
+        m.setattr(Subspace, "__eq__", lambda self, other: self is other)
+        with pytest.raises(VerificationFailed, match="stabilize"):
+            chain_compute(u3, lam)
+    fast = quasimonomial_kernels(u3, lam)
+    monkeypatch.setattr(chain_module, "quasimonomial_kernels",
+                        lambda alg, f: replace(fast, l1=u3.span))
+    with pytest.raises(VerificationFailed, match="fast path"):
+        quasimonomial_irreducible(u3, lam)
+
+
+OPTIMIZED_SCRIPT = """
+from dataclasses import replace
+from utchar.algebra import NilAlgebra, Pattern, VerificationFailed
+from utchar.chain import chain_compute
+from utchar.duals import Functional
+from utchar.scalars import field_make
+assert False, "assertions are enabled"
+u6 = NilAlgebra.pattern_algebra(Pattern.full(6), field_make(2))
+lam = Functional.from_entries(u6, {(1, 3): 1, (2, 4): 1, (3, 5): 1, (4, 6): 1})
+ch = chain_compute(u6, lam)
+bad = list(ch.l_list)
+bad[1], bad[2] = bad[2], bad[1]
+try:
+    replace(ch, l_list=bad).validate()
+except VerificationFailed:
+    print("raised")
+"""
+
+
+def test_chain_checks_survive_optimized_mode():
+    src = str(Path(utchar.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["raised"]

@@ -52,6 +52,32 @@ def test_field_axioms_spot(p, e, rng):
             assert f.mul(a, f.inv(a)) == 1
 
 
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (5, 2)])
+def test_extension_tables_match_digit_arithmetic(p, e):
+    f = field_make(p, e)
+    assert f._add_table is not None and f._neg_table is not None
+
+    def digits_add(a, b):
+        return f._encode([x + y for x, y in zip(f._decode(a), f._decode(b))])
+
+    def digits_neg(a):
+        return f._encode([-x for x in f._decode(a)])
+
+    for a in range(f.q):
+        assert f.neg(a) == digits_neg(a)
+        for b in range(f.q):
+            assert f.add(a, b) == digits_add(a, b)
+            assert f.sub(a, b) == digits_add(a, digits_neg(b))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_prime_field_sub_is_add_of_negation(p):
+    f = field_make(p)
+    for a in range(p):
+        for b in range(p):
+            assert f.sub(a, b) == f.add(a, f.neg(b)) == (a - b) % p
+
+
 @given(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]),
        st.integers(0, 80), st.integers(0, 80))
 def test_additive_character_is_multiplicative_on_sums(pe, a, b):
