@@ -195,10 +195,11 @@ class NilMatrix:
 class GroupElement:
     """An element 1 + X of the algebra group attached to a pattern algebra."""
 
-    __slots__ = ("body",)
+    __slots__ = ("body", "_inverse")
 
     def __init__(self, body):
         self.body = body
+        self._inverse = None
 
     @classmethod
     def identity(cls, pattern, field):
@@ -213,14 +214,19 @@ class GroupElement:
         return GroupElement(x + y + (x @ y))
 
     def inverse(self):
-        # (1+X)^(-1) = 1 - X + X^2 - X^3 + ...
-        x = self.body
-        acc = -x
-        term = -x
-        while not term.is_zero():
-            term = -(term @ x)
-            acc = acc + term
-        return GroupElement(acc)
+        # (1+X)^(-1) = 1 - X + X^2 - X^3 + ..., summed once per element;
+        # the inverse links back here, so inverting it again costs nothing
+        if self._inverse is None:
+            x = self.body
+            acc = -x
+            term = -x
+            while not term.is_zero():
+                term = -(term @ x)
+                acc = acc + term
+            inv = GroupElement(acc)
+            inv._inverse = self
+            self._inverse = inv
+        return self._inverse
 
     def conjugate(self, other):
         """other * self * other^(-1)."""

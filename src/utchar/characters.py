@@ -9,7 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .algebra import DEFAULT_CAP, CapExceeded, NilAlgebra, trunc_exp
+from .algebra import (DEFAULT_CAP, CapExceeded, NilAlgebra,
+                      VerificationFailed, trunc_exp)
 from .chain import ChainResult, chain_compute
 from .duals import orbit
 from .scalars import (AdditiveCharacter, CyclotomicNumber, in_subfield,
@@ -165,13 +166,30 @@ def theta_lambda(group, lam):
 
 
 def _orbit_sum(group, functionals, scale):
-    th = group.theta
+    """scale * sum over mu of theta_mu, as a table on the group.
+
+    theta_mu(g) = zeta_p^t with t = Tr mu(g - 1) = sum_k Tr(mu_k x_k) mod p,
+    where x are the coordinates of g - 1, so each value is sum_t c_t zeta_p^t
+    for the integer counts c_t of the functionals with trace t.  Reduced
+    modulo Phi_p, whose roots satisfy zeta^(p-1) = -(1 + ... + zeta^(p-2)),
+    its coefficients are c_t - c_{p-1}.  Tr(ab) comes from one q x q table,
+    and each element's coordinates are read once."""
+    algebra = functionals[0].algebra
+    field = algebra.field
+    p, q = field.p, field.q
+    trace = [[field.trace(field.mul(a, b)) for b in range(q)]
+             for a in range(q)]
+    terms = [[(k, trace[c]) for k, c in enumerate(mu.values) if c]
+             for mu in functionals]
     values = []
     for g in group.elements:
-        total = CyclotomicNumber.zero(th.conductor)
-        for mu in functionals:
-            total = total + th(mu.evaluate_group(g))
-        values.append(total.scale(scale))
+        x = algebra.coordinates(g.body)
+        counts = [0] * p
+        for pairs in terms:
+            counts[sum(row[x[k]] for k, row in pairs) % p] += 1
+        top = counts[-1]
+        values.append(CyclotomicNumber(p, [c - top for c in counts[:-1]])
+                      .scale(scale))
     return ClassFunction(group, values)
 
 
@@ -181,7 +199,9 @@ def kirillov(group, lam, cap=DEFAULT_CAP):
     orb = orbit(lam, "coadjoint", cap)
     size = len(orb)
     root = isqrt(size)
-    assert root * root == size, "coadjoint orbit size is not a perfect square"
+    if root * root != size:
+        raise VerificationFailed(
+            f"coadjoint orbit size {size} is not a perfect square")
     return _orbit_sum(group, orb, Fraction(1, root))
 
 
@@ -192,7 +212,8 @@ def exp_kirillov(group, lam, cap=DEFAULT_CAP):
     for g in group.elements:
         target = trunc_exp(g.body)  # psi^Exp(Exp(x)) = psi(1 + x)
         values[group.index[target.key()]] = psi(g)
-    assert all(v is not None for v in values)
+    if any(v is None for v in values):
+        raise VerificationFailed("Exp does not map the group onto itself")
     return ClassFunction(group, values)
 
 
@@ -350,13 +371,16 @@ def abelian_dual(group, cap=DEFAULT_CAP):
         new_assignments = []
         for partial in assignments:
             c = sum(w * t for w, t in zip(word, partial)) % modulus
-            assert c % m == 0, "relation has no compatible character value"
+            if c % m:
+                raise VerificationFailed(
+                    "relation has no compatible character value")
             base = c // m
             step = modulus // m
             for j in range(m):
                 new_assignments.append(partial + ((base + j * step) % modulus,))
         assignments = new_assignments
-    assert len(assignments) == group.size, "dual is incomplete"
+    if len(assignments) != group.size:
+        raise VerificationFailed("dual is incomplete")
     zeta_powers = [CyclotomicNumber.zeta(modulus, t) for t in range(modulus)]
     characters = []
     exponents = []
@@ -502,5 +526,7 @@ def kirillov_equals_theta_on_abelian(group, lam):
     """On an abelian algebra group the coadjoint orbit is a singleton, so
     psi_lambda = theta_lambda; returns the common table."""
     orb = orbit(lam, "coadjoint")
-    assert len(orb) == 1
+    if len(orb) != 1:
+        raise VerificationFailed(
+            f"coadjoint orbit of size {len(orb)} on an abelian group")
     return theta_lambda(group, lam)

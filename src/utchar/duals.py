@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from .algebra import DEFAULT_CAP, CapExceeded
+from .algebra import DEFAULT_CAP, CapExceeded, VerificationFailed
 from .scalars import FieldElement
 
 
@@ -242,7 +242,7 @@ def orbit(lam, which, cap=DEFAULT_CAP):
             size //= q
             exp += 1
         if size != 1 or exp % 2 != 0:
-            raise AssertionError(
+            raise VerificationFailed(
                 f"coadjoint orbit size {len(out)} is not an even power of q")
     return out
 

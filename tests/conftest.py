@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -15,3 +19,18 @@ settings.load_profile("suite")
 @pytest.fixture
 def rng():
     return random.Random(20240811)
+
+
+@pytest.fixture
+def run_optimized():
+    """Run a script in a fresh `python -O` interpreter that imports this
+    checkout's utchar; returns the completed process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+
+    def run(script):
+        return subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+    return run

@@ -4,8 +4,11 @@ orbits, and combinatorial shortcuts."""
 
 import itertools
 
-from utchar.algebra import GroupElement, NilMatrix, Pattern
+from utchar.algebra import (GroupElement, NilAlgebra, NilMatrix, Pattern,
+                            Subspace)
+from utchar.characters import ClassFunction
 from utchar.duals import Functional, act_coadjoint, act_left, act_right
+from utchar.scalars import CyclotomicNumber
 
 
 def dense_rref(matrix, field):
@@ -171,6 +174,30 @@ def dense_product(pattern, field, x, y):
     return [prod[i][j] for i, j in pattern.order]
 
 
+def dense_inverse(pattern, field, x):
+    """(1 + X)^(-1) - 1 = -X + X^2 - X^3 + ... for a dense coordinate
+    vector, with every power formed by dense_product."""
+    neg = [field.neg(v) for v in x]
+    acc, term = list(neg), list(neg)
+    while any(term):
+        term = dense_product(pattern, field, term, neg)
+        acc = [field.add(a, b) for a, b in zip(acc, term)]
+    return acc
+
+
+def dense_orbit_sum(group, functionals, scale):
+    """scale * sum of theta_mu over the functionals, one cyclotomic
+    addition per functional and group element."""
+    th = group.theta
+    values = []
+    for g in group.elements:
+        total = CyclotomicNumber.zero(th.conductor)
+        for mu in functionals:
+            total = total + th(mu.evaluate_group(g))
+        values.append(total.scale(scale))
+    return ClassFunction(group, values)
+
+
 def full_group_orbit(group, lam, which):
     """Orbit computed by applying every group element (and pairs for the
     two-sided orbit) rather than by generator BFS."""
@@ -245,3 +272,15 @@ def random_functional(rng, algebra):
     return Functional(algebra,
                       [rng.randrange(algebra.field.q)
                        for _ in range(algebra.dim)])
+
+
+def u4_and_subalgebra(field):
+    """u_4(q) and the non-commutative subalgebra spanned by e12 + e34, e13,
+    e14 and e24, which is not spanned by pattern positions."""
+    p4 = Pattern.full(4)
+    span = Subspace.from_matrices(
+        p4, field, [NilMatrix(p4, field, {(1, 2): 1, (3, 4): 1})]
+        + [NilMatrix.elementary(p4, field, *pos)
+           for pos in ((1, 3), (1, 4), (2, 4))])
+    return (NilAlgebra.pattern_algebra(p4, field),
+            NilAlgebra.from_subspace(span, field))

@@ -7,8 +7,9 @@ from utchar.algebra import (CapExceeded, GroupElement, NilAlgebra, NilMatrix,
                             solution_space, trunc_exp, trunc_log)
 from utchar.scalars import field_make
 
-from oracles import (dense_left_kernel, dense_product, dense_rref,
-                     random_element, subspace_dense_rows)
+from oracles import (dense_inverse, dense_left_kernel, dense_product,
+                     dense_rref, random_element, subspace_dense_rows,
+                     u4_and_subalgebra)
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -43,6 +44,23 @@ def test_group_laws_random(rng):
         assert (a * b) * c == a * (b * c)
         assert (a * a.inverse()).is_identity()
         assert (a.inverse().inverse()) == a
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_cached_inverse_matches_dense_oracle(p, e, rng):
+    field = field_make(p, e)
+    for alg in u4_and_subalgebra(field):
+        width = len(alg.pattern.order)
+        for _ in range(25):
+            g = random_element(rng, alg)
+            inv = g.inverse()
+            assert g.inverse() is inv and inv.inverse() is g
+            assert (g * inv).is_identity() and (inv * g).is_identity()
+            vec = g.body.vector()
+            dense = dense_inverse(alg.pattern, field,
+                                  [vec.get(k, 0) for k in range(width)])
+            assert inv.body == NilMatrix.from_vector(
+                alg.pattern, field, dict(enumerate(dense)))
 
 
 def test_nilpotency(rng):

@@ -1,12 +1,7 @@
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
-import utchar
 from utchar import chain as chain_module
 from utchar.algebra import NilAlgebra, Pattern, Subspace, VerificationFailed
 from utchar.chain import (chain_compute, gram_matrix,
@@ -276,12 +271,7 @@ except VerificationFailed:
 """
 
 
-def test_chain_checks_survive_optimized_mode():
-    src = str(Path(utchar.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
-                         env=env, capture_output=True, text=True, timeout=120)
+def test_chain_checks_survive_optimized_mode(run_optimized):
+    out = run_optimized(OPTIMIZED_SCRIPT)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["raised"]

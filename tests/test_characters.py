@@ -1,7 +1,12 @@
 import itertools
+from fractions import Fraction
+from math import isqrt
 
+import pytest
+
+from utchar import characters
 from utchar.algebra import (GroupElement, NilAlgebra, NilMatrix, Pattern,
-                            Subspace, trunc_exp)
+                            Subspace, VerificationFailed, trunc_exp)
 from utchar.chain import chain_compute
 from utchar.characters import (ClassFunction, GroupTable, abelian_dual,
                                constituents_of_induced_linear, exp_kirillov,
@@ -12,7 +17,7 @@ from utchar.duals import Functional, orbit, orbit_keys
 from utchar.exotic import constant_diagonal_algebra, corner_functional
 from utchar.scalars import CyclotomicNumber, field_make
 
-from oracles import random_functional
+from oracles import dense_orbit_sum, random_functional
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -407,3 +412,129 @@ def test_induce_rejects_nothing_but_class_functions_silently():
     th = theta_lambda(sub, lam)
     ind = induce(th, G32)
     assert ind.degree == CyclotomicNumber.rational(4)
+
+
+# ---------------------------------------------------------------------------
+# trace-count orbit sums against the per-functional cyclotomic sum
+
+
+def exact_values(f):
+    """Conductor and coefficients of every value; == on CyclotomicNumber
+    promotes conductors, this does not."""
+    return [(v.m, v.coeffs) for v in f.values]
+
+
+def check_orbit_sums(group, lam):
+    coadjoint = orbit(lam, "coadjoint")
+    psi = dense_orbit_sum(group, coadjoint,
+                          Fraction(1, isqrt(len(coadjoint))))
+    assert exact_values(kirillov(group, lam)) == exact_values(psi)
+    psi_exp = [None] * group.size
+    for g, v in zip(group.elements, psi.values):
+        psi_exp[group.index[trunc_exp(g.body).key()]] = v
+    assert exact_values(exp_kirillov(group, lam)) == \
+        exact_values(ClassFunction(group, psi_exp))
+    two = orbit(lam, "two-sided")
+    chi = dense_orbit_sum(group, two,
+                          Fraction(len(orbit(lam, "left")), len(two)))
+    assert exact_values(supercharacter(group, lam)) == exact_values(chi)
+
+
+ORBIT_SUM_GROUPS = [(3, (2, 1)), (3, (3, 1)), (3, (2, 2)), (3, (5, 1)),
+                    (3, (2, 3)), (3, (3, 2)), (4, (2, 1)), (4, (3, 1))]
+
+
+@pytest.mark.parametrize("n, pe", ORBIT_SUM_GROUPS)
+def test_orbit_sums_match_dense_oracle_on_ut(n, pe, rng):
+    field = field_make(*pe)
+    alg = NilAlgebra.pattern_algebra(Pattern.full(n), field)
+    group = GroupTable.from_algebra(alg)
+    top = field.q - 1  # the largest encoding: a non-prime element if e > 1
+    lams = [Functional.from_entries(alg, {(1, n): top, (1, 2): 1}),
+            random_functional(rng, alg)]
+    if group.size < 500:
+        lams += [Functional.zero(alg), random_functional(rng, alg)]
+    for lam in lams:
+        check_orbit_sums(group, lam)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_orbit_sums_match_dense_oracle_on_constant_diagonal(n, rng):
+    for field in (F2, F3):
+        alg = constant_diagonal_algebra(n, field)
+        group = GroupTable.from_algebra(alg)
+        for lam in (corner_functional(alg), random_functional(rng, alg)):
+            check_orbit_sums(group, lam)
+
+
+def test_vanishing_orbit_sum_keeps_conductor_p():
+    for field in (F3, field_make(2, 2), field_make(5)):
+        alg = NilAlgebra.pattern_algebra(Pattern.full(3), field)
+        group = GroupTable.from_algebra(alg)
+        lam = Functional.from_entries(alg, {(1, 3): 1})
+        for fn in (kirillov(group, lam), supercharacter(group, lam)):
+            assert any(v.is_zero() for v in fn.values)
+            assert all(v.m == field.p for v in fn.values)
+
+
+# ---------------------------------------------------------------------------
+# mathematical checks raise VerificationFailed
+
+
+def test_kirillov_checks_raise_verification_failed(monkeypatch):
+    lam = Functional.from_entries(U32, {(1, 3): 1})
+    real = characters.orbit
+    monkeypatch.setattr(characters, "orbit",
+                        lambda lam, which, cap=characters.DEFAULT_CAP:
+                        real(lam, which, cap)[:2])
+    with pytest.raises(VerificationFailed, match="perfect square"):
+        kirillov(G32, lam)
+    with pytest.raises(VerificationFailed, match="abelian"):
+        characters.kirillov_equals_theta_on_abelian(G32, lam)
+
+
+def test_exp_kirillov_unfilled_value_raises(monkeypatch):
+    lam = Functional.from_entries(U33, {(1, 3): 1})
+    identity = G33.elements[G33.identity_index()]
+    monkeypatch.setattr(characters, "trunc_exp", lambda mat: identity)
+    with pytest.raises(VerificationFailed, match="Exp"):
+        exp_kirillov(G33, lam)
+
+
+def test_incomplete_abelian_dual_raises():
+    # 1, x, x^2 of the cyclic group of order 3, listed without x^2
+    u2 = NilAlgebra.pattern_algebra(Pattern.full(2), F3)
+    elements = list(GroupTable.from_algebra(u2).elements)
+    fake = GroupTable(u2, elements[:2])
+    with pytest.raises(VerificationFailed, match="incomplete"):
+        abelian_dual(fake)
+
+
+OPTIMIZED_SCRIPT = """
+from utchar import characters, duals
+from utchar.algebra import NilAlgebra, Pattern, VerificationFailed
+from utchar.characters import GroupTable, kirillov
+from utchar.duals import Functional
+from utchar.scalars import field_make
+assert False, "assertions are enabled"
+u3 = NilAlgebra.pattern_algebra(Pattern.full(3), field_make(2))
+lam = Functional.from_entries(u3, {(1, 3): 1})
+real = characters.orbit
+characters.orbit = lambda lam, which, cap: real(lam, which, cap)[:2]
+try:
+    kirillov(GroupTable.from_algebra(u3), lam)
+except VerificationFailed:
+    print("raised")
+gens = duals._generators
+duals._generators = lambda algebra, cap: gens(algebra, cap)[:1]
+try:
+    duals.orbit(lam, "coadjoint")
+except VerificationFailed:
+    print("raised")
+"""
+
+
+def test_orbit_size_check_survives_optimized_mode(run_optimized):
+    out = run_optimized(OPTIMIZED_SCRIPT)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["raised", "raised"]

@@ -5,8 +5,10 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from utchar import cli, exotic
+from utchar import characters, cli, duals, exotic
+from utchar.algebra import GroupElement, Pattern
 from utchar.cli import JobSpec, build_parser, main, render, run, spec_from_args
+from utchar.scalars import field_make
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "schemas"
 
@@ -175,6 +177,34 @@ def test_failed_verification_exits_1(monkeypatch, capsys):
                         _failing_closed_forms(cli.verify_chain_closed_forms))
     assert main(["verify", "--r", "2", "--q", "2"]) == 1
     assert json.loads(capsys.readouterr().out)["pass"] is False
+
+
+def test_failed_character_checks_exit_1(monkeypatch, capsys):
+    table = ["table", "--n", "3", "--q", "3", "--lambda", "[[1,3,1]]",
+             "--which"]
+    real_orbit = characters.orbit
+    with monkeypatch.context() as m:
+        # every functional counted twice: orbit sizes 2 and 18 are no squares
+        m.setattr(characters, "orbit",
+                  lambda lam, which, cap: real_orbit(lam, which, cap) * 2)
+        for argv in (table + ["kirillov"], ["kappa", "--n", "4", "--q", "2"]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and "perfect square" in captured.err
+    with monkeypatch.context() as m:
+        identity = GroupElement.identity(Pattern.full(3), field_make(3))
+        m.setattr(characters, "trunc_exp", lambda mat: identity)
+        assert main(table + ["expkirillov"]) == 1
+        assert "Exp" in capsys.readouterr().err
+    real_generators = duals._generators
+    with monkeypatch.context() as m:
+        # 1 + e12 alone moves e13* to e13* + e23*: an orbit of size q
+        m.setattr(duals, "_generators",
+                  lambda algebra, cap: real_generators(algebra, cap)[:1])
+        assert main(["orbit", "--n", "3", "--q", "2", "--lambda", "[[1,3,1]]",
+                     "--which", "coadjoint"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "even power" in captured.err
 
 
 def test_field_with_explicit_modulus():

@@ -10,7 +10,8 @@ from utchar.duals import (Functional, SetPartition, act_coadjoint, act_left,
                           orbit_keys, shape, torus_act, torus_orbit)
 from utchar.scalars import field_make
 
-from oracles import (full_group_orbit, random_element, random_functional)
+from oracles import (full_group_orbit, random_element, random_functional,
+                     u4_and_subalgebra)
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -92,6 +93,21 @@ def test_orbits_match_full_group_application(rng):
             bfs = orbit_keys(orbit(lam, which))
             brute = set(full_group_orbit(group, lam, which))
             assert bfs == brute
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_orbits_match_full_group_on_u4_and_subalgebra(p, e, rng):
+    from utchar.characters import GroupTable
+    field = field_make(p, e)
+    for alg in u4_and_subalgebra(field):
+        group = GroupTable.from_algebra(alg)
+        kinds = ("left", "right", "coadjoint")
+        if group.size <= 100:
+            kinds += ("two-sided",)  # the oracle applies |G|^2 pairs
+        lam = random_functional(rng, alg)
+        for which in kinds:
+            assert orbit_keys(orbit(lam, which)) == \
+                set(full_group_orbit(group, lam, which))
 
 
 def test_left_and_right_orbits_same_size(rng):
