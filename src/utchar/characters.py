@@ -18,8 +18,13 @@ from .scalars import (AdditiveCharacter, CyclotomicNumber, in_subfield,
 
 
 class GroupTable:
-    """A fully enumerated algebra group with canonical element order and
-    cached inverses."""
+    """A fully enumerated algebra group with canonical element order,
+    cached inverses, and each element's coordinates over algebra.basis().
+
+    Group products are computed on coordinates: for x = 1 + a, both
+    y -> x y and y -> x y x^{-1} are affine maps of the coordinates of
+    y - 1, so each x costs one set of basis products and then one sparse
+    mat-vec per element."""
 
     def __init__(self, algebra, elements):
         self.algebra = algebra
@@ -29,6 +34,8 @@ class GroupTable:
             raise ValueError("duplicate group elements")
         self._inverses = None
         self._mul_table = None
+        self._coords = None
+        self._coord_index = None
         self.theta = AdditiveCharacter(algebra.field)
 
     @classmethod
@@ -58,13 +65,38 @@ class GroupTable:
     def contains(self, g):
         return g.key() in self.index
 
+    def coordinates(self):
+        """Each element's coordinate tuple over algebra.basis(); built once,
+        with the map from coordinates back to indices."""
+        if self._coords is None:
+            self._coords = [tuple(self.algebra.coordinates(g.body))
+                            for g in self.elements]
+            self._coord_index = {c: i for i, c in enumerate(self._coords)}
+        return self._coords
+
     def mul_table(self):
-        """index x index -> index of the product; built once on demand."""
+        """index x index -> index of the product; built once on demand.
+
+        Row x = 1 + a is y -> a + (1 + a) y on coordinates, whose columns
+        are the coordinates of u_b + a u_b for the basis matrices u_b."""
         if self._mul_table is None:
+            coords = self.coordinates()
+            lookup = self._coord_index
+            algebra = self.algebra
+            basis = algebra.basis()
             table = []
-            for g in self.elements:
-                row = [self.index[(g * h).key()] for h in self.elements]
-                table.append(row)
+            for g, x in zip(self.elements, coords):
+                a = g.body
+                columns = _coordinate_columns(algebra,
+                                              [u + a @ u for u in basis])
+                try:
+                    table.append([lookup[_apply_columns(algebra.field,
+                                                        columns, y, x)]
+                                  for y in coords])
+                except KeyError:
+                    raise VerificationFailed(
+                        "group table is incomplete: a product falls "
+                        "outside the element list") from None
             self._mul_table = table
         return self._mul_table
 
@@ -74,6 +106,31 @@ class GroupTable:
 
     def __repr__(self):
         return f"GroupTable(size={self.size})"
+
+
+def _coordinate_columns(algebra, mats):
+    """The coordinates of each matrix over algebra.basis(), as sparse
+    columns [(k, c), ...]."""
+    return [[(k, c) for k, c in enumerate(algebra.coordinates(m)) if c]
+            for m in mats]
+
+
+def _apply_columns(field, columns, vec, start):
+    """start + sum_b vec[b] * columns[b] over F_q, as a tuple."""
+    acc = list(start)
+    if field.e == 1:
+        for c, column in zip(vec, columns):
+            if c:
+                for k, v in column:
+                    acc[k] += c * v
+        p = field.p
+        return tuple([a % p for a in acc])
+    add, mul = field.add, field.mul
+    for c, column in zip(vec, columns):
+        if c:
+            for k, v in column:
+                acc[k] = add(acc[k], mul(c, v))
+    return tuple(acc)
 
 
 class ClassFunction:
@@ -280,27 +337,40 @@ def xi(algebra, lam, group=None, cap=DEFAULT_CAP):
 
 def induce(f, group):
     """Ind_H^G f(g) = (1/|H|) sum over x in G with x g x^{-1} in H of
-    f(x g x^{-1})."""
+    f(x g x^{-1}).
+
+    Conjugation by x = 1 + a is linear on coordinates, because
+    x (1 + b) x^{-1} = 1 + x b x^{-1}: its columns are the coordinates of
+    x u_b x^{-1}, built once per x.  An element is found in H through the
+    map from the ambient coordinates of H's elements to H's indices, and
+    each sum is taken in the order of x."""
     sub = f.group
     inverses = group.inverses()
-    values = []
-    abelian_shortcut = group.is_abelian()
-    for g in group.elements:
-        if abelian_shortcut:
-            if sub.contains(g):
-                values.append(f(g).scale(Fraction(group.size, sub.size)))
-            else:
-                values.append(CyclotomicNumber.zero())
-            continue
-        acc = CyclotomicNumber.zero()
-        hit = False
-        for x, xinv in zip(group.elements, inverses):
-            moved = x * g * xinv
-            if sub.contains(moved):
-                acc = acc + f(moved)
-                hit = True
-        values.append(acc.scale(Fraction(1, sub.size)) if hit else acc)
-    return ClassFunction(group, values)
+    algebra = group.algebra
+    in_sub = {tuple(algebra.coordinates(h.body)): i
+              for i, h in enumerate(sub.elements)}
+    coords = group.coordinates()
+    if group.is_abelian():
+        scale = Fraction(group.size, sub.size)
+        return ClassFunction(group, [
+            f.values[in_sub[c]].scale(scale) if c in in_sub
+            else CyclotomicNumber.zero() for c in coords])
+    basis = algebra.basis()
+    zero = (0,) * len(basis)
+    sums = [CyclotomicNumber.zero()] * group.size
+    hit = [False] * group.size
+    for x, xinv in zip(group.elements, inverses):
+        a, ainv = x.body, xinv.body
+        left = [u + a @ u for u in basis]  # (1 + a) u_b
+        columns = _coordinate_columns(algebra, [m + m @ ainv for m in left])
+        for i, c in enumerate(coords):
+            h = in_sub.get(_apply_columns(algebra.field, columns, c, zero))
+            if h is not None:
+                sums[i] = sums[i] + f.values[h]
+                hit[i] = True
+    scale = Fraction(1, sub.size)
+    return ClassFunction(group, [acc.scale(scale) if seen else acc
+                                 for acc, seen in zip(sums, hit)])
 
 
 def restrict(f, subgroup):
@@ -329,41 +399,43 @@ def abelian_dual(group, cap=DEFAULT_CAP):
     """Characters of an abelian group via a power-normal form: generators
     are extracted greedily by maximal relative order, every element gets a
     normal-form exponent vector, and characters are built by solving
-    z^m = chi(relation) stepwise."""
+    z^m = chi(relation) stepwise.  Powers and products are read from the
+    multiplication table, so elements are handled as indices."""
     if not group.is_abelian():
         raise ValueError("group is not abelian")
-    identity = group.elements[group.identity_index()]
-    norm_form = {identity.key(): ()}
-    reps = {identity.key(): identity}
+    mul = group.mul_table()
+    identity = group.identity_index()
+    norm_form = {identity: ()}  # element index -> exponent vector
     gens, rel_orders, rel_words = [], [], []
     while len(norm_form) < group.size:
         best, best_m, best_word = None, 0, None
-        for g in group.elements:
-            if g.key() in norm_form:
+        for g in range(group.size):
+            if g in norm_form:
                 continue
             m, h = 1, g
-            while h.key() not in norm_form:
-                h = h * g
+            while h not in norm_form:
+                h = mul[h][g]
                 m += 1
             if m > best_m:
-                best, best_m, best_word = g, m, norm_form[h.key()]
+                best, best_m, best_word = g, m, norm_form[h]
         g, m = best, best_m
         new_norm = {}
-        new_reps = {}
         power = identity
         for k in range(m):
-            for key, vec in norm_form.items():
-                elt = reps[key] * power
-                new_norm[elt.key()] = vec + (k,)
-                new_reps[elt.key()] = elt
-            power = power * g
-        norm_form, reps = new_norm, new_reps
+            for elt, vec in norm_form.items():
+                new_norm[mul[elt][power]] = vec + (k,)
+            power = mul[power][g]
+        norm_form = new_norm
         gens.append(g)
         rel_orders.append(m)
         rel_words.append(best_word)
     modulus = 1
     for g in gens:
-        modulus = lcm(modulus, g.order())
+        order, h = 1, g
+        while h != identity:
+            h = mul[h][g]
+            order += 1
+        modulus = lcm(modulus, order)
     # assignments of exponents t_i of zeta_M to generators
     assignments = [()]
     for i, m in enumerate(rel_orders):
@@ -386,8 +458,8 @@ def abelian_dual(group, cap=DEFAULT_CAP):
     exponents = []
     for ts in assignments:
         table_exp = []
-        for g in group.elements:
-            vec = norm_form[g.key()]
+        for g in range(group.size):
+            vec = norm_form[g]
             table_exp.append(sum(v * t for v, t in zip(vec, ts)) % modulus)
         exponents.append(tuple(table_exp))
         characters.append(
@@ -416,33 +488,41 @@ def constituents_of_induced_linear(dual, subgroup, f_on_subgroup):
 
 
 def _value_exponents(f):
-    """Express every table value as zeta_M^t for a common M, or None."""
-    modulus = 1
+    """Express every table value as zeta_M^t for a common M, or None.  Each
+    distinct value is analysed once."""
+    orders = {}
     for v in f.values:
-        d = root_of_unity_order(v)
-        if d is None:
-            return None, None
+        key = (v.m, v.coeffs)
+        if key not in orders:
+            d = root_of_unity_order(v)
+            if d is None:
+                return None, None
+            orders[key] = (v, d)
+    modulus = 1
+    for _, d in orders.values():
         modulus = lcm(modulus, d)
     powers = [CyclotomicNumber.zeta(modulus, t) for t in range(modulus)]
-    exps = []
-    for v in f.values:
+    exponent = {}
+    for key, (v, _) in orders.items():
         for t, w in enumerate(powers):
             if v == w:
-                exps.append(t)
+                exponent[key] = t
                 break
         else:
             return None, None
-    return exps, modulus
+    return [exponent[(v.m, v.coeffs)] for v in f.values], modulus
 
 
 def homomorphism_defect(f):
-    """A pair (g, h) with f(gh) != f(g) f(h), or None; exhaustive over all
-    pairs.  Root-of-unity valued tables are checked in exponent arithmetic."""
+    """The first pair (g, h), in the order of the group's elements, with
+    f(gh) != f(g) f(h), or None; exhaustive over all pairs of the
+    multiplication table.  Root-of-unity valued tables are checked in
+    exponent arithmetic."""
     group = f.group
+    mul = group.mul_table()
+    size = group.size
     exps, modulus = _value_exponents(f)
     if exps is not None:
-        mul = group.mul_table()
-        size = group.size
         for i in range(size):
             ei = exps[i]
             row = mul[i]
@@ -450,11 +530,13 @@ def homomorphism_defect(f):
                 if (ei + exps[j] - exps[row[j]]) % modulus:
                     return group.elements[i], group.elements[j]
         return None
-    for g in group.elements:
-        fg = f(g)
-        for h in group.elements:
-            if f(g * h) != fg * f(h):
-                return g, h
+    values = f.values
+    for i in range(size):
+        fg = values[i]
+        row = mul[i]
+        for j in range(size):
+            if values[row[j]] != fg * values[j]:
+                return group.elements[i], group.elements[j]
     return None
 
 

@@ -45,6 +45,14 @@ class JobSpec:
     def from_json(cls, text):
         return cls(**json.loads(text))
 
+    def validate(self):
+        """Raise ValueError for inputs no command accepts: an enumeration
+        cap below 1, or kappa with n < 2 (A_n(q) then has no corner)."""
+        if self.cap < 1:
+            raise ValueError(f"cap {self.cap} is not a positive integer")
+        if self.command == "kappa" and self.n < 2:
+            raise ValueError(f"kappa needs n >= 2, got n = {self.n}")
+
 
 def _factor_prime_power(q):
     if q < 2:
@@ -362,6 +370,7 @@ def spec_from_args(args):
 
 
 def run(spec):
+    spec.validate()
     return COMMANDS[spec.command](spec)
 
 

@@ -151,28 +151,45 @@ class RegionAtlas:
         return orbits
 
     def validate(self):
+        """Check the block sizes and the mirror map; raises
+        VerificationFailed at the first check that fails."""
         r = self.r
         named = self.named()
         flat = []
         for s in named.values():
             flat.extend(s)
-        assert len(flat) == len(set(flat)), "regions are not disjoint"
+        _require(len(flat) == len(set(flat)), "regions are not disjoint")
         half = (r * r - r) // 2
-        assert len(self.A) == len(self.B) == len(self.C) == half
-        assert len(self.D) == (r * r + r) // 2 - 1
-        assert len(self.Z) == 3 * r * r
-        assert len(self.Z1) == r * r + r
-        assert len(self.Z2) == len(self.Z4) == (r * r - r) // 2
-        assert len(self.Z3) == r * r
+        _require(len(self.A) == len(self.B) == len(self.C) == half,
+                 "|A|, |B|, |C| are not (r^2 - r)/2")
+        _require(len(self.D) == (r * r + r) // 2 - 1,
+                 "|D| is not (r^2 + r)/2 - 1")
+        _require(len(self.Z) == 3 * r * r, "|Z| is not 3r^2")
+        _require(len(self.Z1) == r * r + r, "|Z1| is not r^2 + r")
+        _require(len(self.Z2) == len(self.Z4) == half,
+                 "|Z2|, |Z4| are not (r^2 - r)/2")
+        _require(len(self.Z3) == r * r, "|Z3| is not r^2")
         mir = self.mirror
-        assert set(mir) == set(self.A | self.B | self.C | self.D)
-        assert len(set(mir.values())) == len(mir), "mirror is not injective"
-        assert {mir[a] for a in self.A} == set(self.Ap)
-        assert {mir[b] for b in self.B} == set(self.Bp)
-        assert {mir[c] for c in self.C} == set(self.Cp)
-        assert {mir[d] for d in self.D} == set(self.D)
-        assert len(self.mirror_orbits_on_d()) == r - 1
+        _require(set(mir) == set(self.A | self.B | self.C | self.D),
+                 "mirror is not defined exactly on A, B, C, D")
+        _require(len(set(mir.values())) == len(mir),
+                 "mirror is not injective")
+        _require({mir[a] for a in self.A} == set(self.Ap),
+                 "mirror does not map A onto A'")
+        _require({mir[b] for b in self.B} == set(self.Bp),
+                 "mirror does not map B onto B'")
+        _require({mir[c] for c in self.C} == set(self.Cp),
+                 "mirror does not map C onto C'")
+        _require({mir[d] for d in self.D} == set(self.D),
+                 "mirror does not map D onto itself")
+        _require(len(self.mirror_orbits_on_d()) == r - 1,
+                 "mirror does not have r - 1 cycles on D")
         return True
+
+
+def _require(ok, what):
+    if not ok:
+        raise VerificationFailed(f"exotic check failed: {what}")
 
 
 def build_regions(r):
@@ -503,7 +520,7 @@ def _cyclic_value_level(order, p):
         return 0
     level = 0
     while order > 1:
-        assert order % p == 0, "value group order is not a p-power"
+        _require(order % p == 0, "value group order is not a p-power")
         order //= p
         level += 1
     return level
@@ -594,8 +611,10 @@ def exotic_report(r, field, n=None, cap=DEFAULT_CAP):
     shp = exotic_shape(r, n)
     shp_direct = shape(exotic_quasimonomial(r, field))
     if n == 6 * r + 1:
-        assert shp == shp_direct
-    assert len(shp) == expected_parts
+        _require(shp == shp_direct,
+                 "closed-form shape differs from the computed shape")
+    _require(len(shp) == expected_parts,
+             "shape does not have n - 4r - 1 parts")
     notes.append(
         "the two-element shape parts pair i with 3r+1+i for r < i <= 2r; "
         "pairing with 4r+1+i instead would collide with the other parts "
@@ -616,12 +635,15 @@ def exotic_report(r, field, n=None, cap=DEFAULT_CAP):
                                    "abelian homomorphism test",
     }
     # closed-form consistency of all exponents with the chain dimensions
-    assert xi_deg == 5 * r * r - r - 1
-    assert xi_norm == r - 1
-    assert cons_deg == 5 * r * r - 2 * r
+    _require(xi_deg == 5 * r * r - r - 1,
+             "xi degree exponent is not 5r^2 - r - 1")
+    _require(xi_norm == r - 1, "xi norm exponent is not r - 1")
+    _require(cons_deg == 5 * r * r - 2 * r,
+             "constituent degree exponent is not 5r^2 - 2r")
     # |Xi| = |G|^2 / (|L||S|) matches 2*cons_deg + (r-1)
     xi_set_exp = 2 * dim_n - ch.l_bar.dim - ch.s_bar.dim
-    assert xi_set_exp == 2 * cons_deg + (r - 1)
+    _require(xi_set_exp == 2 * cons_deg + (r - 1),
+             "|Xi| exponent is not 2 * constituent degree + r - 1")
     return ExoticReport(
         r=r, q=q, p=p, n=n,
         dim_ambient=dim_n,

@@ -3,10 +3,12 @@ values; these deliberately avoid the library's sparse elimination, BFS
 orbits, and combinatorial shortcuts."""
 
 import itertools
+from fractions import Fraction
+from math import lcm
 
-from utchar.algebra import (GroupElement, NilAlgebra, NilMatrix, Pattern,
-                            Subspace)
-from utchar.characters import ClassFunction
+from utchar.algebra import (DEFAULT_CAP, GroupElement, NilAlgebra, NilMatrix,
+                            Pattern, Subspace, VerificationFailed)
+from utchar.characters import AbelianDual, ClassFunction
 from utchar.duals import Functional, act_coadjoint, act_left, act_right
 from utchar.scalars import CyclotomicNumber
 
@@ -196,6 +198,116 @@ def dense_orbit_sum(group, functionals, scale):
             total = total + th(mu.evaluate_group(g))
         values.append(total.scale(scale))
     return ClassFunction(group, values)
+
+
+def brute_force_mul_table(group):
+    """index x index -> index of the product, one GroupElement product and
+    one sorted-key lookup per entry."""
+    table = []
+    for g in group.elements:
+        row = [group.index[(g * h).key()] for h in group.elements]
+        table.append(row)
+    return table
+
+
+def brute_force_induce(f, group):
+    """Ind_H^G f(g) = (1/|H|) sum over x in G with x g x^{-1} in H of
+    f(x g x^{-1}); every conjugate is a GroupElement product."""
+    sub = f.group
+    inverses = group.inverses()
+    values = []
+    abelian_shortcut = group.is_abelian()
+    for g in group.elements:
+        if abelian_shortcut:
+            if sub.contains(g):
+                values.append(f(g).scale(Fraction(group.size, sub.size)))
+            else:
+                values.append(CyclotomicNumber.zero())
+            continue
+        acc = CyclotomicNumber.zero()
+        hit = False
+        for x, xinv in zip(group.elements, inverses):
+            moved = x * g * xinv
+            if sub.contains(moved):
+                acc = acc + f(moved)
+                hit = True
+        values.append(acc.scale(Fraction(1, sub.size)) if hit else acc)
+    return ClassFunction(group, values)
+
+
+def brute_force_abelian_dual(group, cap=DEFAULT_CAP):
+    """Characters of an abelian group via a power-normal form: generators
+    are extracted greedily by maximal relative order, every element gets a
+    normal-form exponent vector, and characters are built by solving
+    z^m = chi(relation) stepwise."""
+    if not group.is_abelian():
+        raise ValueError("group is not abelian")
+    identity = group.elements[group.identity_index()]
+    norm_form = {identity.key(): ()}
+    reps = {identity.key(): identity}
+    gens, rel_orders, rel_words = [], [], []
+    while len(norm_form) < group.size:
+        best, best_m, best_word = None, 0, None
+        for g in group.elements:
+            if g.key() in norm_form:
+                continue
+            m, h = 1, g
+            while h.key() not in norm_form:
+                h = h * g
+                m += 1
+            if m > best_m:
+                best, best_m, best_word = g, m, norm_form[h.key()]
+        g, m = best, best_m
+        new_norm = {}
+        new_reps = {}
+        power = identity
+        for k in range(m):
+            for key, vec in norm_form.items():
+                elt = reps[key] * power
+                new_norm[elt.key()] = vec + (k,)
+                new_reps[elt.key()] = elt
+            power = power * g
+        norm_form, reps = new_norm, new_reps
+        gens.append(g)
+        rel_orders.append(m)
+        rel_words.append(best_word)
+    modulus = 1
+    for g in gens:
+        modulus = lcm(modulus, g.order())
+    # assignments of exponents t_i of zeta_M to generators
+    assignments = [()]
+    for i, m in enumerate(rel_orders):
+        word = rel_words[i] + (0,) * (i - len(rel_words[i]))
+        new_assignments = []
+        for partial in assignments:
+            c = sum(w * t for w, t in zip(word, partial)) % modulus
+            if c % m:
+                raise VerificationFailed(
+                    "relation has no compatible character value")
+            base = c // m
+            step = modulus // m
+            for j in range(m):
+                new_assignments.append(partial + ((base + j * step) % modulus,))
+        assignments = new_assignments
+    if len(assignments) != group.size:
+        raise VerificationFailed("dual is incomplete")
+    zeta_powers = [CyclotomicNumber.zeta(modulus, t) for t in range(modulus)]
+    characters = []
+    exponents = []
+    for ts in assignments:
+        table_exp = []
+        for g in group.elements:
+            vec = norm_form[g.key()]
+            table_exp.append(sum(v * t for v, t in zip(vec, ts)) % modulus)
+        exponents.append(tuple(table_exp))
+        characters.append(
+            ClassFunction(group, [zeta_powers[e] for e in table_exp]))
+    order = sorted(range(len(characters)), key=lambda i: exponents[i])
+    return AbelianDual(group=group,
+                       characters=[characters[i] for i in order],
+                       exponents=[exponents[i] for i in order],
+                       modulus=modulus,
+                       structure=rel_orders)
 
 
 def full_group_orbit(group, lam, which):

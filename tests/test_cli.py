@@ -212,3 +212,25 @@ def test_field_with_explicit_modulus():
                           "--modulus", "1,0,1", "--lambda", "[[1,3,1]]"])
     assert code == 0
     assert body["xi_degree_exponent"] == 1
+
+
+def test_invalid_kappa_n_and_cap_exit_2(capsys):
+    # --n 0 and --n 1 used to exit 0 with chi_formula_matches false, and a
+    # negative cap used to exit 3 ("exceeds cap -5")
+    bad = [["kappa", "--n", "0", "--q", "2"],
+           ["kappa", "--n", "1", "--q", "3"],
+           ["kappa", "--n", "4", "--q", "2", "--cap", "0"],
+           ["chain", "--n", "3", "--q", "2", "--cap", "-5"],
+           ["exotic", "--r", "2", "--q", "2", "--cap", "0"],
+           ["verify", "--r", "2", "--q", "2", "--cap", "-1"],
+           ["orbit", "--n", "3", "--q", "2", "--lambda", "[[1,3,1]]",
+            "--which", "left", "--cap", "-5"],
+           ["table", "--n", "3", "--q", "2", "--lambda", "[[1,3,1]]",
+            "--which", "theta", "--cap", "0"]]
+    for argv in bad:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error" in captured.err
+    with pytest.raises(ValueError, match="n >= 2"):
+        run(JobSpec(command="kappa", q=2, n=1))
+    assert main(["kappa", "--n", "2", "--q", "2", "--cap", "2"]) == 0

@@ -1,6 +1,10 @@
+import dataclasses
+
 import pytest
 
-from utchar.algebra import NilAlgebra, Pattern
+from utchar import exotic
+from utchar.algebra import NilAlgebra, Pattern, VerificationFailed
+from utchar.cli import main
 from utchar.chain import quasimonomial_kernels
 from utchar.duals import is_quasi_monomial, orbit_keys, orbit, shape
 from utchar.exotic import (abelian_quotient_split, build_regions,
@@ -226,3 +230,71 @@ def test_torus_shape_transitivity():
     ok, size, expected = torus_shape_transitivity(2, F3)
     assert ok
     assert size == expected == 2 ** 9
+
+
+# ---------------------------------------------------------------------------
+# the exotic checks raise VerificationFailed, also under python -O
+
+
+def test_corrupted_region_atlas_raises():
+    atlas = build_regions(2)
+    for corrupt in (dataclasses.replace(atlas,
+                                        A=frozenset(sorted(atlas.A)[1:])),
+                    dataclasses.replace(atlas, Z3=atlas.Z3 | atlas.Z7),
+                    dataclasses.replace(atlas, mirror={
+                        **atlas.mirror, min(atlas.D): min(atlas.A)})):
+        with pytest.raises(VerificationFailed, match="exotic check failed"):
+            corrupt.validate()
+
+
+def _with_zero_l_bar(real):
+    def verify(r, field):
+        tech, ch, atlas = real(r, field)
+        ch.l_list.append(ch.l_list[0])  # l_bar = 0: xi degree exponent dim n
+        return tech, ch, atlas
+    return verify
+
+
+def test_corrupted_exponent_raises_and_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(exotic, "verify_chain_closed_forms",
+                        _with_zero_l_bar(exotic.verify_chain_closed_forms))
+    with pytest.raises(VerificationFailed, match="xi degree exponent"):
+        exotic_report(2, F2)
+    assert main(["exotic", "--r", "2", "--q", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "xi degree exponent" in captured.err
+
+
+def test_non_p_power_value_group_raises():
+    with pytest.raises(VerificationFailed, match="p-power"):
+        exotic._cyclic_value_level(6, 2)
+
+
+OPTIMIZED_SCRIPT = """
+import dataclasses
+from utchar import exotic
+from utchar.algebra import VerificationFailed
+from utchar.scalars import field_make
+assert False, "assertions are enabled"
+atlas = exotic.build_regions(2)
+try:
+    dataclasses.replace(atlas, A=frozenset(sorted(atlas.A)[1:])).validate()
+except VerificationFailed:
+    print("raised")
+real = exotic.verify_chain_closed_forms
+def verify(r, field):
+    tech, ch, atlas = real(r, field)
+    ch.l_list.append(ch.l_list[0])
+    return tech, ch, atlas
+exotic.verify_chain_closed_forms = verify
+try:
+    exotic.exotic_report(2, field_make(2))
+except VerificationFailed:
+    print("raised")
+"""
+
+
+def test_exotic_checks_survive_optimized_mode(run_optimized):
+    out = run_optimized(OPTIMIZED_SCRIPT)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["raised", "raised"]
