@@ -2,22 +2,21 @@
 computations for unitriangular and general algebra groups over F_q."""
 
 from .scalars import (CyclotomicNumber, Field, FieldElement,
-                      additive_character, cyclo_make, cyclotomic_polynomial,
-                      field_make, galois_apply, in_subfield)
+                      additive_character, cyclotomic_polynomial, field_make,
+                      in_subfield)
 from .algebra import (CapExceeded, GroupElement, NilAlgebra, NilMatrix,
-                      Pattern, Subspace, VerificationFailed, enumerate_group,
-                      ideal_check, pattern_is_closed, quotient_project,
-                      trunc_exp, trunc_log)
+                      Pattern, Subspace, VerificationFailed, ideal_check,
+                      quotient_project, trunc_exp, trunc_log)
 from .duals import (Functional, SetPartition, act_coadjoint, act_left,
-                    act_right, bilinear, is_quasi_monomial, orbit, shape,
-                    torus_act, torus_orbit)
+                    act_right, is_quasi_monomial, orbit, shape, torus_act,
+                    torus_orbit)
 from .chain import (ChainResult, chain_compute, quasimonomial_irreducible,
                     quasimonomial_kernels)
 from .characters import (AbelianDual, ClassFunction, GroupTable,
                          abelian_dual, constituents_of_induced_linear,
                          exp_kirillov, field_of_values, induce,
-                         inner_product, is_character_linear, kirillov,
-                         restrict, supercharacter, theta_lambda, xi)
+                         is_character_linear, kirillov, restrict,
+                         supercharacter, theta_lambda, xi)
 from .exotic import (ExoticReport, RegionAtlas, abelian_quotient_split,
                      build_regions, constant_diagonal_algebra,
                      corner_character_analysis, corner_functional,

@@ -10,17 +10,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .scalars import FieldElement
+from .scalars import FieldElement, VerificationFailed
 
 DEFAULT_CAP = 1 << 22
 
 
 class CapExceeded(RuntimeError):
     """An enumeration would exceed the configured cap."""
-
-
-class VerificationFailed(AssertionError):
-    """A mathematical check of a computed result did not hold."""
 
 
 class Pattern:
@@ -64,10 +60,6 @@ class Pattern:
 
     def __repr__(self):
         return f"Pattern(n={self.n}, {len(self.positions)} positions)"
-
-
-def pattern_is_closed(pattern):
-    return pattern.is_closed()
 
 
 class NilMatrix:
@@ -597,20 +589,53 @@ class NilAlgebra:
             yield GroupElement(mat)
 
     def group_generators(self):
-        """1 + t*u for basis matrices u and t over an F_p-basis of F_q."""
-        out = []
-        for u in self.basis():
-            for t in self.field.prime_basis():
-                out.append(GroupElement(u.scale(t)))
-        return out
+        """Generators of the group 1 + A: the elements 1 + t u for t in an
+        F_p-basis of F_q and u in a set U of algebra elements.
+
+        For a subspace algebra, U is the union of the echelon bases of the
+        powers A ⊇ A^2 ⊇ A^3 ⊇ ..., where A^(k+1) = span(A^k A).  These
+        generate 1 + A, by downward induction on k.  Let H be the
+        subgroup they generate, and suppose 1 + A^(k+1) ⊆ H (true once
+        A^(k+1) = 0).  For a, b in A^k, (1 + a)(1 + b) = 1 + a + b + ab
+        with ab in A^(2k) ⊆ A^(k+1), so 1 + a -> a + A^(k+1) is a group
+        homomorphism from 1 + A^k onto the additive group A^k / A^(k+1),
+        with kernel 1 + A^(k+1).  Write a in A^k as sum c_(t,u) t u with
+        integers c in [0, p), over the basis u of A^k; then the product of
+        the (1 + t u)^c is an element of H with the same image a + A^(k+1),
+        so 1 + a lies in H (1 + A^(k+1)) = H.  Hence 1 + A^k ⊆ H, and at
+        k = 1, H = 1 + A.
+
+        For a pattern algebra, U holds the e_ij whose position (i, j) is
+        not the product of two positions (i, l), (l, j) of the pattern.
+        The commutator of 1 + a e_il and 1 + b e_lj is 1 + ab e_ij, so by
+        induction on j - i the generated group contains 1 + c e_ij for
+        every position and every c in F_q.  Those elements generate 1 + A
+        by the argument above, because the e_ij contain a basis of each
+        power (a product of elementary matrices is elementary or zero)."""
+        basis = self.basis()
+        if self.is_pattern:
+            pos = self.pattern.positions
+            units = [u for (i, j), u in zip(self.pattern.order, basis)
+                     if not any((i, k) in pos and (k, j) in pos
+                                for k in range(i + 1, j))]
+        else:
+            units = list(basis)
+            seen = {u.key() for u in units}
+            power = self.span
+            while power.dim:
+                power = Subspace.from_matrices(
+                    self.pattern, self.field,
+                    [u @ v for u in power.basis_matrices() for v in basis])
+                for u in power.basis_matrices():
+                    if u.key() not in seen:
+                        seen.add(u.key())
+                        units.append(u)
+        return [GroupElement(u.scale(t)) for u in units
+                for t in self.field.prime_basis()]
 
     def __repr__(self):
         kind = "pattern" if self.is_pattern else "subspace"
         return f"NilAlgebra({kind}, dim={self.dim}, q={self.field.q})"
-
-
-def enumerate_group(algebra, cap=DEFAULT_CAP):
-    return algebra.enumerate_group(cap)
 
 
 # ---------------------------------------------------------------------------

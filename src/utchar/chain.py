@@ -105,6 +105,20 @@ def gram_matrix(lam):
     return gram
 
 
+def gram_block(algebra, gram, space):
+    """C B C^T, as sparse rows, for the Gram matrix B = gram of a form on
+    the algebra basis and C the echelon basis of a subspace of the algebra
+    in algebra coordinates (its rows read at the pivots of the algebra's
+    span).  Entry [a][b] is the form on the a-th and b-th echelon rows."""
+    field = algebra.field
+    pivot_pos = {c: a for a, c in enumerate(algebra.span.pivots)}
+    coords = [{pivot_pos[c]: v for c, v in row if c in pivot_pos}
+              for row in space.rows]
+    coord_cols = transpose(coords, algebra.dim)
+    return [combine_rows(combine_rows(c, gram, field), coord_cols, field)
+            for c in coords]
+
+
 def _span_of(algebra, combos, rows):
     """The canonical span of the combinations sum_a k[a] * rows[a]."""
     return Subspace.from_vectors(
@@ -124,17 +138,12 @@ def chain_compute(algebra, lam, validate=False):
         raise ValueError("the functional lives on another algebra")
     field = algebra.field
     gram = gram_matrix(lam)
-    pivot_pos = {c: a for a, c in enumerate(algebra.span.pivots)}
     s_list = [algebra.span]
     l_list = [Subspace.zero(algebra.pattern, field)]
     for _ in range(algebra.dim + 1):
         s_prev = s_list[-1]
         rows = s_prev.row_dicts()
-        coords = [{pivot_pos[c]: v for c, v in row.items() if c in pivot_pos}
-                  for row in rows]
-        coord_cols = transpose(coords, algebra.dim)
-        form = [combine_rows(combine_rows(c, gram, field), coord_cols, field)
-                for c in coords]
+        form = gram_block(algebra, gram, s_prev)
         l_combos = left_kernel(form, len(rows), field)
         l_cols = transpose(l_combos, len(rows))
         against_l = [combine_rows(m, l_cols, field) for m in form]

@@ -207,10 +207,6 @@ class ClassFunction:
     __hash__ = None
 
 
-def inner_product(f, g):
-    return f.inner(g)
-
-
 # ---------------------------------------------------------------------------
 # the basic families of functions
 

@@ -74,12 +74,17 @@ def _field_for(spec):
 
 def _functional_for(spec, algebra):
     """The JobSpec's lambda on the algebra.  Each coefficient must be a
-    field-element encoding in [0, q); Functional.from_entries would
-    otherwise silently reduce it."""
+    field-element encoding in [0, q), and each position must occur once;
+    Functional.from_entries would otherwise silently reduce the one and
+    keep only the last value of the other."""
+    seen = set()
     for i, j, c in spec.lam:
         if not 0 <= c < spec.q:
             raise ValueError(f"lambda coefficient {c} at ({i}, {j}) is not "
                              f"an encoding in [0, {spec.q})")
+        if (i, j) in seen:
+            raise ValueError(f"lambda position ({i}, {j}) is repeated")
+        seen.add((i, j))
     return Functional.from_entries(algebra,
                                    {(i, j): c for i, j, c in spec.lam})
 

@@ -1,6 +1,6 @@
-"""Dual functionals on a nilpotent algebra, the bilinear form lambda(XY),
-the left/right/coadjoint group actions, orbit enumeration, quasi-monomial
-structure, shapes, and the diagonal torus action."""
+"""Dual functionals on a nilpotent algebra, the left/right/coadjoint group
+actions, orbit enumeration, quasi-monomial structure, shapes, and the
+diagonal torus action."""
 
 from __future__ import annotations
 
@@ -131,11 +131,6 @@ class Functional:
         return f"Functional(values={self.values})"
 
 
-def bilinear(lam, x, y):
-    """lambda(X Y)."""
-    return lam.evaluate(x @ y)
-
-
 # ---------------------------------------------------------------------------
 # group actions on functionals
 
@@ -199,19 +194,19 @@ def act_coadjoint(lam, g):
 # orbits
 
 
-def _generators(algebra, cap):
-    if algebra.is_pattern:
-        return algebra.group_generators()
-    return list(algebra.enumerate_group(cap))
-
-
 def orbit(lam, which, cap=DEFAULT_CAP):
     """The left, right, two-sided, or coadjoint orbit of lam, as a list of
-    functionals; BFS over root generators for pattern algebras and over the
-    full (small) group otherwise."""
+    functionals sorted by key.
+
+    A BFS from lam applies the generators of the group,
+    `lam.algebra.group_generators()` (the 1 + t u over the echelon bases of
+    the algebra's powers), on each side that the kind of orbit acts on;
+    orbits of a group are the closures under its generators, so no other
+    group element is applied.  More than cap functionals raise
+    CapExceeded."""
     if which not in ("left", "right", "two-sided", "coadjoint"):
         raise ValueError(f"unknown orbit kind {which!r}")
-    gens = _generators(lam.algebra, cap)
+    gens = lam.algebra.group_generators()
     if which == "left":
         moves = [lambda f, g=g: act_left(g, f) for g in gens]
     elif which == "right":

@@ -11,12 +11,12 @@ from dataclasses import dataclass
 from .algebra import (DEFAULT_CAP, NilAlgebra, NilMatrix, Pattern,
                       Subspace, VerificationFailed, ideal_check,
                       solution_space)
-from .chain import chain_compute, quasimonomial_kernels
+from .chain import (chain_compute, gram_block, gram_matrix,
+                    quasimonomial_kernels)
 from .characters import (GroupTable, abelian_dual, exp_kirillov,
                          homomorphism_defect, induce, kirillov,
                          theta_lambda)
-from .duals import (Functional, SetPartition, act_left, act_right,
-                    shape, torus_orbit)
+from .duals import Functional, SetPartition, shape, torus_orbit
 from .scalars import CyclotomicNumber
 
 
@@ -288,7 +288,8 @@ def verify_chain_closed_forms(r, field):
     """Compare the computed kernel chain of the defining functional with
     the closed-form subspaces from the atlas, check the first-step kernels
     of the quasi-monomial part, and check that the corner-corrected
-    functional kills all products in s_bar."""
+    functional nu kills all products in s_bar: the Gram block of
+    nu(XY) on the echelon basis of s_bar must vanish."""
     atlas = build_regions(r)
     plus, minus = exotic_functional_parts(r, field)
     lam = plus - minus
@@ -307,19 +308,15 @@ def verify_chain_closed_forms(r, field):
     qk = quasimonomial_kernels(algebra, plus)
     perp_l_ok = qk.perp_l == (atlas.lettered | atlas.Z | atlas.Zp)
     perp_s_ok = qk.perp_s == atlas.Z
-    # (lam - corner)(XY) = 0 on all basis pairs of s_bar
     corner = Functional.from_entries(
         algebra, {(1, 2 * r + 1): 1})
-    nu = lam - corner
-    basis = ch.s_bar.basis_matrices()
-    final_ok = all(
-        nu.evaluate(u @ v) == 0 for u in basis for v in basis)
+    nu_block = gram_block(algebra, gram_matrix(lam - corner), ch.s_bar)
     return TechnicalReport(
         r=r, q=field.q, matches=matches,
         dim_ambient=algebra.dim,
         dim_l_bar=ch.l_bar.dim, dim_s_bar=ch.s_bar.dim,
         stabilization=ch.d,
-        final_bilinear_ok=final_ok,
+        final_bilinear_ok=not any(nu_block),
         perp_l_matches=perp_l_ok, perp_s_matches=perp_s_ok,
     ), ch, atlas
 
@@ -473,14 +470,8 @@ def corner_character_analysis(n, field, cap=DEFAULT_CAP):
             formula_ok = False
             break
     dual = abelian_dual(group, cap)
-    cons_idx = [i for i, psi in enumerate(dual.characters)
-                if all(psi(h) == theta_on_l(h) for h in lgroup.elements)]
-    cons = [dual.characters[i] for i in cons_idx]
+    cons_idx, sum_ok = _corner_constituents(dual, lgroup, kappa, chi)
     distinct = len({dual.exponents[i] for i in cons_idx}) == len(cons_idx)
-    total = None
-    for c in cons:
-        total = c if total is None else total + c
-    sum_ok = total == chi if total is not None else False
     max_conductor = 1
     max_level = 0
     from math import gcd
@@ -499,7 +490,7 @@ def corner_character_analysis(n, field, cap=DEFAULT_CAP):
         n=n, q=qq, p=field.p,
         group_size=group.size,
         chi_degree=int(chi.degree.rational_value()),
-        constituent_count=len(cons),
+        constituent_count=len(cons_idx),
         constituents_distinct=distinct,
         constituents_sum_matches=sum_ok,
         max_constituent_conductor=max_conductor,
@@ -511,6 +502,42 @@ def corner_character_analysis(n, field, cap=DEFAULT_CAP):
         exp_kirillov_witness=_witness_keys(psi_exp_defect),
         chi_formula_matches=formula_ok,
     )
+
+
+def _corner_constituents(dual, lgroup, kappa, chi):
+    """The indices of the characters of dual that restrict to theta_kappa on
+    the subgroup lgroup (the constituents of chi = Ind theta_kappa), and
+    whether their sum equals chi.
+
+    Both sides are read as exponents of zeta_M, M = dual.modulus:
+    theta_kappa(h) = zeta_p^t = zeta_M^(t M / p) for t = Tr kappa(h - 1),
+    and the sum of the constituents at g is sum_t c_t zeta_M^t for the
+    number c_t of constituents with exponent t at g."""
+    group = dual.group
+    field = group.algebra.field
+    modulus = dual.modulus
+    _require(modulus % field.p == 0,
+             "the group exponent is not a multiple of p")
+    step = modulus // field.p
+    on_l = [(group.index[h.key()],
+             field.trace(kappa.evaluate_group(h)) * step)
+            for h in lgroup.elements]
+    cons_idx = [i for i, exps in enumerate(dual.exponents)
+                if all(exps[g] == t for g, t in on_l)]
+    if not cons_idx:
+        return cons_idx, False
+    zeta = [CyclotomicNumber.zeta(modulus, t) for t in range(modulus)]
+    for g, want in enumerate(chi.values):
+        counts = [0] * modulus
+        for i in cons_idx:
+            counts[dual.exponents[i][g]] += 1
+        total = CyclotomicNumber.zero(modulus)
+        for t, c in enumerate(counts):
+            if c:
+                total = total + zeta[t].scale(c)
+        if total != want:
+            return cons_idx, False
+    return cons_idx, True
 
 
 def _cyclic_value_level(order, p):
@@ -585,20 +612,12 @@ def exotic_report(r, field, n=None, cap=DEFAULT_CAP):
     if not split.ok:
         raise VerificationFailed(f"quotient split failed: {split.checks}")
     algebra = ch.algebra
-    lam = ch.functional
-    corner_pos = (1, 2 * r + 1)
-    nu = lam - Functional.from_entries(algebra, {corner_pos: 1})
-    # nu is fixed by the group of s_bar: check on basis generators
-    s_alg = NilAlgebra.from_subspace(ch.s_bar, field)
-    nu_central = True
-    s_basis_mats = ch.s_bar.basis_matrices()
-    for g in s_alg.group_generators():
-        left = act_left(g, nu)
-        right = act_right(nu, g)
-        if any(left.evaluate(m) != nu.evaluate(m) for m in s_basis_mats) or \
-           any(right.evaluate(m) != nu.evaluate(m) for m in s_basis_mats):
-            nu_central = False
-            break
+    NilAlgebra.from_subspace(ch.s_bar, field)  # ValueError unless closed
+    # (g nu)(X) = nu(X) + nu(h X) and (nu g)(X) = nu(X) + nu(X h) with
+    # h = g^-1 - 1, which runs over all of s_bar as g runs over 1 + s_bar;
+    # so 1 + s_bar fixes nu on s_bar from either side iff
+    # nu(s_bar s_bar) = 0: the vanishing Gram block of the final check
+    nu_central = tech.final_bilinear_ok
     corner = corner_character_analysis(r + 1, field, cap)
     dim_n = algebra.dim
     xi_deg = dim_n - ch.l_bar.dim

@@ -13,6 +13,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+
+class VerificationFailed(AssertionError):
+    """A mathematical check of a computed result did not hold."""
+
+
 # ---------------------------------------------------------------------------
 # finite fields
 
@@ -407,7 +412,8 @@ def _zpoly_exact_div(a, b):
         if coef:
             for i, bi in enumerate(b):
                 a[shift + i] -= coef * bi
-    assert not any(a), "non-exact polynomial division"
+    if any(a):
+        raise VerificationFailed("non-exact polynomial division")
     return out
 
 
@@ -554,15 +560,6 @@ class CyclotomicNumber:
 
     def __repr__(self):
         return f"CyclotomicNumber(m={self.m}, coeffs={list(self.coeffs)})"
-
-
-def cyclo_make(m):
-    """Return descriptor data (Phi_m and degree) for Q(zeta_m)."""
-    return {"m": m, "phi": cyclotomic_polynomial(m), "degree": _phi_degree(m)}
-
-
-def galois_apply(a, t):
-    return a.galois(t)
 
 
 def _prime_power_split(m):

@@ -8,8 +8,9 @@ from math import lcm
 
 from utchar.algebra import (DEFAULT_CAP, GroupElement, NilAlgebra, NilMatrix,
                             Pattern, Subspace, VerificationFailed)
-from utchar.characters import AbelianDual, ClassFunction
+from utchar.characters import AbelianDual, ClassFunction, theta_lambda
 from utchar.duals import Functional, act_coadjoint, act_left, act_right
+from utchar.exotic import constant_diagonal_algebra
 from utchar.scalars import CyclotomicNumber
 
 
@@ -311,8 +312,9 @@ def brute_force_abelian_dual(group, cap=DEFAULT_CAP):
 
 
 def full_group_orbit(group, lam, which):
-    """Orbit computed by applying every group element (and pairs for the
-    two-sided orbit) rather than by generator BFS."""
+    """Orbit computed by applying every group element (for the two-sided
+    orbit: every element on the right of every element of the left orbit)
+    rather than by generator BFS."""
     seen = {}
     if which == "left":
         for g in group.elements:
@@ -327,8 +329,9 @@ def full_group_orbit(group, lam, which):
             f = act_coadjoint(lam, g)
             seen.setdefault(f.key(), f)
     elif which == "two-sided":
-        for g in group.elements:
-            moved = act_left(g, lam)
+        # G lam G is the union of the right orbits mu G over mu in G lam
+        left = full_group_orbit(group, lam, "left")
+        for moved in left.values():
             for h in group.elements:
                 f = act_right(moved, h)
                 seen.setdefault(f.key(), f)
@@ -396,3 +399,82 @@ def u4_and_subalgebra(field):
            for pos in ((1, 3), (1, 4), (2, 4))])
     return (NilAlgebra.pattern_algebra(p4, field),
             NilAlgebra.from_subspace(span, field))
+
+
+def random_subalgebra(rng, algebra, count=2):
+    """The subalgebra generated by count random elements of the algebra."""
+    field, pattern = algebra.field, algebra.pattern
+    gens = [algebra.from_coordinates(
+        [rng.randrange(field.q) for _ in range(algebra.dim)])
+        for _ in range(count)]
+    span = Subspace.from_matrices(pattern, field, gens)
+    while True:
+        basis = list(span.basis_matrices())
+        bigger = Subspace.from_matrices(
+            pattern, field, basis + [u @ v for u in basis for v in basis])
+        if bigger == span:
+            return span
+        span = bigger
+
+
+def generated_group(generators, identity):
+    """The keys of the group generated by the given elements of a finite
+    group, closed under right multiplication by GroupElement products."""
+    seen = {identity.key()}
+    frontier = [identity]
+    while frontier:
+        g = frontier.pop()
+        for s in generators:
+            h = g * s
+            if h.key() not in seen:
+                seen.add(h.key())
+                frontier.append(h)
+    return seen
+
+
+def products_vanish(nu, space):
+    """nu(u v) == 0 for every pair of echelon basis matrices of space, one
+    NilMatrix product per pair."""
+    basis = space.basis_matrices()
+    return all(nu.evaluate(u @ v) == 0 for u in basis for v in basis)
+
+
+def brute_force_corner_constituents(dual, lgroup, kappa, chi):
+    """The indices of the characters of dual that agree with theta_kappa,
+    as cyclotomic numbers, on every element of lgroup, and whether their
+    sum, taken as class functions, equals chi."""
+    theta_on_l = theta_lambda(lgroup, kappa)
+    cons_idx = [i for i, psi in enumerate(dual.characters)
+                if all(psi(h) == theta_on_l(h) for h in lgroup.elements)]
+    total = None
+    for i in cons_idx:
+        c = dual.characters[i]
+        total = c if total is None else total + c
+    return cons_idx, (total == chi if total is not None else False)
+
+
+def generator_test_algebras(rng, field):
+    """Algebras on which group generators and orbits are checked: u_4(q)
+    up to 729 elements, its non-commutative subalgebra, random subalgebras
+    of u_4(q) with 1 or 2 generators and random closed patterns of u_5(q),
+    both up to 729 elements, A_n(q) for n >= 2 up to 128 elements, and
+    u_5(2) over F_2."""
+    q = field.q
+    max_size = 729
+    u4, sub = u4_and_subalgebra(field)
+    out = [sub] + ([u4] if u4.size <= max_size else [])
+    while len(out) < 6:
+        span = random_subalgebra(rng, u4, count=rng.choice((1, 2)))
+        if q ** span.dim <= max_size:
+            out.append(NilAlgebra.from_subspace(span, field))
+    while len(out) < 9:
+        pattern = random_closed_pattern(rng, 5)
+        if q ** len(pattern) <= max_size:
+            out.append(NilAlgebra.pattern_algebra(pattern, field))
+    n = 2
+    while q ** (n - 1) <= 128:
+        out.append(constant_diagonal_algebra(n, field))
+        n += 1
+    if q == 2:
+        out.append(NilAlgebra.pattern_algebra(Pattern.full(5), field))
+    return out

@@ -9,8 +9,7 @@ from utchar.algebra import NilAlgebra, Pattern, Subspace
 from utchar.chain import chain_compute, quasimonomial_kernels
 from utchar.characters import (GroupTable, abelian_dual,
                                constituents_of_induced_linear, exp_kirillov,
-                               inner_product, kirillov, supercharacter,
-                               theta_lambda, xi)
+                               kirillov, supercharacter, theta_lambda, xi)
 from utchar.duals import (Functional, is_quasi_monomial, orbit, orbit_keys,
                           shape, torus_orbit)
 from utchar.exotic import (constant_diagonal_algebra, corner_functional,
@@ -182,7 +181,7 @@ def test_criterion_5_orthogonality_suite():
                 overlap = orbit_keys(orbit(lam, "left")) & \
                     orbit_keys(orbit(lam, "right"))
                 for mu in qms:
-                    got = inner_product(chis[lam.key()], chis[mu.key()])
+                    got = chis[lam.key()].inner(chis[mu.key()])
                     if mu.key() in two_sided:
                         assert got == CyclotomicNumber.rational(len(overlap))
                     else:

@@ -3,22 +3,22 @@ from hypothesis import given, strategies as st
 
 from utchar.algebra import (CapExceeded, GroupElement, NilAlgebra, NilMatrix,
                             Pattern, Subspace, ideal_check, left_kernel,
-                            pattern_is_closed, quotient_project, rref,
-                            solution_space, trunc_exp, trunc_log)
+                            quotient_project, rref, solution_space,
+                            trunc_exp, trunc_log)
 from utchar.scalars import field_make
 
 from oracles import (dense_inverse, dense_left_kernel, dense_product,
-                     dense_rref, random_element, subspace_dense_rows,
-                     u4_and_subalgebra)
+                     dense_rref, generated_group, generator_test_algebras,
+                     random_element, subspace_dense_rows, u4_and_subalgebra)
 
 F2 = field_make(2)
 F3 = field_make(3)
 
 
 def test_pattern_closure():
-    assert pattern_is_closed(Pattern.full(4))
-    assert not pattern_is_closed(Pattern(3, [(1, 2), (2, 3)]))
-    assert pattern_is_closed(Pattern(3, [(1, 2), (2, 3), (1, 3)]))
+    assert Pattern.full(4).is_closed()
+    assert not Pattern(3, [(1, 2), (2, 3)]).is_closed()
+    assert Pattern(3, [(1, 2), (2, 3), (1, 3)]).is_closed()
     with pytest.raises(ValueError):
         Pattern(3, [(2, 2)])
     with pytest.raises(ValueError):
@@ -169,6 +169,18 @@ def test_enumerate_group_counts():
     with pytest.raises(CapExceeded):
         list(NilAlgebra.pattern_algebra(Pattern.full(4), F3)
              .enumerate_group(cap=100))
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_group_generators_generate_the_group(p, e, rng):
+    # random subalgebras of u_4(q), random closed patterns of u_5(q), u_4(q)
+    # and its non-commutative subalgebra, A_n(q), and u_5(2)
+    field = field_make(p, e)
+    for alg in generator_test_algebras(rng, field):
+        gens = alg.group_generators()
+        group = {g.key() for g in alg.enumerate_group()}
+        assert {g.key() for g in gens} <= group
+        assert generated_group(gens, alg.identity()) == group
 
 
 def test_subspace_equality_matches_double_inclusion(rng):

@@ -3,14 +3,15 @@ from dataclasses import replace
 import pytest
 
 from utchar import chain as chain_module
-from utchar.algebra import NilAlgebra, Pattern, Subspace, VerificationFailed
-from utchar.chain import (chain_compute, gram_matrix,
+from utchar.algebra import (NilAlgebra, Pattern, Subspace, VerificationFailed,
+                            null_space)
+from utchar.chain import (chain_compute, gram_block, gram_matrix,
                           quasimonomial_irreducible, quasimonomial_kernels)
 from utchar.duals import Functional, is_quasi_monomial, orbit
 from utchar.exotic import constant_diagonal_algebra
 from utchar.scalars import field_make
 
-from oracles import (brute_force_first_kernels, dense_chain,
+from oracles import (brute_force_first_kernels, dense_chain, products_vanish,
                      random_closed_pattern, random_functional,
                      random_quasimonomial, subspace_dense_rows)
 
@@ -209,6 +210,48 @@ def test_gram_matrix_skips_only_zero_products(rng):
         full = [{b: v for b, w in enumerate(basis)
                  if (v := lam.evaluate(u @ w))} for u in basis]
         assert gram_matrix(lam) == full
+
+
+def annihilating_functional(rng, alg, space):
+    """A random functional on alg that vanishes on every product of two
+    elements of space."""
+    field = alg.field
+    basis = space.basis_matrices()
+    products = [dict(enumerate(alg.coordinates(u @ v)))
+                for u in basis for v in basis]
+    values = [0] * alg.dim
+    for vec in null_space(products, alg.dim, field):
+        c = rng.randrange(field.q)
+        for k, v in vec.items():
+            values[k] = field.add(values[k], field.mul(c, v))
+    return Functional(alg, values)
+
+
+def test_gram_block_matches_product_oracle(rng):
+    # nu(XY) on a random subspace S, from the block C B C^T, against one
+    # product per pair of basis matrices; nu is random (the check mostly
+    # fails) or vanishes on S S (it holds)
+    outcomes = set()
+    for k in range(32):
+        field = FIELDS[k % 4]
+        if k % 3:
+            alg = NilAlgebra.pattern_algebra(Pattern.full(4 + k % 2), field)
+        else:
+            alg = random_subspace_algebra(rng, field)
+        space = Subspace.from_matrices(alg.pattern, field, [
+            alg.from_coordinates([rng.randrange(field.q)
+                                  for _ in range(alg.dim)])
+            for _ in range(rng.randrange(1, 5))])
+        nu = (random_functional(rng, alg) if k % 2
+              else annihilating_functional(rng, alg, space))
+        block = gram_block(alg, gram_matrix(nu), space)
+        basis = space.basis_matrices()
+        assert block == [{b: v for b, w in enumerate(basis)
+                          if (v := nu.evaluate(u @ w))} for u in basis]
+        vanish = products_vanish(nu, space)
+        assert (not any(block)) == vanish
+        outcomes.add(vanish)
+    assert outcomes == {True, False}
 
 
 def staircase_chain():

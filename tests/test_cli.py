@@ -5,8 +5,8 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from utchar import characters, cli, duals, exotic
-from utchar.algebra import GroupElement, Pattern
+from utchar import characters, cli, exotic
+from utchar.algebra import GroupElement, NilAlgebra, Pattern
 from utchar.cli import JobSpec, build_parser, main, render, run, spec_from_args
 from utchar.scalars import field_make
 
@@ -159,6 +159,21 @@ def test_out_of_range_lambda_encoding_is_rejected(capsys):
                  "[[1,3,3]]"]) == 0
 
 
+def test_repeated_lambda_position_is_rejected(capsys):
+    # the second [1,3,1] used to overwrite the first, and the job exited 0
+    for argv in (["chain", "--n", "3", "--q", "2", "--lambda",
+                  "[[1,3,1],[1,3,1]]"],
+                 ["orbit", "--n", "4", "--q", "3", "--lambda",
+                  "[[1,4,1],[2,3,1],[1,4,2]]", "--which", "left"],
+                 ["table", "--n", "3", "--q", "2", "--lambda",
+                  "[[1,2,1],[1,2,0]]", "--which", "theta"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "repeated" in captured.err
+    with pytest.raises(ValueError, match="repeated"):
+        run(JobSpec(command="chain", q=2, n=3, lam=[[1, 3, 1], [1, 3, 1]]))
+
+
 def _failing_closed_forms(real):
     def verify(r, field):
         tech, ch, atlas = real(r, field)
@@ -196,11 +211,11 @@ def test_failed_character_checks_exit_1(monkeypatch, capsys):
         m.setattr(characters, "trunc_exp", lambda mat: identity)
         assert main(table + ["expkirillov"]) == 1
         assert "Exp" in capsys.readouterr().err
-    real_generators = duals._generators
+    real_generators = NilAlgebra.group_generators
     with monkeypatch.context() as m:
         # 1 + e12 alone moves e13* to e13* + e23*: an orbit of size q
-        m.setattr(duals, "_generators",
-                  lambda algebra, cap: real_generators(algebra, cap)[:1])
+        m.setattr(NilAlgebra, "group_generators",
+                  lambda algebra: real_generators(algebra)[:1])
         assert main(["orbit", "--n", "3", "--q", "2", "--lambda", "[[1,3,1]]",
                      "--which", "coadjoint"]) == 1
         captured = capsys.readouterr()

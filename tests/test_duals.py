@@ -5,13 +5,15 @@ from hypothesis import given, strategies as st
 
 from utchar.algebra import (GroupElement, NilAlgebra, NilMatrix, Pattern,
                             Subspace)
+from utchar.chain import gram_matrix
+from utchar.characters import GroupTable
 from utchar.duals import (Functional, SetPartition, act_coadjoint, act_left,
-                          act_right, bilinear, is_quasi_monomial, orbit,
-                          orbit_keys, shape, torus_act, torus_orbit)
+                          act_right, is_quasi_monomial, orbit, orbit_keys,
+                          shape, torus_act, torus_orbit)
 from utchar.scalars import field_make
 
-from oracles import (full_group_orbit, random_element, random_functional,
-                     u4_and_subalgebra)
+from oracles import (full_group_orbit, generator_test_algebras,
+                     random_element, random_functional, u4_and_subalgebra)
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -25,16 +27,27 @@ def test_bilinear_examples():
     lam = Functional.from_entries(U32, {(1, 3): 1})
     e12 = NilMatrix.elementary(Pattern.full(3), F2, 1, 2)
     e23 = NilMatrix.elementary(Pattern.full(3), F2, 2, 3)
-    assert bilinear(lam, e12, e23) == 1
-    assert bilinear(lam, e23, e12) == 0
+    assert lam.evaluate(e12 @ e23) == 1
+    assert lam.evaluate(e23 @ e12) == 0
 
 
 def test_bilinear_matches_definitional_product(rng):
-    for _ in range(40):
-        lam = random_functional(rng, U42)
-        x = random_element(rng, U42).body
-        y = random_element(rng, U42).body
-        assert bilinear(lam, x, y) == lam.evaluate(x @ y)
+    # lam(XY) = x B y^T for the coordinates x, y of X, Y and the Gram
+    # matrix B[a][b] = lam(e_a e_b)
+    f = F3
+    for alg in (U33, NilAlgebra.pattern_algebra(Pattern.full(4), f),
+                u4_and_subalgebra(f)[1]):
+        for _ in range(15):
+            lam = random_functional(rng, alg)
+            gram = gram_matrix(lam)
+            x = alg.coordinates(random_element(rng, alg).body)
+            y = alg.coordinates(random_element(rng, alg).body)
+            acc = 0
+            for a, row in enumerate(gram):
+                for b, v in row.items():
+                    acc = f.add(acc, f.mul(x[a], f.mul(v, y[b])))
+            assert acc == lam.evaluate(alg.from_coordinates(x)
+                                       @ alg.from_coordinates(y))
 
 
 def test_left_action_example():
@@ -108,6 +121,19 @@ def test_orbits_match_full_group_on_u4_and_subalgebra(p, e, rng):
         for which in kinds:
             assert orbit_keys(orbit(lam, which)) == \
                 set(full_group_orbit(group, lam, which))
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_orbits_of_all_kinds_match_full_group(p, e, rng):
+    # random subalgebras of u_4(q), random closed patterns of u_5(q), u_4(q)
+    # and its non-commutative subalgebra, A_n(q), and u_5(2)
+    for alg in generator_test_algebras(rng, field_make(p, e)):
+        group = GroupTable.from_algebra(alg)
+        for _ in range(2):
+            lam = random_functional(rng, alg)
+            for which in ("left", "right", "coadjoint", "two-sided"):
+                assert orbit_keys(orbit(lam, which)) == \
+                    set(full_group_orbit(group, lam, which)), (alg, which)
 
 
 def test_left_and_right_orbits_same_size(rng):

@@ -5,7 +5,8 @@ import pytest
 from utchar import exotic
 from utchar.algebra import NilAlgebra, Pattern, VerificationFailed
 from utchar.cli import main
-from utchar.chain import quasimonomial_kernels
+from utchar.chain import chain_compute, quasimonomial_kernels
+from utchar.characters import GroupTable, abelian_dual, induce, theta_lambda
 from utchar.duals import is_quasi_monomial, orbit_keys, orbit, shape
 from utchar.exotic import (abelian_quotient_split, build_regions,
                            constant_diagonal_algebra, corner_functional,
@@ -15,6 +16,8 @@ from utchar.exotic import (abelian_quotient_split, build_regions,
                            torus_shape_transitivity,
                            verify_chain_closed_forms)
 from utchar.scalars import field_make
+
+from oracles import brute_force_corner_constituents, random_functional
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -190,6 +193,43 @@ def test_corner_analysis_conductors():
         assert rep.max_element_order == cond
 
 
+# A_n(q) for n = 2..6 and q = 2..5, up to 256 elements
+CORNER_CASES = [(n, q) for q in (2, 3, 4, 5) for n in range(2, 7)
+                if q ** (n - 1) <= 256]
+
+
+@pytest.mark.parametrize("n,q", CORNER_CASES)
+def test_corner_analysis_matches_constituent_oracle(n, q, monkeypatch):
+    field = F4 if q == 4 else field_make(q)
+    fast = corner_character_analysis(n, field)
+    monkeypatch.setattr(exotic, "_corner_constituents",
+                        brute_force_corner_constituents)
+    assert corner_character_analysis(n, field) == fast
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (4, 2), (3, 3), (3, 4), (3, 5)])
+def test_corner_constituents_of_other_functionals_match_oracle(n, q, rng):
+    # restrictions to theta_mu for functionals mu other than kappa, and sums
+    # against a chi they do not add up to
+    field = F4 if q == 4 else field_make(q)
+    algebra = constant_diagonal_algebra(n, field)
+    group = GroupTable.from_algebra(algebra)
+    kappa = corner_functional(algebra)
+    lgroup = GroupTable.from_subspace(
+        algebra, chain_compute(algebra, kappa).l_bar)
+    chi = induce(theta_lambda(lgroup, kappa), group)
+    dual = abelian_dual(group)
+    sums = set()
+    for mu in [kappa, kappa.scale(field.q - 1)] + \
+            [random_functional(rng, algebra) for _ in range(4)]:
+        for target in (chi, chi.scale(2)):
+            got = exotic._corner_constituents(dual, lgroup, mu, target)
+            assert got == brute_force_corner_constituents(
+                dual, lgroup, mu, target)
+            sums.add(got[1])
+    assert sums == {True, False}
+
+
 def test_exotic_report_r2_q2():
     rep = exotic_report(2, F2)
     assert rep.ok
@@ -263,6 +303,18 @@ def test_corrupted_exponent_raises_and_exits_1(monkeypatch, capsys):
     assert main(["exotic", "--r", "2", "--q", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "xi degree exponent" in captured.err
+
+
+def test_nonvanishing_nu_block_fails_verification(monkeypatch, capsys):
+    # one nonzero entry nu(u_0 u_0) in the Gram block on s_bar
+    real = exotic.gram_block
+    monkeypatch.setattr(exotic, "gram_block",
+                        lambda *args: [{0: 1}] + real(*args)[1:])
+    tech, _, _ = verify_chain_closed_forms(2, F2)
+    assert not tech.final_bilinear_ok and not tech.ok
+    assert main(["verify", "--r", "2", "--q", "2"]) == 1
+    assert main(["exotic", "--r", "2", "--q", "2"]) == 1
+    assert "closed-form" in capsys.readouterr().err
 
 
 def test_non_p_power_value_group_raises():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from utchar.algebra import NilAlgebra, Pattern, Subspace, VerificationFailed
+from utchar.algebra import NilAlgebra, Pattern, VerificationFailed
 from utchar.chain import chain_compute
 from utchar.characters import (ClassFunction, GroupTable, abelian_dual,
                                homomorphism_defect, induce, theta_lambda)
@@ -14,7 +14,7 @@ from utchar.scalars import CyclotomicNumber, field_make
 
 from oracles import (brute_force_abelian_dual, brute_force_induce,
                      brute_force_mul_table, random_functional,
-                     u4_and_subalgebra)
+                     random_subalgebra, u4_and_subalgebra)
 
 FIELDS = {q: field_make(p, e) for q, p, e in
           ((2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1), (8, 2, 3), (9, 3, 2))}
@@ -68,22 +68,6 @@ def test_incomplete_mul_table_raises():
     partial = GroupTable(group.algebra, group.elements[:5])
     with pytest.raises(VerificationFailed, match="incomplete"):
         partial.mul_table()
-
-
-def random_subalgebra(rng, algebra):
-    """The subalgebra generated by two random elements of the algebra."""
-    field, pattern = algebra.field, algebra.pattern
-    gens = [algebra.from_coordinates(
-        [rng.randrange(field.q) for _ in range(algebra.dim)])
-        for _ in range(2)]
-    span = Subspace.from_matrices(pattern, field, gens)
-    while True:
-        basis = list(span.basis_matrices())
-        bigger = Subspace.from_matrices(
-            pattern, field, basis + [u @ v for u in basis for v in basis])
-        if bigger == span:
-            return span
-        span = bigger
 
 
 @pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (3, 4), (3, 5), (4, 2)])

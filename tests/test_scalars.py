@@ -1,11 +1,16 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from utchar.scalars import (CyclotomicNumber, additive_character, cyclo_make,
-                            cyclotomic_polynomial, field_make, galois_apply,
-                            in_subfield, root_of_unity_order)
+import utchar
+from utchar import algebra
+from utchar.scalars import (STANDARD_MODULI, CyclotomicNumber,
+                            VerificationFailed, _is_irreducible,
+                            _zpoly_exact_div, additive_character,
+                            cyclotomic_polynomial, field_make, in_subfield,
+                            root_of_unity_order)
 
 
 def test_field_make_prime_field():
@@ -117,7 +122,7 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(2) == (1, 1)
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(9) == (1, 0, 0, 1, 0, 0, 1)
-    assert cyclo_make(8)["degree"] == 4
+    assert len(cyclotomic_polynomial(8)) == 5  # degree phi(8) = 4
 
 
 def test_cyclotomic_arithmetic():
@@ -133,12 +138,12 @@ def test_cyclotomic_arithmetic():
 
 def test_galois_examples():
     z4 = CyclotomicNumber.zeta(4)
-    assert galois_apply(z4, 3) == -z4
-    assert galois_apply(CyclotomicNumber.one(4), 3) == CyclotomicNumber.one()
+    assert z4.galois(3) == -z4
+    assert CyclotomicNumber.one(4).galois(3) == CyclotomicNumber.one()
     real8 = CyclotomicNumber.zeta(8) + CyclotomicNumber.zeta(8, 7)
-    assert galois_apply(real8, 7) == real8
+    assert real8.galois(7) == real8
     with pytest.raises(ValueError):
-        galois_apply(CyclotomicNumber.zeta(4), 2)
+        CyclotomicNumber.zeta(4).galois(2)
 
 
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
@@ -148,14 +153,14 @@ def test_galois_is_ring_homomorphism(a0, a1, b0, b1, t):
                              Fraction(0)])
     b = CyclotomicNumber(8, [Fraction(b0), Fraction(0), Fraction(b1),
                              Fraction(1)])
-    assert galois_apply(a + b, t) == galois_apply(a, t) + galois_apply(b, t)
-    assert galois_apply(a * b, t) == galois_apply(a, t) * galois_apply(b, t)
+    assert (a + b).galois(t) == a.galois(t) + b.galois(t)
+    assert (a * b).galois(t) == a.galois(t) * b.galois(t)
 
 
 def test_galois_identity_when_t_is_one_mod_m():
     a = CyclotomicNumber.zeta(8) + CyclotomicNumber.rational(5, 8)
-    assert galois_apply(a, 9) == a
-    assert galois_apply(a, 1) == a
+    assert a.galois(9) == a
+    assert a.galois(1) == a
 
 
 def test_in_subfield():
@@ -185,3 +190,68 @@ def test_equality_is_canonical():
     # same value at different declared conductors
     assert CyclotomicNumber.one(4) == CyclotomicNumber.one(2)
     assert CyclotomicNumber.zeta(8, 2) == CyclotomicNumber.zeta(4)
+
+
+# ---------------------------------------------------------------------------
+# cross-checks against sympy, when it is installed
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for m in range(1, 61):
+        coeffs = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()
+        assert cyclotomic_polynomial(m) == \
+            tuple(int(c) for c in reversed(coeffs)), m
+
+
+def test_irreducibility_matches_sympy():
+    # every polynomial of degree 1..e_max over F_p with a nonzero leading
+    # coefficient
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for p, e_max in ((2, 6), (3, 4), (5, 3), (7, 2)):
+        for e in range(1, e_max + 1):
+            for low in itertools.product(range(p), repeat=e):
+                for lead in range(1, p):
+                    coeffs = low + (lead,)
+                    poly = sympy.Poly(list(reversed(coeffs)), x, modulus=p)
+                    assert _is_irreducible(coeffs, p) == \
+                        poly.is_irreducible, (p, coeffs)
+
+
+def test_standard_moduli_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for (p, e), modulus in STANDARD_MODULI.items():
+        poly = sympy.Poly(list(reversed(modulus)), x, modulus=p)
+        assert poly.degree() == e and poly.is_monic and poly.is_irreducible
+        assert field_make(p, e).modulus == modulus
+
+
+# ---------------------------------------------------------------------------
+# the exact division check raises VerificationFailed, also under python -O
+
+
+def test_non_exact_division_raises():
+    assert _zpoly_exact_div([-1, 0, 1], [1, 1]) == [-1, 1]
+    with pytest.raises(VerificationFailed, match="non-exact"):
+        _zpoly_exact_div([1, 0, 1], [1, 1])  # x^2 + 1 = (x + 1)(x - 1) + 2
+    assert algebra.VerificationFailed is VerificationFailed
+    assert utchar.VerificationFailed is VerificationFailed
+
+
+OPTIMIZED_SCRIPT = """
+from utchar.scalars import VerificationFailed, _zpoly_exact_div
+assert False, "assertions are enabled"
+try:
+    _zpoly_exact_div([1, 0, 1], [1, 1])
+except VerificationFailed:
+    print("raised")
+"""
+
+
+def test_exact_division_check_survives_optimized_mode(run_optimized):
+    out = run_optimized(OPTIMIZED_SCRIPT)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["raised"]
