@@ -14,16 +14,7 @@ import time
 sys.path.insert(0, "src")
 
 from utchar.exotic import exotic_report  # noqa: E402
-from utchar.scalars import field_make  # noqa: E402
-
-
-def field_for(q):
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    e = 0
-    while q % p == 0:
-        q //= p
-        e += 1
-    return field_make(p, e)
+from utchar.cli import field_for  # noqa: E402
 
 
 def main():
@@ -32,15 +23,18 @@ def main():
     parser.add_argument("--rmax", type=int, default=3)
     parser.add_argument("--qs", type=str, default="2,3")
     args = parser.parse_args()
-    qs = [int(x) for x in args.qs.split(",")]
+    try:
+        fields = [(q, field_for(q)) for q in map(int, args.qs.split(","))]
+    except ValueError as err:
+        parser.error(str(err))
     header = (f"{'r':>2} {'q':>2} {'n':>3} {'xi deg':>7} {'norm':>5} "
               f"{'#cons':>6} {'cons deg':>8} {'cond':>5} {'psi?':>5} "
               f"{'psiExp?':>8} {'sec':>7}")
     print(header)
     for r in range(args.rmin, args.rmax + 1):
-        for q in qs:
+        for q, field in fields:
             start = time.perf_counter()
-            rep = exotic_report(r, field_for(q))
+            rep = exotic_report(r, field)
             elapsed = time.perf_counter() - start
             print(f"{r:>2} {q:>2} {rep.n:>3} "
                   f"q^{rep.xi_degree_exponent:<4} q^{rep.xi_norm_exponent:<2} "

@@ -14,16 +14,7 @@ import time
 sys.path.insert(0, "src")
 
 from utchar.exotic import corner_character_analysis  # noqa: E402
-from utchar.scalars import field_make  # noqa: E402
-
-
-def field_for(q):
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    e = 0
-    while q % p == 0:
-        q //= p
-        e += 1
-    return field_make(p, e)
+from utchar.cli import field_for  # noqa: E402
 
 
 def main():
@@ -33,11 +24,13 @@ def main():
     parser.add_argument("--qs", type=str, default="2,3")
     parser.add_argument("--cap", type=int, default=1 << 12)
     args = parser.parse_args()
-    qs = [int(x) for x in args.qs.split(",")]
+    try:
+        fields = [(q, field_for(q)) for q in map(int, args.qs.split(","))]
+    except ValueError as err:
+        parser.error(str(err))
     print(f"{'n':>2} {'q':>2} {'|A|':>5} {'#cons':>6} {'cond':>5} "
           f"{'maxord':>7} {'psi?':>5} {'psiExp?':>8} {'sec':>6}")
-    for q in qs:
-        field = field_for(q)
+    for q, field in fields:
         for n in range(args.nmin, args.nmax + 1):
             if q ** (n - 1) > args.cap:
                 continue

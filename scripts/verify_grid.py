@@ -13,16 +13,7 @@ import time
 sys.path.insert(0, "src")
 
 from utchar.exotic import verify_chain_closed_forms  # noqa: E402
-from utchar.scalars import field_make  # noqa: E402
-
-
-def field_for(q):
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    e = 0
-    while q % p == 0:
-        q //= p
-        e += 1
-    return field_make(p, e)
+from utchar.cli import field_for  # noqa: E402
 
 
 def main():
@@ -31,14 +22,17 @@ def main():
     parser.add_argument("--rmax", type=int, default=4)
     parser.add_argument("--qs", type=str, default="2,3,4")
     args = parser.parse_args()
-    qs = [int(x) for x in args.qs.split(",")]
+    try:
+        fields = [(q, field_for(q)) for q in map(int, args.qs.split(","))]
+    except ValueError as err:
+        parser.error(str(err))
     print(f"{'r':>3} {'q':>3} {'dim n':>6} {'dim s':>6} {'dim l':>6} "
           f"{'d':>2} {'pass':>5} {'sec':>7}")
     failures = 0
     for r in range(args.rmin, args.rmax + 1):
-        for q in qs:
+        for q, field in fields:
             start = time.perf_counter()
-            tech, _, _ = verify_chain_closed_forms(r, field_for(q))
+            tech, _, _ = verify_chain_closed_forms(r, field)
             elapsed = time.perf_counter() - start
             failures += not tech.ok
             print(f"{r:>3} {q:>3} {tech.dim_ambient:>6} {tech.dim_s_bar:>6} "

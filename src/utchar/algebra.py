@@ -184,6 +184,21 @@ class NilMatrix:
         return f"NilMatrix({dict(sorted(self.entries.items()))})"
 
 
+def nonzero_products(left, right):
+    """Yield (a, b, left[a] @ right[b]) for the pairs of matrices whose
+    product can be nonzero: some column index of left[a] is a row index of
+    right[b].  Every pair skipped has the zero matrix as its product.  The
+    pairs come in order of a, then of b."""
+    by_row = {}
+    for b, w in enumerate(right):
+        for k in w.rows():
+            by_row.setdefault(k, []).append(b)
+    for a, u in enumerate(left):
+        for b in sorted({b for (_, k) in u.entries
+                         for b in by_row.get(k, ())}):
+            yield a, b, u @ right[b]
+
+
 class GroupElement:
     """An element 1 + X of the algebra group attached to a pattern algebra."""
 
@@ -549,11 +564,15 @@ class NilAlgebra:
 
     def is_closed_under_products(self):
         basis = self.basis()
-        return all(self.span.contains(u @ v) for u in basis for v in basis)
+        return all(self.span.contains(uv)
+                   for _, _, uv in nonzero_products(basis, basis))
 
     def is_commutative(self):
+        """u v = v u on every basis pair; a pair whose product is zero in
+        one order is yielded in the other, if that product can be nonzero."""
         basis = self.basis()
-        return all((u @ v) == (v @ u) for u in basis for v in basis)
+        return all(uv == basis[b] @ basis[a]
+                   for a, b, uv in nonzero_products(basis, basis))
 
     def contains(self, mat):
         return self.span.contains(mat)
@@ -625,7 +644,8 @@ class NilAlgebra:
             while power.dim:
                 power = Subspace.from_matrices(
                     self.pattern, self.field,
-                    [u @ v for u in power.basis_matrices() for v in basis])
+                    [uv for _, _, uv in nonzero_products(
+                        power.basis_matrices(), basis)])
                 for u in power.basis_matrices():
                     if u.key() not in seen:
                         seen.add(u.key())
@@ -680,17 +700,24 @@ def ideal_check(sub, ambient):
 
     Returns one of "two-sided-ideal", "right-ideal", "subalgebra", "none".
     ambient may be a NilAlgebra or a Subspace (treated as an algebra basis).
+    Only the structurally nonzero products are formed (`nonzero_products`);
+    the others are zero and lie in sub.
     """
     amb_basis = ambient.basis() if isinstance(ambient, NilAlgebra) \
         else ambient.basis_matrices()
     sub_basis = sub.basis_matrices()
-    right = all(sub.contains(u @ v) for u in sub_basis for v in amb_basis)
-    left = all(sub.contains(v @ u) for u in sub_basis for v in amb_basis)
+
+    def absorbs(left, right):
+        return all(sub.contains(uv)
+                   for _, _, uv in nonzero_products(left, right))
+
+    right = absorbs(sub_basis, amb_basis)
+    left = absorbs(amb_basis, sub_basis)
     if right and left:
         return "two-sided-ideal"
     if right:
         return "right-ideal"
-    if all(sub.contains(u @ v) for u in sub_basis for v in sub_basis):
+    if absorbs(sub_basis, sub_basis):
         return "subalgebra"
     return "none"
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (Subspace, VerificationFailed, combine_rows,
-                      ideal_check, left_kernel, transpose)
+                      ideal_check, left_kernel, nonzero_products, transpose)
 from .duals import Functional, is_quasi_monomial
 
 
@@ -85,23 +85,13 @@ class ChainResult:
 
 def gram_matrix(lam):
     """B[a][b] = lam(e_a e_b) on the algebra basis, as sparse rows.  Only
-    pairs where a column index of e_a is a row index of e_b are multiplied;
-    every other product is structurally zero."""
+    the structurally nonzero products are formed (`nonzero_products`)."""
     basis = lam.algebra.basis()
-    by_row = {}
-    for b, w in enumerate(basis):
-        for k in w.rows():
-            by_row.setdefault(k, []).append(b)
-    gram = []
-    for u in basis:
-        partners = sorted({b for (_, k) in u.entries
-                           for b in by_row.get(k, ())})
-        row = {}
-        for b in partners:
-            v = lam.evaluate(u @ basis[b])
-            if v:
-                row[b] = v
-        gram.append(row)
+    gram = [{} for _ in basis]
+    for a, b, uv in nonzero_products(basis, basis):
+        v = lam.evaluate(uv)
+        if v:
+            gram[a][b] = v
     return gram
 
 

@@ -101,8 +101,7 @@ class GroupTable:
         return self._mul_table
 
     def is_abelian(self):
-        basis = self.algebra.basis()
-        return all((u @ v) == (v @ u) for u in basis for v in basis)
+        return self.algebra.is_commutative()
 
     def __repr__(self):
         return f"GroupTable(size={self.size})"

@@ -67,9 +67,11 @@ def _factor_prime_power(q):
     return p, e
 
 
-def _field_for(spec):
-    p, e = _factor_prime_power(spec.q)
-    return field_make(p, e, spec.modulus)
+def field_for(q, modulus=None):
+    """F_q, with the given modulus if any; ValueError unless q is a prime
+    power."""
+    p, e = _factor_prime_power(q)
+    return field_make(p, e, modulus)
 
 
 def _functional_for(spec, algebra):
@@ -138,7 +140,7 @@ def ser_partition(partition):
 
 
 def cmd_chain(spec):
-    field = _field_for(spec)
+    field = field_for(spec.q, spec.modulus)
     algebra = NilAlgebra.pattern_algebra(Pattern.full(spec.n), field)
     lam = _functional_for(spec, algebra)
     ch = chain_compute(algebra, lam)
@@ -162,7 +164,7 @@ def cmd_chain(spec):
 
 
 def cmd_exotic(spec):
-    field = _field_for(spec)
+    field = field_for(spec.q, spec.modulus)
     n = spec.n if spec.n else 6 * spec.r + 1
     rep = exotic_report(spec.r, field, n, spec.cap)
     body = {
@@ -200,7 +202,7 @@ def cmd_exotic(spec):
 
 
 def cmd_verify(spec):
-    field = _field_for(spec)
+    field = field_for(spec.q, spec.modulus)
     tech, _, _ = verify_chain_closed_forms(spec.r, field)
     body = {
         "command": "verify",
@@ -220,7 +222,7 @@ def cmd_verify(spec):
 
 
 def cmd_kappa(spec):
-    field = _field_for(spec)
+    field = field_for(spec.q, spec.modulus)
     rep = corner_character_analysis(spec.n, field, spec.cap)
     body = {
         "command": "kappa",
@@ -251,7 +253,7 @@ def _ser_witness(witness):
 
 
 def cmd_orbit(spec):
-    field = _field_for(spec)
+    field = field_for(spec.q, spec.modulus)
     algebra = NilAlgebra.pattern_algebra(Pattern.full(spec.n), field)
     lam = _functional_for(spec, algebra)
     orb = orbit(lam, spec.which, spec.cap)
@@ -267,7 +269,7 @@ def cmd_orbit(spec):
 
 
 def cmd_table(spec):
-    field = _field_for(spec)
+    field = field_for(spec.q, spec.modulus)
     algebra = NilAlgebra.pattern_algebra(Pattern.full(spec.n), field)
     group = GroupTable.from_algebra(algebra, spec.cap)
     lam = _functional_for(spec, algebra)

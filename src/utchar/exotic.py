@@ -392,7 +392,9 @@ def abelian_quotient_split(r, field, chain):
     # isomorphism onto a_{r+1}(q): Y_ij = X_ij for j <= r, Y_{i,r+1} = X_{i,2r+1}
     target = constant_diagonal_algebra(r + 1, field)
     tgt_pattern = target.pattern
-    a_alg = NilAlgebra.from_subspace(a_span, field)
+    a_alg = NilAlgebra.from_subspace(a_span, field, check=False)
+    _require(a_alg.is_closed_under_products(),
+             "a is not closed under products")
 
     def iso_image(mat):
         entries = {}
@@ -612,7 +614,9 @@ def exotic_report(r, field, n=None, cap=DEFAULT_CAP):
     if not split.ok:
         raise VerificationFailed(f"quotient split failed: {split.checks}")
     algebra = ch.algebra
-    NilAlgebra.from_subspace(ch.s_bar, field)  # ValueError unless closed
+    _require(NilAlgebra.from_subspace(ch.s_bar, field, check=False)
+             .is_closed_under_products(),
+             "s_bar is not closed under products")
     # (g nu)(X) = nu(X) + nu(h X) and (nu g)(X) = nu(X) + nu(X h) with
     # h = g^-1 - 1, which runs over all of s_bar as g runs over 1 + s_bar;
     # so 1 + s_bar fixes nu on s_bar from either side iff

@@ -478,3 +478,38 @@ def generator_test_algebras(rng, field):
     if q == 2:
         out.append(NilAlgebra.pattern_algebra(Pattern.full(5), field))
     return out
+
+
+def all_pairs_products(left, right):
+    """(a, b, left[a] @ right[b]) for every pair, in order of a, then b."""
+    return [(a, b, u @ v) for a, u in enumerate(left)
+            for b, v in enumerate(right)]
+
+
+def all_pairs_ideal_check(sub, ambient):
+    """ideal_check with one NilMatrix product and one membership test per
+    basis pair."""
+    amb_basis = ambient.basis() if isinstance(ambient, NilAlgebra) \
+        else ambient.basis_matrices()
+    sub_basis = sub.basis_matrices()
+    right = all(sub.contains(u @ v) for u in sub_basis for v in amb_basis)
+    left = all(sub.contains(v @ u) for u in sub_basis for v in amb_basis)
+    if right and left:
+        return "two-sided-ideal"
+    if right:
+        return "right-ideal"
+    if all(sub.contains(u @ v) for u in sub_basis for v in sub_basis):
+        return "subalgebra"
+    return "none"
+
+
+def all_pairs_closed(algebra):
+    """algebra.is_closed_under_products, one product per basis pair."""
+    basis = algebra.basis()
+    return all(algebra.span.contains(u @ v) for u in basis for v in basis)
+
+
+def all_pairs_commutative(algebra):
+    """algebra.is_commutative, both products of every basis pair."""
+    basis = algebra.basis()
+    return all((u @ v) == (v @ u) for u in basis for v in basis)

@@ -5,7 +5,10 @@ import itertools
 import random
 import time
 
+import pytest
+
 from utchar.algebra import NilAlgebra, Pattern, Subspace
+from utchar.cli import main
 from utchar.chain import chain_compute, quasimonomial_kernels
 from utchar.characters import (GroupTable, abelian_dual,
                                constituents_of_induced_linear, exp_kirillov,
@@ -291,3 +294,23 @@ def test_criterion_8_inflation_and_torus():
                 orb = torus_orbit(lam)
                 assert len(orb) == 2 ** (n - len(shape(lam)))
                 assert all(shape(f) == shape(lam) for f in orb)
+
+
+OPTIMIZED_CLI = """
+import sys
+from utchar.cli import main
+assert False, "assertions are enabled"
+sys.exit(main({argv!r}))
+"""
+
+
+@pytest.mark.parametrize("argv", [["exotic", "--r", "2", "--q", "2"],
+                                  ["verify", "--r", "3", "--q", "2"]])
+def test_cli_output_unchanged_under_python_O(argv, run_optimized, capsys):
+    # every check of these commands runs without assert statements, so
+    # python -O must give the same exit code and the same bytes
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    out = run_optimized(OPTIMIZED_CLI.format(argv=argv))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == want

@@ -3,13 +3,16 @@ from hypothesis import given, strategies as st
 
 from utchar.algebra import (CapExceeded, GroupElement, NilAlgebra, NilMatrix,
                             Pattern, Subspace, ideal_check, left_kernel,
-                            quotient_project, rref, solution_space,
-                            trunc_exp, trunc_log)
+                            nonzero_products, quotient_project, rref,
+                            solution_space, trunc_exp, trunc_log)
 from utchar.scalars import field_make
 
-from oracles import (dense_inverse, dense_left_kernel, dense_product,
-                     dense_rref, generated_group, generator_test_algebras,
-                     random_element, subspace_dense_rows, u4_and_subalgebra)
+from oracles import (all_pairs_closed, all_pairs_commutative,
+                     all_pairs_ideal_check, all_pairs_products, dense_inverse,
+                     dense_left_kernel, dense_product, dense_rref,
+                     generated_group, generator_test_algebras,
+                     random_closed_pattern, random_element, random_subalgebra,
+                     subspace_dense_rows, u4_and_subalgebra)
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -348,3 +351,84 @@ def test_ideal_check_matches_dense_products(gens):
     want = _dense_ideal_class(p4, F2, subspace_dense_rows(sub))
     assert ideal_check(sub, u42) == want
     assert ideal_check(sub, u42.span) == want
+
+
+FIELD_PARAMS = [(2, 1), (3, 1), (2, 2), (5, 1)]
+
+
+def _random_dense(rng, pattern, field):
+    """A matrix with a random nonzero entry at about two thirds of the
+    pattern's positions."""
+    return NilMatrix(pattern, field, {
+        pos: rng.randrange(1, field.q) for pos in pattern.order
+        if rng.random() < 0.67})
+
+
+def _pruned_pairs(left, right):
+    """Compare nonzero_products with the product of every pair; returns
+    the numbers of pairs skipped and of nonzero products yielded."""
+    pruned = list(nonzero_products(left, right))
+    kept = {(a, b) for a, b, _ in pruned}
+    full = all_pairs_products(left, right)
+    assert pruned == [t for t in full if t[:2] in kept]
+    assert all(uv.is_zero() for a, b, uv in full if (a, b) not in kept)
+    return len(full) - len(pruned), sum(not uv.is_zero() for *_, uv in pruned)
+
+
+@pytest.mark.parametrize("p,e", FIELD_PARAMS)
+def test_nonzero_products_skips_only_zero_products(p, e, rng):
+    # on the bases of pattern and subspace algebras, and on random dense
+    # (non-elementary) matrices of full and random closed patterns
+    field = field_make(p, e)
+    skipped = nonzero = 0
+    for alg in generator_test_algebras(rng, field):
+        basis = alg.basis()
+        for left, right in ((basis, basis), (basis[::2], basis[1:])):
+            s, z = _pruned_pairs(left, right)
+            skipped, nonzero = skipped + s, nonzero + z
+    for _ in range(24):
+        n = rng.randrange(3, 7)
+        pattern = (Pattern.full(n) if rng.random() < 0.5
+                   else random_closed_pattern(rng, n))
+        left, right = ([_random_dense(rng, pattern, field)
+                        for _ in range(rng.randrange(5))] for _ in range(2))
+        s, z = _pruned_pairs(left, right)
+        skipped, nonzero = skipped + s, nonzero + z
+    assert skipped and nonzero
+
+
+def _random_subspace(rng, alg):
+    """The span of random elements, of random basis matrices, or a random
+    subalgebra of alg."""
+    field, kind = alg.field, rng.randrange(3)
+    if kind == 2:
+        return random_subalgebra(rng, alg, count=rng.choice((1, 2)))
+    if kind == 1:
+        mats = rng.sample(alg.basis(), rng.randrange(1, alg.dim + 1))
+    else:
+        mats = [alg.from_coordinates([rng.randrange(field.q)
+                                      for _ in range(alg.dim)])
+                for _ in range(rng.randrange(1, 4))]
+    return Subspace.from_matrices(alg.pattern, field, mats)
+
+
+@pytest.mark.parametrize("p,e", FIELD_PARAMS)
+def test_pruned_checks_match_all_pairs_oracles(p, e, rng):
+    field = field_make(p, e)
+    classes, closed, commutative = set(), set(), set()
+    for alg in generator_test_algebras(rng, field):
+        assert alg.is_commutative() == all_pairs_commutative(alg)
+        for _ in range(8):
+            sub = _random_subspace(rng, alg)
+            want = all_pairs_ideal_check(sub, alg)
+            assert ideal_check(sub, alg) == want
+            assert ideal_check(sub, alg.span) == want
+            sub_alg = NilAlgebra.from_subspace(sub, field, check=False)
+            assert sub_alg.is_closed_under_products() == \
+                all_pairs_closed(sub_alg)
+            assert sub_alg.is_commutative() == all_pairs_commutative(sub_alg)
+            classes.add(want)
+            closed.add(all_pairs_closed(sub_alg))
+            commutative.add(all_pairs_commutative(sub_alg))
+    assert classes == {"two-sided-ideal", "right-ideal", "subalgebra", "none"}
+    assert closed == commutative == {True, False}

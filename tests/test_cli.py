@@ -1,5 +1,7 @@
 import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from jsonschema import Draft202012Validator
@@ -10,7 +12,8 @@ from utchar.algebra import GroupElement, NilAlgebra, Pattern
 from utchar.cli import JobSpec, build_parser, main, render, run, spec_from_args
 from utchar.scalars import field_make
 
-SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "schemas"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCHEMA_DIR = ROOT / "schemas"
 
 
 def load_validator(name):
@@ -249,3 +252,64 @@ def test_invalid_kappa_n_and_cap_exit_2(capsys):
     with pytest.raises(ValueError, match="n >= 2"):
         run(JobSpec(command="kappa", q=2, n=1))
     assert main(["kappa", "--n", "2", "--q", "2", "--cap", "2"]) == 0
+
+
+def test_s_bar_closure_failure_exits_1(monkeypatch, capsys):
+    # the closure check fails for the computed s_bar span only, so the
+    # split part a and the target a_3(2) still pass it
+    real_verify = exotic.verify_chain_closed_forms
+    real_closed = NilAlgebra.is_closed_under_products
+    s_bars = []
+
+    def verify(r, field):
+        tech, ch, atlas = real_verify(r, field)
+        s_bars.append(ch.s_bar)
+        return tech, ch, atlas
+
+    monkeypatch.setattr(exotic, "verify_chain_closed_forms", verify)
+    monkeypatch.setattr(
+        NilAlgebra, "is_closed_under_products",
+        lambda alg: alg.span not in s_bars and real_closed(alg))
+    assert main(["exotic", "--r", "2", "--q", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "s_bar is not closed under products" in captured.err
+
+
+def test_invalid_exotic_and_verify_sizes_exit_2(capsys):
+    for argv, message in (
+            (["exotic", "--r", "1", "--q", "2"], "r must be >= 2"),
+            (["verify", "--r", "1", "--q", "2"], "r must be >= 2"),
+            (["exotic", "--r", "2", "--q", "2", "--n", "12"], "n > 6r")):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+
+def test_lambda_position_outside_the_pattern_exits_2(capsys):
+    for lam in ("[[2,1,1]]", "[[1,4,1]]", "[[0,2,1]]"):
+        assert main(["chain", "--n", "3", "--q", "2", "--lambda", lam]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "outside the pattern" in captured.err
+
+
+def test_unknown_which_exits_2(capsys):
+    for command in ("orbit", "table"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n", "3", "--q", "2", "--which", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="unknown"):
+            run(JobSpec(command=command, n=3, q=2, which="bogus"))
+
+
+@pytest.mark.parametrize("script,argv", [
+    ("verify_grid.py", ["--rmin", "2", "--rmax", "2", "--qs", "6"]),
+    ("exotic_grid.py", ["--rmin", "2", "--rmax", "2", "--qs", "2,12"]),
+    ("kappa_scan.py", ["--nmax", "3", "--qs", "1"])])
+def test_scripts_reject_q_that_is_not_a_prime_power(script, argv):
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / script)]
+                         + argv, cwd=ROOT, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 2
+    assert out.stdout == "" and "is not a prime power" in out.stderr
