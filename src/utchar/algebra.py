@@ -380,6 +380,31 @@ def left_kernel(rows, width, field):
     return null_space(transpose(rows, width), len(rows), field)
 
 
+def sparse_column(vec):
+    """The nonzero entries of a dense vector, as a sparse column
+    [(k, c), ...]."""
+    return [(k, c) for k, c in enumerate(vec) if c]
+
+
+def apply_columns(field, columns, vec, start):
+    """start + sum_b vec[b] * columns[b] over F_q, as a tuple, for sparse
+    columns; a column whose coefficient vec[b] is zero is never read."""
+    acc = list(start)
+    if field.e == 1:
+        for c, column in zip(vec, columns):
+            if c:
+                for k, v in column:
+                    acc[k] += c * v
+        p = field.p
+        return tuple([a % p for a in acc])
+    add, mul = field.add, field.mul
+    for c, column in zip(vec, columns):
+        if c:
+            for k, v in column:
+                acc[k] = add(acc[k], mul(c, v))
+    return tuple(acc)
+
+
 class Subspace:
     """An F_q-subspace of a pattern coordinate space in canonical reduced
     row-echelon form."""

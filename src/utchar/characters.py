@@ -5,12 +5,14 @@ duals of abelian groups, and field-of-values analysis."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
 from .algebra import (DEFAULT_CAP, CapExceeded, NilAlgebra,
-                      VerificationFailed, trunc_exp)
+                      VerificationFailed, apply_columns, sparse_column,
+                      trunc_exp)
 from .chain import ChainResult, chain_compute
 from .duals import orbit
 from .scalars import (AdditiveCharacter, CyclotomicNumber, in_subfield,
@@ -44,11 +46,13 @@ class GroupTable:
 
     @classmethod
     def from_subspace(cls, algebra, subspace, cap=DEFAULT_CAP):
-        """The algebra subgroup 1 + subspace; the subspace must be closed
-        under products."""
-        sub = NilAlgebra.from_subspace(subspace, algebra.field)
-        table = cls(sub, sub.enumerate_group(cap))
-        return table
+        """The algebra subgroup 1 + subspace.  The subspace is computed,
+        not given, so a subspace that is not closed under products raises
+        VerificationFailed."""
+        sub = NilAlgebra.from_subspace(subspace, algebra.field, check=False)
+        if not sub.is_closed_under_products():
+            raise VerificationFailed("subspace is not closed under products")
+        return cls(sub, sub.enumerate_group(cap))
 
     @property
     def size(self):
@@ -87,11 +91,11 @@ class GroupTable:
             table = []
             for g, x in zip(self.elements, coords):
                 a = g.body
-                columns = _coordinate_columns(algebra,
-                                              [u + a @ u for u in basis])
+                columns = [sparse_column(algebra.coordinates(u + a @ u))
+                           for u in basis]
                 try:
-                    table.append([lookup[_apply_columns(algebra.field,
-                                                        columns, y, x)]
+                    table.append([lookup[apply_columns(algebra.field,
+                                                       columns, y, x)]
                                   for y in coords])
                 except KeyError:
                     raise VerificationFailed(
@@ -105,31 +109,6 @@ class GroupTable:
 
     def __repr__(self):
         return f"GroupTable(size={self.size})"
-
-
-def _coordinate_columns(algebra, mats):
-    """The coordinates of each matrix over algebra.basis(), as sparse
-    columns [(k, c), ...]."""
-    return [[(k, c) for k, c in enumerate(algebra.coordinates(m)) if c]
-            for m in mats]
-
-
-def _apply_columns(field, columns, vec, start):
-    """start + sum_b vec[b] * columns[b] over F_q, as a tuple."""
-    acc = list(start)
-    if field.e == 1:
-        for c, column in zip(vec, columns):
-            if c:
-                for k, v in column:
-                    acc[k] += c * v
-        p = field.p
-        return tuple([a % p for a in acc])
-    add, mul = field.add, field.mul
-    for c, column in zip(vec, columns):
-        if c:
-            for k, v in column:
-                acc[k] = add(acc[k], mul(c, v))
-    return tuple(acc)
 
 
 class ClassFunction:
@@ -218,30 +197,73 @@ def theta_lambda(group, lam):
 
 
 def _orbit_sum(group, functionals, scale):
-    """scale * sum over mu of theta_mu, as a table on the group.
+    """scale * sum of theta_mu over the functionals, as a table on the
+    group.
 
-    theta_mu(g) = zeta_p^t with t = Tr mu(g - 1) = sum_k Tr(mu_k x_k) mod p,
-    where x are the coordinates of g - 1, so each value is sum_t c_t zeta_p^t
-    for the integer counts c_t of the functionals with trace t.  Reduced
-    modulo Phi_p, whose roots satisfy zeta^(p-1) = -(1 + ... + zeta^(p-2)),
-    its coefficients are c_t - c_{p-1}.  Tr(ab) comes from one q x q table,
-    and each element's coordinates are read once."""
+    theta_mu(g) = zeta_p^t with t = Tr mu(X) = sum_k Tr(mu_k x_k) mod p,
+    where x are the coordinates of X = g - 1, so each value is
+    sum_t c_t zeta_p^t for the counts c_t(X) of the mu with trace t.
+    Reduced modulo Phi_p, whose roots satisfy
+    zeta^(p-1) = -(1 + ... + zeta^(p-2)), its coefficients are
+    c_t - c_{p-1}.
+
+    Because the trace is a sum over coordinates, the counts are a
+    transform of the functionals taken one coordinate at a time.  After
+    step k every (prefix x_1..x_k, suffix mu_(k+1)..mu_N) pair holds the
+    counts of the mu with that suffix by their partial trace on the
+    prefix; step k+1 splits mu_(k+1) off the suffix and, for each value v
+    of x_(k+1), rotates the counts by Tr(mu_(k+1) v) and adds them into
+    (prefix + (v,), rest of the suffix).  Only prefixes of the group's
+    elements are extended, so a subgroup costs no more than the whole
+    group.  The counts (c_0, ..., c_(p-1)) are packed as the integer
+    sum_t c_t 2^(b t), with 2^b larger than the number of functionals so
+    that no digit overflows: adding count vectors is adding integers, and
+    rotating by r is rotating the bp-bit word by b r bits.  Each distinct
+    count vector becomes one cyclotomic number."""
     algebra = functionals[0].algebra
     field = algebra.field
     p, q = field.p, field.q
-    trace = [[field.trace(field.mul(a, b)) for b in range(q)]
-             for a in range(q)]
-    terms = [[(k, trace[c]) for k, c in enumerate(mu.values) if c]
-             for mu in functionals]
+    bits = len(functionals).bit_length()
+    width = bits * p
+    mask = (1 << width) - 1
+    shifts = [[bits * field.trace(field.mul(a, b)) for b in range(q)]
+              for a in range(q)]
+    coords = [tuple(algebra.coordinates(g.body)) for g in group.elements]
+    # children[k]: each length-k prefix of an element -> its next entries
+    children = [None] * algebra.dim
+    prefixes = set(coords)
+    for k in reversed(range(algebra.dim)):
+        kids = {}
+        for x in prefixes:
+            kids.setdefault(x[:k], []).append(x[k])
+        children[k] = kids
+        prefixes = kids.keys()
+    level = {(): Counter(mu.values for mu in functionals)}
+    for kids in children:
+        extended = {}
+        for prefix, suffixes in level.items():
+            split = [(shifts[s[0]], s[1:], c) for s, c in suffixes.items()]
+            for v in kids[prefix]:
+                out = {}
+                for row, rest, c in split:
+                    shift = row[v]
+                    if shift:
+                        c = ((c << shift) | (c >> (width - shift))) & mask
+                    out[rest] = out.get(rest, 0) + c
+                extended[prefix + (v,)] = out
+        level = extended
+    low = (1 << bits) - 1
+    cyclo = {}
     values = []
-    for g in group.elements:
-        x = algebra.coordinates(g.body)
-        counts = [0] * p
-        for pairs in terms:
-            counts[sum(row[x[k]] for k, row in pairs) % p] += 1
-        top = counts[-1]
-        values.append(CyclotomicNumber(p, [c - top for c in counts[:-1]])
-                      .scale(scale))
+    for x in coords:
+        packed = level[x][()]
+        value = cyclo.get(packed)
+        if value is None:
+            counts = [(packed >> (bits * t)) & low for t in range(p)]
+            top = counts[-1]
+            value = cyclo[packed] = CyclotomicNumber(
+                p, [c - top for c in counts[:-1]]).scale(scale)
+        values.append(value)
     return ClassFunction(group, values)
 
 
@@ -280,12 +302,11 @@ def supercharacter(group, lam, cap=DEFAULT_CAP):
 def xi_set(group, lam, s_bar, cap=DEFAULT_CAP):
     """Xi = {g lam s g^{-1} : g in G, s in S_bar} as a list of functionals."""
     from .duals import act_left, act_right
-    s_elements = list(
-        NilAlgebra.from_subspace(s_bar, group.algebra.field).enumerate_group(cap))
+    s_group = GroupTable.from_subspace(group.algebra, s_bar, cap)
     seen = {}
     for g in group.elements:
         ginv = g.inverse()
-        for s in s_elements:
+        for s in s_group.elements:
             moved = act_left(g, act_right(lam, s * ginv))
             seen.setdefault(moved.key(), moved)
             if len(seen) > cap:
@@ -337,8 +358,10 @@ def induce(f, group):
     Conjugation by x = 1 + a is linear on coordinates, because
     x (1 + b) x^{-1} = 1 + x b x^{-1}: its columns are the coordinates of
     x u_b x^{-1}, built once per x.  An element is found in H through the
-    map from the ambient coordinates of H's elements to H's indices, and
-    each sum is taken in the order of x."""
+    map from the ambient coordinates of H's elements to H's indices.  The
+    hits at each g are counted per distinct value of f, and each value is
+    added once, scaled by its count over |H|; g with no hit keeps the
+    conductor-1 zero."""
     sub = f.group
     inverses = group.inverses()
     algebra = group.algebra
@@ -350,22 +373,30 @@ def induce(f, group):
         return ClassFunction(group, [
             f.values[in_sub[c]].scale(scale) if c in in_sub
             else CyclotomicNumber.zero() for c in coords])
+    distinct = {}
+    kinds = [distinct.setdefault((v.m, v.coeffs), len(distinct))
+             for v in f.values]
+    reps = dict(zip(kinds, f.values))  # kind -> a value of that kind
     basis = algebra.basis()
     zero = (0,) * len(basis)
-    sums = [CyclotomicNumber.zero()] * group.size
-    hit = [False] * group.size
+    hits = [[0] * len(reps) for _ in range(group.size)]
     for x, xinv in zip(group.elements, inverses):
         a, ainv = x.body, xinv.body
         left = [u + a @ u for u in basis]  # (1 + a) u_b
-        columns = _coordinate_columns(algebra, [m + m @ ainv for m in left])
-        for i, c in enumerate(coords):
-            h = in_sub.get(_apply_columns(algebra.field, columns, c, zero))
+        columns = [sparse_column(algebra.coordinates(m + m @ ainv))
+                   for m in left]
+        for counts, c in zip(hits, coords):
+            h = in_sub.get(apply_columns(algebra.field, columns, c, zero))
             if h is not None:
-                sums[i] = sums[i] + f.values[h]
-                hit[i] = True
-    scale = Fraction(1, sub.size)
-    return ClassFunction(group, [acc.scale(scale) if seen else acc
-                                 for acc, seen in zip(sums, hit)])
+                counts[kinds[h]] += 1
+    values = []
+    for counts in hits:
+        acc = CyclotomicNumber.zero()
+        for kind, count in enumerate(counts):
+            if count:
+                acc = acc + reps[kind].scale(Fraction(count, sub.size))
+        values.append(acc)
+    return ClassFunction(group, values)
 
 
 def restrict(f, subgroup):

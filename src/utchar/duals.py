@@ -7,7 +7,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from .algebra import DEFAULT_CAP, CapExceeded, VerificationFailed
+from .algebra import (DEFAULT_CAP, CapExceeded, VerificationFailed,
+                      apply_columns, sparse_column)
 from .scalars import FieldElement
 
 
@@ -202,33 +203,51 @@ def orbit(lam, which, cap=DEFAULT_CAP):
     `lam.algebra.group_generators()` (the 1 + t u over the echelon bases of
     the algebra's powers), on each side that the kind of orbit acts on;
     orbits of a group are the closures under its generators, so no other
-    group element is applied.  More than cap functionals raise
-    CapExceeded."""
+    group element is applied.
+
+    Every action is F_q-linear in the functional, so the move by a
+    generator is f -> f + sum_k f_k c_k, with the column
+    c_k = act(delta_k) - delta_k for the unit functional delta_k.  Column k
+    of a move is computed, by one action, the first time a functional with
+    f_k != 0 is moved, so an orbit costs at most one action per move and
+    coordinate that its functionals use.  The BFS runs on value tuples.
+    More than cap functionals raise CapExceeded."""
     if which not in ("left", "right", "two-sided", "coadjoint"):
         raise ValueError(f"unknown orbit kind {which!r}")
-    gens = lam.algebra.group_generators()
+    algebra = lam.algebra
+    field = algebra.field
+    gens = algebra.group_generators()
     if which == "left":
-        moves = [lambda f, g=g: act_left(g, f) for g in gens]
+        acts = [lambda f, g=g: act_left(g, f) for g in gens]
     elif which == "right":
-        moves = [lambda f, g=g: act_right(f, g) for g in gens]
+        acts = [lambda f, g=g: act_right(f, g) for g in gens]
     elif which == "coadjoint":
-        moves = [lambda f, g=g: act_coadjoint(f, g) for g in gens]
+        acts = [lambda f, g=g: act_coadjoint(f, g) for g in gens]
     else:
-        moves = [lambda f, g=g: act_left(g, f) for g in gens] + \
-                [lambda f, g=g: act_right(f, g) for g in gens]
-    seen = {lam.key(): lam}
-    frontier = deque([lam])
+        acts = [lambda f, g=g: act_left(g, f) for g in gens] + \
+               [lambda f, g=g: act_right(f, g) for g in gens]
+    columns = [[None] * algebra.dim for _ in acts]
+    seen = {lam.values}
+    frontier = deque(seen)
     while frontier:
         f = frontier.popleft()
-        for move in moves:
-            nxt = move(f)
-            k = nxt.key()
-            if k not in seen:
+        for k, c in enumerate(f):
+            if c and columns[0][k] is None:
+                unit = [0] * algebra.dim
+                unit[k] = 1
+                delta = Functional(algebra, unit)
+                for act, cols in zip(acts, columns):
+                    moved = list(act(delta).values)
+                    moved[k] = field.sub(moved[k], 1)
+                    cols[k] = sparse_column(moved)
+        for cols in columns:
+            nxt = apply_columns(field, cols, f, f)
+            if nxt not in seen:
                 if len(seen) >= cap:
                     raise CapExceeded(f"orbit exceeds cap {cap}")
-                seen[k] = nxt
+                seen.add(nxt)
                 frontier.append(nxt)
-    out = [seen[k] for k in sorted(seen)]
+    out = [Functional(algebra, values) for values in sorted(seen)]
     if which == "coadjoint":
         size = len(out)
         q = lam.algebra.field.q

@@ -4,6 +4,7 @@ its runtime (run with `pytest -s tests/test_acceptance.py` to see them)."""
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -294,6 +295,25 @@ def test_criterion_8_inflation_and_torus():
                 orb = torus_orbit(lam)
                 assert len(orb) == 2 ** (n - len(shape(lam)))
                 assert all(shape(f) == shape(lam) for f in orb)
+
+
+def test_kirillov_table_on_ut6_2_within_budget():
+    # |G| = 32768 and a coadjoint orbit of 4096 functionals, within
+    # criterion 2's budget; sampled values against direct trace counts
+    field = field_make(2)
+    alg = NilAlgebra.pattern_algebra(Pattern.full(6), field)
+    lam = Functional.from_entries(alg, {(1, 6): 1, (2, 5): 1})
+    with Timer("UT_6(2) Kirillov table", 30.0):
+        group = GroupTable.from_algebra(alg)
+        psi = kirillov(group, lam)
+    functionals = orbit(lam, "coadjoint")
+    assert len(functionals) == 4096
+    for g in random.Random(62).sample(group.elements, 200):
+        counts = [0, 0]
+        for mu in functionals:
+            counts[field.trace(mu.evaluate_group(g))] += 1
+        assert psi(g) == CyclotomicNumber.rational(
+            Fraction(counts[0] - counts[1], 64))
 
 
 OPTIMIZED_CLI = """

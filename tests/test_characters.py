@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 
@@ -17,7 +18,7 @@ from utchar.duals import Functional, orbit, orbit_keys
 from utchar.exotic import constant_diagonal_algebra, corner_functional
 from utchar.scalars import CyclotomicNumber, field_make
 
-from oracles import dense_orbit_sum, random_functional
+from oracles import dense_orbit_sum, random_functional, u4_and_subalgebra
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -465,6 +466,52 @@ def test_orbit_sums_match_dense_oracle_on_constant_diagonal(n, rng):
         group = GroupTable.from_algebra(alg)
         for lam in (corner_functional(alg), random_functional(rng, alg)):
             check_orbit_sums(group, lam)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_orbit_sums_match_dense_oracle_on_u4_and_subalgebra(p, rng):
+    for alg in u4_and_subalgebra(field_make(p)):
+        group = GroupTable.from_algebra(alg)
+        for lam in (Functional.zero(alg), random_functional(rng, alg)):
+            check_orbit_sums(group, lam)
+
+
+@pytest.mark.parametrize("pe", [pe for n, pe in ORBIT_SUM_GROUPS if n == 3])
+def test_orbit_sum_of_any_functionals_matches_dense_oracle(pe, rng):
+    # the transform does not use that the functionals form an orbit; a
+    # repeated functional counts twice
+    alg = NilAlgebra.pattern_algebra(Pattern.full(3), field_make(*pe))
+    group = GroupTable.from_algebra(alg)
+    pool = all_functionals(alg)
+    for size in (1, 2, 7, min(40, len(pool))):
+        chosen = rng.sample(pool, size)
+        chosen.append(chosen[0])
+        scale = Fraction(1, size)
+        assert exact_values(characters._orbit_sum(group, chosen, scale)) \
+            == exact_values(dense_orbit_sum(group, chosen, scale))
+
+
+def test_orbit_sum_on_a_subgroup_extends_only_its_prefixes():
+    # 1 + span(e12, e13, e23) is 8 elements of UT_6(2): the transform must
+    # extend only their coordinate prefixes, never all 2^15 of UT_6(2)
+    alg = NilAlgebra.pattern_algebra(Pattern.full(6), F2)
+    span = Subspace.from_matrices(
+        alg.pattern, F2, [NilMatrix.elementary(alg.pattern, F2, *pos)
+                          for pos in ((1, 2), (1, 3), (2, 3))])
+    sub = GroupTable.from_subspace(alg, span)
+    functionals = orbit(Functional.from_entries(alg, {(1, 6): 1}),
+                        "coadjoint")
+    scale = Fraction(1, 16)
+    tracemalloc.start()
+    try:
+        table = characters._orbit_sum(sub, functionals, scale)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exact_values(table) == \
+        exact_values(dense_orbit_sum(sub, functionals, scale))
+    assert len({v.coeffs for v in table.values}) > 1
+    assert peak < 1 << 22, peak  # all 2^15 prefixes take over 20 MB
 
 
 def test_vanishing_orbit_sum_keeps_conductor_p():

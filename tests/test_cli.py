@@ -276,6 +276,33 @@ def test_s_bar_closure_failure_exits_1(monkeypatch, capsys):
     assert "s_bar is not closed under products" in captured.err
 
 
+@pytest.mark.parametrize("module,argv", [
+    (exotic, ["kappa", "--n", "4", "--q", "2"]),
+    (characters, ["table", "--n", "4", "--q", "2", "--lambda",
+                  "[[1,4,1],[2,3,1]]", "--which", "xi"])])
+def test_l_bar_closure_failure_exits_1(module, argv, monkeypatch, capsys):
+    # the closure check fails for the computed l_bar span only, so the
+    # algebras the command starts from still pass it
+    real_chain = module.chain_compute
+    real_closed = NilAlgebra.is_closed_under_products
+    l_bars = []
+
+    def chain(algebra, lam):
+        ch = real_chain(algebra, lam)
+        l_bars.append(ch.l_bar)
+        return ch
+
+    monkeypatch.setattr(module, "chain_compute", chain)
+    monkeypatch.setattr(
+        NilAlgebra, "is_closed_under_products",
+        lambda alg: alg.span not in l_bars and real_closed(alg))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not closed under products" in captured.err
+    assert l_bars
+
+
 def test_invalid_exotic_and_verify_sizes_exit_2(capsys):
     for argv, message in (
             (["exotic", "--r", "1", "--q", "2"], "r must be >= 2"),

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from utchar import duals
 from utchar.algebra import (GroupElement, NilAlgebra, NilMatrix, Pattern,
                             Subspace)
 from utchar.chain import gram_matrix
@@ -136,6 +137,30 @@ def test_orbits_of_all_kinds_match_full_group(p, e, rng):
                     set(full_group_orbit(group, lam, which)), (alg, which)
 
 
+def sparse_functional(rng, alg, support):
+    values = [0] * alg.dim
+    for k in rng.sample(range(alg.dim), min(support, alg.dim)):
+        values[k] = rng.randrange(1, alg.field.q)
+    return Functional(alg, values)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_orbits_of_zero_and_sparse_functionals_match_full_group(p, e, rng):
+    # the zero functional computes no column; a sparse one on a subspace
+    # algebra starts with few columns and computes the rest as its orbit
+    # reaches new coordinates
+    for alg in generator_test_algebras(rng, field_make(p, e)):
+        group = GroupTable.from_algebra(alg)
+        lams = [Functional.zero(alg)]
+        if not alg.is_pattern:
+            lams += [sparse_functional(rng, alg, 1),
+                     sparse_functional(rng, alg, 2)]
+        for lam in lams:
+            for which in ("left", "right", "coadjoint", "two-sided"):
+                assert orbit_keys(orbit(lam, which)) == \
+                    set(full_group_orbit(group, lam, which)), (alg, which)
+
+
 def test_left_and_right_orbits_same_size(rng):
     for _ in range(10):
         lam = random_functional(rng, U42)
@@ -151,11 +176,19 @@ def test_two_sided_orbit_size_identity(rng):
         assert len(two) * len(left & right) == len(left) * len(right)
 
 
-def test_coadjoint_orbit_of_abelian_algebra_is_trivial():
+def test_coadjoint_orbit_of_abelian_algebra_is_trivial(monkeypatch):
+    # kappa has one nonzero coordinate, and a move computes its column k
+    # only once a functional with f_k != 0 is moved: one action per move
     from utchar.exotic import constant_diagonal_algebra, corner_functional
     a4 = constant_diagonal_algebra(4, F3)
     kappa = corner_functional(a4)
+    assert sum(1 for v in kappa.values if v) == 1
+    real = duals.act_coadjoint
+    calls = []
+    monkeypatch.setattr(duals, "act_coadjoint",
+                        lambda f, g: calls.append(g) or real(f, g))
     assert len(orbit(kappa, "coadjoint")) == 1
+    assert len(calls) == len(a4.group_generators())
 
 
 def test_right_orbit_of_quasimonomial_is_affine():

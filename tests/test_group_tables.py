@@ -34,6 +34,12 @@ def constant_diagonal(n, q):
     return GroupTable.from_algebra(constant_diagonal_algebra(n, FIELDS[q]))
 
 
+def exact(f):
+    """Conductor and coefficients of every value; == on CyclotomicNumber
+    promotes conductors, this does not."""
+    return [(v.m, v.coeffs) for v in f.values]
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 def test_mul_table_matches_oracle_on_ut3(q):
     group = unitriangular(3, q)
@@ -78,7 +84,8 @@ def test_induce_theta_from_l_bar_matches_oracle(rng, n, q):
         ch = chain_compute(group.algebra, lam)
         lgroup = GroupTable.from_subspace(group.algebra, ch.l_bar)
         theta = theta_lambda(lgroup, lam)
-        assert induce(theta, group) == brute_force_induce(theta, group)
+        assert exact(induce(theta, group)) == \
+            exact(brute_force_induce(theta, group))
 
 
 def test_induce_on_abelian_group_matches_oracle():
@@ -88,7 +95,8 @@ def test_induce_on_abelian_group_matches_oracle():
         ch = chain_compute(group.algebra, kappa)
         lgroup = GroupTable.from_subspace(group.algebra, ch.l_bar)
         theta = theta_lambda(lgroup, kappa)
-        assert induce(theta, group) == brute_force_induce(theta, group)
+        assert exact(induce(theta, group)) == \
+            exact(brute_force_induce(theta, group))
 
 
 VALUE_POOL = [CyclotomicNumber.one(), CyclotomicNumber.rational(-1),
@@ -115,7 +123,7 @@ def test_induce_random_tables_on_random_subgroups_match_oracle(rng, make,
         sub = GroupTable.from_subspace(group.algebra, span)
         f = ClassFunction(sub, [rng.choice(VALUE_POOL)
                                 for _ in range(sub.size)])
-        assert induce(f, group) == brute_force_induce(f, group)
+        assert exact(induce(f, group)) == exact(brute_force_induce(f, group))
 
 
 @pytest.mark.parametrize("n,q", [(n, q) for n, q in CONSTANT_DIAGONAL
