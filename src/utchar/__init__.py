@@ -1,8 +1,8 @@
 """Exact supercharacter, Kirillov-function, and induced-character
 computations for unitriangular and general algebra groups over F_q."""
 
-from .scalars import (CyclotomicNumber, Field, FieldElement,
-                      additive_character, cyclotomic_polynomial, field_make,
+from .scalars import (AdditiveCharacter, CyclotomicNumber, Field,
+                      FieldElement, cyclotomic_polynomial, field_make,
                       in_subfield)
 from .algebra import (CapExceeded, GroupElement, NilAlgebra, NilMatrix,
                       Pattern, Subspace, VerificationFailed, ideal_check,

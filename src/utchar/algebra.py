@@ -212,10 +212,6 @@ class GroupElement:
     def identity(cls, pattern, field):
         return cls(NilMatrix.zero(pattern, field))
 
-    @classmethod
-    def one_plus(cls, matrix):
-        return cls(matrix)
-
     def __mul__(self, other):
         x, y = self.body, other.body
         return GroupElement(x + y + (x @ y))
@@ -325,18 +321,6 @@ def rref(rows, field):
     return [pivots[c] for c in sorted(pivots)]
 
 
-def residue(vec, by_pivot, field):
-    """Reduce vec against echelon rows keyed by pivot column; zero residue
-    means membership."""
-    vec = {c: v for c, v in vec.items() if v}
-    while vec:
-        c = min(vec)
-        if c not in by_pivot:
-            return vec
-        vec = _row_sub_scaled(vec, vec[c], by_pivot[c], field)
-    return vec
-
-
 def combine_rows(coeffs, rows, field):
     """sum_a coeffs[a] * rows[a] for sparse coefficients {a: c}, sparse."""
     out = {}
@@ -409,7 +393,7 @@ class Subspace:
     """An F_q-subspace of a pattern coordinate space in canonical reduced
     row-echelon form."""
 
-    __slots__ = ("pattern", "field", "rows", "pivots", "_mats", "_by_pivot")
+    __slots__ = ("pattern", "field", "rows", "pivots", "_mats", "_tails")
 
     def __init__(self, pattern, field, rows):
         self.pattern = pattern
@@ -417,7 +401,7 @@ class Subspace:
         self.rows = tuple(tuple(sorted(r.items())) for r in rows)
         self.pivots = tuple(r[0][0] for r in self.rows)
         self._mats = None
-        self._by_pivot = None
+        self._tails = None
 
     @classmethod
     def from_vectors(cls, pattern, field, vectors):
@@ -443,12 +427,13 @@ class Subspace:
     def row_dicts(self):
         return [dict(r) for r in self.rows]
 
-    def by_pivot(self):
-        """{pivot column: row dict}, built once; callers must not mutate
-        the dicts."""
-        if self._by_pivot is None:
-            self._by_pivot = {r[0][0]: dict(r) for r in self.rows}
-        return self._by_pivot
+    def tails(self):
+        """{pivot column: the row's entries off its pivot}, built once;
+        callers must not mutate the dicts.  The rows are reduced, so each
+        is the unit vector at its pivot plus a tail with no pivot column."""
+        if self._tails is None:
+            self._tails = {r[0][0]: dict(r[1:]) for r in self.rows}
+        return self._tails
 
     def basis_matrices(self):
         if self._mats is None:
@@ -457,39 +442,48 @@ class Subspace:
                 for r in self.rows)
         return self._mats
 
+    def _pivot_entries(self, vec):
+        """vec's nonzero entries at the pivots, or None if vec lies off the
+        span.  A member is the combination of the rows whose coefficients
+        are its pivot entries, so its entries off the pivots are that
+        combination of the tails."""
+        tails = self.tails()
+        at_pivots, off = {}, {}
+        for c, v in vec.items():
+            if v:
+                (at_pivots if c in tails else off)[c] = v
+        if combine_rows(at_pivots, tails, self.field) != off:
+            return None
+        return at_pivots
+
     def contains_vector(self, vec):
-        return not residue(vec, self.by_pivot(), self.field)
+        return self._pivot_entries(vec) is not None
 
     def contains(self, mat):
         return self.contains_vector(mat.vector())
 
     def coordinates(self, mat):
         """Coefficients of mat over the echelon basis, or None."""
-        vec = {c: v for c, v in mat.vector().items() if v}
-        f = self.field
-        coeffs = {}
-        by_pivot = self.by_pivot()
-        pivot_pos = {c: a for a, c in enumerate(self.pivots)}
-        while vec:
-            c = min(vec)
-            if c not in by_pivot:
-                return None
-            coeffs[pivot_pos[c]] = vec[c]
-            vec = _row_sub_scaled(vec, vec[c], by_pivot[c], f)
-        return [coeffs.get(a, 0) for a in range(self.dim)]
+        at_pivots = self._pivot_entries(mat.vector())
+        if at_pivots is None:
+            return None
+        return [at_pivots.get(c, 0) for c in self.pivots]
+
+    def matrix(self, coeffs):
+        """The matrix with the given coefficients over the echelon basis;
+        the inverse of coordinates."""
+        at_pivots = {c: x for c, x in zip(self.pivots, coeffs) if x}
+        vec = combine_rows(at_pivots, self.tails(), self.field)
+        vec.update(at_pivots)
+        return NilMatrix.from_vector(self.pattern, self.field, vec)
 
     def is_subspace_of(self, other):
-        by_pivot = other.by_pivot()
-        return all(not residue(dict(r), by_pivot, self.field)
-                   for r in self.rows)
+        return all(other.contains_vector(dict(r)) for r in self.rows)
 
     def sum_with(self, other):
         return Subspace.from_vectors(
             self.pattern, self.field,
             self.row_dicts() + other.row_dicts())
-
-    def intersection_dim(self, other):
-        return self.dim + other.dim - self.sum_with(other).dim
 
     def restrict_to_zero(self, coords):
         """The subspace of vectors vanishing on the given coordinates."""
@@ -504,18 +498,6 @@ class Subspace:
         vectors = [combine_rows(combo, basis_rows, self.field)
                    for combo in combos]
         return Subspace.from_vectors(self.pattern, self.field, vectors)
-
-    def enumerate_matrices(self, cap=DEFAULT_CAP):
-        q = self.field.q
-        if q**self.dim > cap:
-            raise CapExceeded(f"{q}^{self.dim} elements exceeds cap {cap}")
-        mats = self.basis_matrices()
-        for coeffs in itertools.product(range(q), repeat=self.dim):
-            acc = NilMatrix.zero(self.pattern, self.field)
-            for c, m in zip(coeffs, mats):
-                if c:
-                    acc = acc + m.scale(c)
-            yield acc
 
     def __eq__(self, other):
         if self is other:
@@ -545,16 +527,17 @@ def solution_space(pattern, field, constraint_rows):
 class NilAlgebra:
     """A nilpotent associative algebra realized inside a pattern coordinate
     space: either the pattern algebra itself or a subalgebra given by an
-    echelon basis."""
+    echelon basis.  Basis, coordinates and group elements come from the
+    echelon span for both kinds; for a pattern algebra the span is
+    Subspace.full, whose basis is the e_ij in pattern order."""
 
-    __slots__ = ("pattern", "field", "span", "is_pattern", "_basis")
+    __slots__ = ("pattern", "field", "span", "is_pattern")
 
     def __init__(self, pattern, field, span, is_pattern):
         self.pattern = pattern
         self.field = field
         self.span = span
         self.is_pattern = is_pattern
-        self._basis = None
 
     @classmethod
     def pattern_algebra(cls, pattern, field):
@@ -578,14 +561,7 @@ class NilAlgebra:
         return self.field.q**self.span.dim
 
     def basis(self):
-        if self._basis is None:
-            if self.is_pattern:
-                self._basis = tuple(
-                    NilMatrix.elementary(self.pattern, self.field, i, j)
-                    for i, j in self.pattern.order)
-            else:
-                self._basis = self.span.basis_matrices()
-        return self._basis
+        return self.span.basis_matrices()
 
     def is_closed_under_products(self):
         basis = self.basis()
@@ -599,28 +575,11 @@ class NilAlgebra:
         return all(uv == basis[b] @ basis[a]
                    for a, b, uv in nonzero_products(basis, basis))
 
-    def contains(self, mat):
-        return self.span.contains(mat)
-
     def coordinates(self, mat):
-        if self.is_pattern:
-            idx = self.pattern.index
-            out = [0] * len(self.pattern.order)
-            for pos, c in mat.entries.items():
-                out[idx[pos]] = c
-            return out
         coords = self.span.coordinates(mat)
         if coords is None:
             raise ValueError("matrix lies outside the algebra")
         return coords
-
-    def from_coordinates(self, coeffs):
-        basis = self.basis()
-        acc = NilMatrix.zero(self.pattern, self.field)
-        for c, m in zip(coeffs, basis):
-            if c:
-                acc = acc + m.scale(c)
-        return acc
 
     def identity(self):
         return GroupElement.identity(self.pattern, self.field)
@@ -629,8 +588,9 @@ class NilAlgebra:
         """All q^dim elements of 1 + algebra, in deterministic order."""
         if self.size > cap:
             raise CapExceeded(f"group of size {self.size} exceeds cap {cap}")
-        for mat in self.span.enumerate_matrices(cap):
-            yield GroupElement(mat)
+        matrix = self.span.matrix
+        for coeffs in itertools.product(range(self.field.q), repeat=self.dim):
+            yield GroupElement(matrix(coeffs))
 
     def group_generators(self):
         """Generators of the group 1 + A: the elements 1 + t u for t in an
@@ -657,6 +617,8 @@ class NilAlgebra:
         by the argument above, because the e_ij contain a basis of each
         power (a product of elementary matrices is elementary or zero)."""
         basis = self.basis()
+        # kept: on u_n this fork gives n - 1 units, the echelon powers would
+        # give all n(n - 1)/2, and orbit BFS cost grows with the unit count
         if self.is_pattern:
             pos = self.pattern.positions
             units = [u for (i, j), u in zip(self.pattern.order, basis)
@@ -757,11 +719,7 @@ class Projection:
 
     def project_matrix(self, mat):
         coords = _split_coordinates(self.sub, self.ideal, mat)
-        acc = NilMatrix.zero(mat.pattern, mat.field)
-        for c, m in zip(coords[: self.sub.dim], self.sub.basis_matrices()):
-            if c:
-                acc = acc + m.scale(c)
-        return acc
+        return self.sub.matrix(coords[: self.sub.dim])
 
     def project_group(self, g):
         return GroupElement(self.project_matrix(g.body))

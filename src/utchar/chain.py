@@ -167,9 +167,6 @@ class QuasimonomialKernels:
     base: Functional
     right_orbit_positions: frozenset  # lam G = lam + span{e*_pos}
 
-    def right_orbit_size(self):
-        return self.base.algebra.field.q ** len(self.right_orbit_positions)
-
 
 def quasimonomial_kernels(algebra, lam):
     """Combinatorial kernels for a quasi-monomial functional on a pattern

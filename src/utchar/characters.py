@@ -16,7 +16,7 @@ from .algebra import (DEFAULT_CAP, CapExceeded, NilAlgebra,
 from .chain import ChainResult, chain_compute
 from .duals import orbit
 from .scalars import (AdditiveCharacter, CyclotomicNumber, in_subfield,
-                      root_of_unity_order)
+                      prime_power_split, root_of_unity_order)
 
 
 class GroupTable:
@@ -122,10 +122,6 @@ class ClassFunction:
         self.values = tuple(values)
         if len(self.values) != group.size:
             raise ValueError("value table has wrong length")
-
-    @classmethod
-    def from_evaluator(cls, group, fn):
-        return cls(group, [fn(g) for g in group.elements])
 
     def __call__(self, g):
         return self.values[self.group.index[g.key()]]
@@ -283,9 +279,9 @@ def exp_kirillov(group, lam, cap=DEFAULT_CAP):
     """psi^Exp_lambda(Exp X) = psi_lambda(1 + X)."""
     psi = kirillov(group, lam, cap)
     values = [None] * group.size
-    for g in group.elements:
+    for i, g in enumerate(group.elements):
         target = trunc_exp(g.body)  # psi^Exp(Exp(x)) = psi(1 + x)
-        values[group.index[target.key()]] = psi(g)
+        values[group.index[target.key()]] = psi.values[i]
     if any(v is None for v in values):
         raise VerificationFailed("Exp does not map the group onto itself")
     return ClassFunction(group, values)
@@ -600,18 +596,9 @@ def field_of_values(f):
     conductor = 1
     for d in orders:
         conductor = lcm(conductor, d)
-    primes = {p for p in range(2, conductor + 1)
-              if conductor % p == 0 and all(p % r for r in range(2, p))}
-    if len(primes) > 1:
-        raise ValueError("values do not have prime-power conductor")
-    if not primes:
+    if conductor == 1:
         return FieldOfValues(p=0, conductor=1, min_level=0)
-    p = primes.pop()
-    k = 0
-    c = conductor
-    while c % p == 0:
-        c //= p
-        k += 1
+    p, k = prime_power_split(conductor)
     level = 0
     while level <= k:
         if all(_in_level(v, p, level) for v in f.values):

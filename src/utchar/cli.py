@@ -20,7 +20,7 @@ from .chain import chain_compute
 from .duals import Functional, orbit
 from .exotic import (corner_character_analysis, exotic_report,
                      verify_chain_closed_forms)
-from .scalars import field_make, is_prime
+from .scalars import field_make, prime_power_split
 
 
 @dataclass
@@ -54,24 +54,10 @@ class JobSpec:
             raise ValueError(f"kappa needs n >= 2, got n = {self.n}")
 
 
-def _factor_prime_power(q):
-    if q < 2:
-        raise ValueError(f"q = {q} is not a prime power")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    e = 0
-    while q % p == 0:
-        q //= p
-        e += 1
-    if q != 1 or not is_prime(p):
-        raise ValueError("q is not a prime power")
-    return p, e
-
-
 def field_for(q, modulus=None):
     """F_q, with the given modulus if any; ValueError unless q is a prime
     power."""
-    p, e = _factor_prime_power(q)
-    return field_make(p, e, modulus)
+    return field_make(*prime_power_split(q), modulus)
 
 
 def _functional_for(spec, algebra):

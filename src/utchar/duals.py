@@ -40,6 +40,7 @@ class Functional:
             return c if 0 <= c < field.q else field.from_int(c)
 
         entries = {pos: norm(c) for pos, c in entries.items()}
+        # kept: a pattern algebra rejects positions outside the pattern
         if algebra.is_pattern:
             vals = [0] * algebra.dim
             for pos, c in entries.items():
@@ -72,6 +73,8 @@ class Functional:
 
     def evaluate(self, mat):
         field = self.algebra.field
+        # kept: reading values by position costs O(entries), where span
+        # coordinates cost O(dim) per evaluation of a chain Gram product
         if self.algebra.is_pattern:
             idx = self.algebra.pattern.index
             acc = 0
@@ -138,52 +141,16 @@ class Functional:
 
 def act_left(g, lam):
     """(g lam)(X) = lam(g^{-1} X)."""
-    algebra = lam.algebra
-    field = algebra.field
     h = g.inverse().body  # g^{-1} - 1
-    if algebra.is_pattern:
-        idx = algebra.pattern.index
-        pos_set = algebra.pattern.positions
-        out = list(lam.values)
-        lam_rows = {}
-        for (a, j), v in lam.entries().items():
-            lam_rows.setdefault(a, []).append((j, v))
-        for (a, i), hv in h.entries.items():
-            for j, lv in lam_rows.get(a, ()):
-                if i < j and (i, j) in pos_set:
-                    k = idx[(i, j)]
-                    out[k] = field.add(out[k], field.mul(lv, hv))
-        return Functional(algebra, out)
-    vals = []
-    for u in algebra.basis():
-        moved = u + (h @ u)
-        vals.append(lam.evaluate(moved))
-    return Functional(algebra, vals)
+    return Functional(lam.algebra, [lam.evaluate(u + h @ u)
+                                    for u in lam.algebra.basis()])
 
 
 def act_right(lam, g):
     """(lam g)(X) = lam(X g^{-1})."""
-    algebra = lam.algebra
-    field = algebra.field
     h = g.inverse().body
-    if algebra.is_pattern:
-        idx = algebra.pattern.index
-        pos_set = algebra.pattern.positions
-        out = list(lam.values)
-        lam_cols = {}
-        for (i, b), v in lam.entries().items():
-            lam_cols.setdefault(b, []).append((i, v))
-        for (j, b), hv in h.entries.items():
-            for i, lv in lam_cols.get(b, ()):
-                if i < j and (i, j) in pos_set:
-                    k = idx[(i, j)]
-                    out[k] = field.add(out[k], field.mul(lv, hv))
-        return Functional(algebra, out)
-    vals = []
-    for u in algebra.basis():
-        moved = u + (u @ h)
-        vals.append(lam.evaluate(moved))
-    return Functional(algebra, vals)
+    return Functional(lam.algebra, [lam.evaluate(u + u @ h)
+                                    for u in lam.algebra.basis()])
 
 
 def act_coadjoint(lam, g):

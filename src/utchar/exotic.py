@@ -352,7 +352,6 @@ class AbelianQuotientSplit:
     a_span: Subspace
     h_span: Subspace
     target: NilAlgebra          # a_{r+1}(q) inside u_{r+1}(q)
-    a_to_target: dict           # basis index -> target NilMatrix
     checks: dict
 
     @property
@@ -420,7 +419,6 @@ def abelian_quotient_split(r, field, chain):
         for iu, u in enumerate(a_basis))
     return AbelianQuotientSplit(
         a_span=a_span, h_span=h_span, target=target,
-        a_to_target={i: img for i, img in enumerate(images)},
         checks=checks)
 
 

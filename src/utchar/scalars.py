@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 
 class VerificationFailed(AssertionError):
@@ -562,27 +562,29 @@ class CyclotomicNumber:
         return f"CyclotomicNumber(m={self.m}, coeffs={list(self.coeffs)})"
 
 
-def _prime_power_split(m):
-    if m == 1:
-        return None
-    p = next(d for d in range(2, m + 1) if m % d == 0)
-    k = 0
+def prime_power_split(n):
+    """(p, k) with n = p^k for a prime p and k >= 1; ValueError if n is not
+    a prime power (n < 2 included).  The least divisor d >= 2 of n is
+    prime."""
+    if n < 2:
+        raise ValueError(f"{n} is not a prime power")
+    p = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+    m, k = n, 0
     while m % p == 0:
         m //= p
         k += 1
     if m != 1:
-        raise ValueError("conductor is not a prime power")
+        raise ValueError(f"{n} is not a prime power")
     return p, k
 
 
 def in_subfield(a, i):
-    """True iff a lies in Q(zeta_{p^i}); the conductor of a must be a
+    """True iff a lies in Q(zeta_{p^i}); the conductor of a must be 1 or a
     prime power p^k with i <= k.  Decided by the Galois test with
     zeta -> zeta^(1 + p^i)."""
-    split = _prime_power_split(a.m)
-    if split is None:
+    if a.m == 1:
         return True
-    p, k = split
+    p, k = prime_power_split(a.m)
     if i < 0 or i > k:
         raise ValueError(f"need 0 <= i <= {k}")
     if i == 0:
@@ -616,7 +618,3 @@ class AdditiveCharacter:
     def __call__(self, x):
         rep = x.rep if isinstance(x, FieldElement) else x
         return self._powers[self.field.trace(rep)]
-
-
-def additive_character(field):
-    return AdditiveCharacter(field)

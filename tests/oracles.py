@@ -144,6 +144,30 @@ def dense_chain(algebra, lam):
     return l_steps, s_steps
 
 
+def elimination_coordinates(space, mat):
+    """Coefficients of mat over the echelon rows of space, or None off the
+    span: eliminate the least remaining column with the row whose pivot it
+    is, reading the coefficient there."""
+    field = space.field
+    rows = {r[0][0]: dict(r) for r in space.rows}
+    pivot_pos = {c: a for a, c in enumerate(space.pivots)}
+    vec = dict(mat.vector())
+    coeffs = [0] * space.dim
+    while vec:
+        c = min(vec)
+        if c not in rows:
+            return None
+        factor = vec[c]
+        coeffs[pivot_pos[c]] = factor
+        for k, v in rows[c].items():
+            s = field.sub(vec.get(k, 0), field.mul(factor, v))
+            if s:
+                vec[k] = s
+            else:
+                vec.pop(k, None)
+    return coeffs
+
+
 def subspace_dense_rows(space):
     width = len(space.pattern.order)
     out = []
@@ -380,7 +404,7 @@ def random_quasimonomial(rng, algebra):
 
 def random_element(rng, algebra):
     coeffs = [rng.randrange(algebra.field.q) for _ in range(algebra.dim)]
-    return GroupElement(algebra.from_coordinates(coeffs))
+    return GroupElement(algebra.span.matrix(coeffs))
 
 
 def random_functional(rng, algebra):
@@ -404,7 +428,7 @@ def u4_and_subalgebra(field):
 def random_subalgebra(rng, algebra, count=2):
     """The subalgebra generated by count random elements of the algebra."""
     field, pattern = algebra.field, algebra.pattern
-    gens = [algebra.from_coordinates(
+    gens = [algebra.span.matrix(
         [rng.randrange(field.q) for _ in range(algebra.dim)])
         for _ in range(count)]
     span = Subspace.from_matrices(pattern, field, gens)

@@ -10,7 +10,8 @@ from utchar.scalars import field_make
 from oracles import (all_pairs_closed, all_pairs_commutative,
                      all_pairs_ideal_check, all_pairs_products, dense_inverse,
                      dense_left_kernel, dense_product, dense_rref,
-                     generated_group, generator_test_algebras,
+                     elimination_coordinates, generated_group,
+                     generator_test_algebras,
                      random_closed_pattern, random_element, random_subalgebra,
                      subspace_dense_rows, u4_and_subalgebra)
 
@@ -86,7 +87,7 @@ def test_trunc_exp_char2_and_char3():
 @given(st.lists(st.integers(0, 2), min_size=10, max_size=10))
 def test_trunc_exp_log_roundtrip(coeffs):
     u53 = NilAlgebra.pattern_algebra(Pattern.full(5), F3)
-    x = u53.from_coordinates(coeffs)
+    x = u53.span.matrix(coeffs)
     assert trunc_log(trunc_exp(x)) == x
 
 
@@ -99,7 +100,7 @@ def test_trunc_exp_log_roundtrip_bulk(rng):
 
 def test_trunc_exp_is_bijection_small():
     u33 = NilAlgebra.pattern_algebra(Pattern.full(3), F3)
-    images = {trunc_exp(m).key() for m in u33.span.enumerate_matrices()}
+    images = {trunc_exp(g.body).key() for g in u33.enumerate_group()}
     assert len(images) == 27
 
 
@@ -406,8 +407,8 @@ def _random_subspace(rng, alg):
     if kind == 1:
         mats = rng.sample(alg.basis(), rng.randrange(1, alg.dim + 1))
     else:
-        mats = [alg.from_coordinates([rng.randrange(field.q)
-                                      for _ in range(alg.dim)])
+        mats = [alg.span.matrix([rng.randrange(field.q)
+                                 for _ in range(alg.dim)])
                 for _ in range(rng.randrange(1, 4))]
     return Subspace.from_matrices(alg.pattern, field, mats)
 
@@ -432,3 +433,51 @@ def test_pruned_checks_match_all_pairs_oracles(p, e, rng):
             commutative.add(all_pairs_commutative(sub_alg))
     assert classes == {"two-sided-ideal", "right-ideal", "subalgebra", "none"}
     assert closed == commutative == {True, False}
+
+
+def _basis_combination(coeffs, mats, pattern, field):
+    acc = NilMatrix.zero(pattern, field)
+    for c, m in zip(coeffs, mats):
+        if c:
+            acc = acc + m.scale(c)
+    return acc
+
+
+@pytest.mark.parametrize("p,e", FIELD_PARAMS)
+def test_span_matrix_inverts_coordinates(p, e, rng):
+    field = field_make(p, e)
+    outside = 0
+    for alg in generator_test_algebras(rng, field):
+        for span in [alg.span] + [_random_subspace(rng, alg)
+                                  for _ in range(3)]:
+            mats = span.basis_matrices()
+            for _ in range(6):
+                coeffs = [rng.randrange(field.q) for _ in range(span.dim)]
+                m = span.matrix(coeffs)
+                assert m == _basis_combination(coeffs, mats, alg.pattern,
+                                               field)
+                assert span.coordinates(m) == coeffs
+                assert elimination_coordinates(span, m) == coeffs
+                x = random_element(rng, alg).body
+                coords = span.coordinates(x)
+                assert coords == elimination_coordinates(span, x)
+                assert (coords is None) == (not span.contains(x))
+                if coords is None:
+                    outside += 1
+                else:
+                    assert span.matrix(coords) == x
+    assert outside
+
+
+def test_pattern_algebra_basis_is_the_elementary_matrices(rng):
+    f4 = field_make(2, 2)
+    closed = Pattern(4, [(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)])
+    for pattern in (Pattern.full(4), closed, random_closed_pattern(rng, 5)):
+        for field in (F2, F3, f4):
+            alg = NilAlgebra.pattern_algebra(pattern, field)
+            assert alg.basis() == tuple(
+                NilMatrix.elementary(pattern, field, i, j)
+                for i, j in pattern.order)
+            x = random_element(rng, alg).body
+            assert alg.coordinates(x) == [x.coeff(i, j)
+                                          for i, j in pattern.order]

@@ -239,8 +239,8 @@ def test_gram_block_matches_product_oracle(rng):
         else:
             alg = random_subspace_algebra(rng, field)
         space = Subspace.from_matrices(alg.pattern, field, [
-            alg.from_coordinates([rng.randrange(field.q)
-                                  for _ in range(alg.dim)])
+            alg.span.matrix([rng.randrange(field.q)
+                             for _ in range(alg.dim)])
             for _ in range(rng.randrange(1, 5))])
         nu = (random_functional(rng, alg) if k % 2
               else annihilating_functional(rng, alg, space))

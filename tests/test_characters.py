@@ -112,8 +112,8 @@ def test_exp_kirillov_is_kirillov_through_exp():
     lam = Functional.from_entries(u4, {(1, 3): 1, (2, 4): 2})
     psi = kirillov(g4, lam)
     psi_exp = exp_kirillov(g4, lam)
-    for mat in u4.span.enumerate_matrices():
-        assert psi_exp(trunc_exp(mat)) == psi(GroupElement(mat))
+    for g in u4.enumerate_group():
+        assert psi_exp(trunc_exp(g.body)) == psi(g)
 
 
 def test_supercharacter_values_and_norm():
@@ -344,7 +344,10 @@ def test_exp_kirillov_character_threshold_on_constant_diagonal():
 def test_field_of_values():
     triv = ClassFunction(G32, [ONE] * G32.size)
     fov = field_of_values(triv)
-    assert fov.conductor == 1 and fov.min_level == 0
+    assert fov.p == 0 and fov.conductor == 1 and fov.min_level == 0
+    with pytest.raises(ValueError, match="is not a prime power"):
+        field_of_values(ClassFunction(G32, [CyclotomicNumber.zeta(6)]
+                                      * G32.size))
     a3 = constant_diagonal_algebra(3, F2)
     A3 = GroupTable.from_algebra(a3)
     dual = abelian_dual(A3)

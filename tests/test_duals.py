@@ -47,8 +47,8 @@ def test_bilinear_matches_definitional_product(rng):
             for a, row in enumerate(gram):
                 for b, v in row.items():
                     acc = f.add(acc, f.mul(x[a], f.mul(v, y[b])))
-            assert acc == lam.evaluate(alg.from_coordinates(x)
-                                       @ alg.from_coordinates(y))
+            assert acc == lam.evaluate(alg.span.matrix(x)
+                                       @ alg.span.matrix(y))
 
 
 def test_left_action_example():
@@ -60,15 +60,18 @@ def test_left_action_example():
 
 
 def test_actions_against_definitions(rng):
-    for _ in range(40):
-        lam = random_functional(rng, U42)
-        g = random_element(rng, U42)
-        x = random_element(rng, U42).body
-        ginv = g.inverse().body
-        assert act_left(g, lam).evaluate(x) == lam.evaluate(x + ginv @ x)
-        assert act_right(lam, g).evaluate(x) == lam.evaluate(x + x @ ginv)
-        conj = (g.body @ x @ ginv) + (g.body @ x) + (x @ ginv) + x
-        assert act_coadjoint(lam, g).evaluate(x) == lam.evaluate(conj)
+    u4_f4 = NilAlgebra.pattern_algebra(Pattern.full(4), field_make(2, 2))
+    for alg in (U42, u4_and_subalgebra(F3)[1], u4_f4):
+        for _ in range(40):
+            lam = random_functional(rng, alg)
+            g = random_element(rng, alg)
+            x = random_element(rng, alg).body
+            ginv = g.inverse().body
+            assert act_left(g, lam).evaluate(x) == lam.evaluate(x + ginv @ x)
+            assert act_right(lam, g).evaluate(x) == \
+                lam.evaluate(x + x @ ginv)
+            conj = (g.body @ x @ ginv) + (g.body @ x) + (x @ ginv) + x
+            assert act_coadjoint(lam, g).evaluate(x) == lam.evaluate(conj)
 
 
 def test_actions_commute(rng):

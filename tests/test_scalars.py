@@ -6,11 +6,11 @@ from hypothesis import given, strategies as st
 
 import utchar
 from utchar import algebra
-from utchar.scalars import (STANDARD_MODULI, CyclotomicNumber,
-                            VerificationFailed, _is_irreducible,
-                            _zpoly_exact_div, additive_character,
+from utchar.scalars import (STANDARD_MODULI, AdditiveCharacter,
+                            CyclotomicNumber, VerificationFailed,
+                            _is_irreducible, _zpoly_exact_div,
                             cyclotomic_polynomial, field_make, in_subfield,
-                            root_of_unity_order)
+                            prime_power_split, root_of_unity_order)
 
 
 def test_field_make_prime_field():
@@ -87,7 +87,7 @@ def test_prime_field_sub_is_add_of_negation(p):
        st.integers(0, 80), st.integers(0, 80))
 def test_additive_character_is_multiplicative_on_sums(pe, a, b):
     f = field_make(*pe)
-    theta = additive_character(f)
+    theta = AdditiveCharacter(f)
     x, y = a % f.q, b % f.q
     assert theta(f.add(x, y)) == theta(x) * theta(y)
 
@@ -95,7 +95,7 @@ def test_additive_character_is_multiplicative_on_sums(pe, a, b):
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
 def test_additive_character_nontrivial(p, e):
     f = field_make(p, e)
-    theta = additive_character(f)
+    theta = AdditiveCharacter(f)
     total = CyclotomicNumber.zero()
     for x in range(f.q):
         total = total + theta(x)
@@ -104,17 +104,17 @@ def test_additive_character_nontrivial(p, e):
 
 
 def test_additive_character_frozen_values():
-    t2 = additive_character(field_make(2))
+    t2 = AdditiveCharacter(field_make(2))
     assert t2(0) == CyclotomicNumber.one()
     assert t2(1) == CyclotomicNumber.rational(-1)
-    t3 = additive_character(field_make(3))
+    t3 = AdditiveCharacter(field_make(3))
     assert t3(1) == CyclotomicNumber.zeta(3)
     assert t3(2) == CyclotomicNumber.zeta(3, 2)
     # trace of the generator of F_4 is w + w^2 = 1
     f4 = field_make(2, 2)
     w = 2
     assert f4.add(w, f4.mul(w, w)) == 1
-    assert additive_character(f4)(w) == CyclotomicNumber.rational(-1)
+    assert AdditiveCharacter(f4)(w) == CyclotomicNumber.rational(-1)
 
 
 def test_cyclotomic_polynomials():
@@ -163,6 +163,18 @@ def test_galois_identity_when_t_is_one_mod_m():
     assert a.galois(1) == a
 
 
+def test_prime_power_split_matches_trial_division():
+    for n in range(-2, 400):
+        primes = [d for d in range(2, n + 1)
+                  if n % d == 0 and all(d % r for r in range(2, d))]
+        if len(primes) != 1:
+            with pytest.raises(ValueError, match="is not a prime power"):
+                prime_power_split(n)
+            continue
+        p, k = prime_power_split(n)
+        assert (p, p**k) == (primes[0], n)
+
+
 def test_in_subfield():
     z4 = CyclotomicNumber.zeta(4)
     assert not in_subfield(z4, 1)
@@ -175,6 +187,7 @@ def test_in_subfield():
     assert not in_subfield(CyclotomicNumber.zeta(9), 1)
     with pytest.raises(ValueError):
         in_subfield(CyclotomicNumber.zeta(6), 1)  # 6 is not a prime power
+    assert in_subfield(CyclotomicNumber.rational(3), 1)  # conductor 1
 
 
 def test_root_of_unity_order():
