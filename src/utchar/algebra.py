@@ -231,22 +231,6 @@ class GroupElement:
             self._inverse = inv
         return self._inverse
 
-    def conjugate(self, other):
-        """other * self * other^(-1)."""
-        return other * self * other.inverse()
-
-    def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = GroupElement.identity(self.body.pattern, self.body.field)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def order(self):
         k = 1
         g = self
@@ -254,12 +238,6 @@ class GroupElement:
             g = g * self
             k += 1
         return k
-
-    def entry(self, i, j):
-        """Matrix entry of 1 + X."""
-        if i == j:
-            return 1
-        return self.body.coeff(i, j)
 
     def is_identity(self):
         return self.body.is_zero()
@@ -726,37 +704,20 @@ class Projection:
 
 
 def _split_coordinates(sub, ideal, mat):
+    """The coefficients of mat over the echelon rows of sub, then of ideal.
+    The sum is direct, so the relations among those rows and mat span at
+    most one dimension, and mat lies in the sum iff a relation involves
+    it: c * mat + sum_a c_a row_a = 0 gives mat = sum_a (-c_a / c) row_a."""
     field = sub.field
-    rows = []
-    for r in sub.rows:
-        rows.append(dict(r))
-    for r in ideal.rows:
-        rows.append(dict(r))
-    width = len(sub.pattern.order)
-    target = mat.vector()
-    # solve sum c_a rows[a] = target by elimination with an augmented column
-    tagged = []
-    for a, row in enumerate(rows):
-        t = dict(row)
-        t[width + a] = 1
-        tagged.append(t)
-    reduced = rref(tagged, field)
-    vec = {c: v for c, v in target.items() if v}
-    coeffs = [0] * len(rows)
-    by_pivot = {min(r): r for r in reduced}
-    while vec:
-        c = min(vec)
-        prow = by_pivot.get(c)
-        if prow is None or c >= width:
-            raise ValueError("matrix is outside the direct sum")
-        factor = vec[c]
-        vec = _row_sub_scaled(vec, factor, {k: v for k, v in prow.items()
-                                            if k < width}, field)
-        for k, v in prow.items():
-            if k >= width:
-                coeffs[k - width] = field.add(coeffs[k - width],
-                                              field.mul(factor, v))
-    return coeffs
+    rows = sub.row_dicts() + ideal.row_dicts() + [mat.vector()]
+    last = len(rows) - 1
+    for relation in left_kernel(rows, len(sub.pattern.order), field):
+        c = relation.get(last)
+        if c:
+            factor = field.neg(field.inv(c))
+            return [field.mul(factor, relation.get(a, 0))
+                    for a in range(last)]
+    raise ValueError("matrix is outside the direct sum")
 
 
 def quotient_project(ambient, sub, ideal):

@@ -8,7 +8,8 @@ from math import lcm
 
 from utchar.algebra import (DEFAULT_CAP, GroupElement, NilAlgebra, NilMatrix,
                             Pattern, Subspace, VerificationFailed)
-from utchar.characters import AbelianDual, ClassFunction, theta_lambda
+from utchar.characters import (AbelianDual, ClassFunction, GroupTable,
+                               theta_lambda)
 from utchar.duals import Functional, act_coadjoint, act_left, act_right
 from utchar.exotic import constant_diagonal_algebra
 from utchar.scalars import CyclotomicNumber
@@ -258,6 +259,28 @@ def brute_force_induce(f, group):
                 hit = True
         values.append(acc.scale(Fraction(1, sub.size)) if hit else acc)
     return ClassFunction(group, values)
+
+
+def brute_force_classes(group):
+    """The conjugacy classes as sets of element indices, one
+    GroupElement conjugation x g x^{-1} for every pair (x, g)."""
+    inverses = group.inverses()
+    return {frozenset(group.index[(x * g * xinv).key()]
+                      for x, xinv in zip(group.elements, inverses))
+            for g in group.elements}
+
+
+def xi_set(group, lam, s_bar):
+    """Xi = {g lam s g^{-1} : g in G, s in 1 + s_bar} as a list of
+    functionals in key order, one pair of actions for every (g, s)."""
+    s_group = GroupTable.from_subspace(group.algebra, s_bar)
+    seen = {}
+    for g in group.elements:
+        ginv = g.inverse()
+        for s in s_group.elements:
+            moved = act_left(g, act_right(lam, s * ginv))
+            seen.setdefault(moved.key(), moved)
+    return [seen[k] for k in sorted(seen)]
 
 
 def brute_force_abelian_dual(group, cap=DEFAULT_CAP):

@@ -8,13 +8,14 @@ import pytest
 from utchar.algebra import NilAlgebra, Pattern, VerificationFailed
 from utchar.chain import chain_compute
 from utchar.characters import (ClassFunction, GroupTable, abelian_dual,
-                               homomorphism_defect, induce, theta_lambda)
+                               homomorphism_defect, induce, theta_lambda, xi)
+from utchar.duals import Functional
 from utchar.exotic import constant_diagonal_algebra, corner_functional
 from utchar.scalars import CyclotomicNumber, field_make
 
-from oracles import (brute_force_abelian_dual, brute_force_induce,
-                     brute_force_mul_table, random_functional,
-                     random_subalgebra, u4_and_subalgebra)
+from oracles import (brute_force_abelian_dual, brute_force_classes,
+                     brute_force_induce, brute_force_mul_table,
+                     random_functional, random_subalgebra, u4_and_subalgebra)
 
 FIELDS = {q: field_make(p, e) for q, p, e in
           ((2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1), (8, 2, 3), (9, 3, 2))}
@@ -76,6 +77,45 @@ def test_incomplete_mul_table_raises():
         partial.mul_table()
 
 
+def noncommutative(q):
+    return GroupTable.from_algebra(u4_and_subalgebra(FIELDS[q])[1])
+
+
+@pytest.mark.parametrize("make,size", [
+    (unitriangular, (3, 2)), (unitriangular, (3, 3)), (unitriangular, (3, 4)),
+    (unitriangular, (3, 5)), (unitriangular, (4, 2)), (noncommutative, (2,)),
+    (noncommutative, (3,)), (constant_diagonal, (4, 3))])
+def test_classes_match_oracle(make, size):
+    group = make(*size)
+    classes = group.classes()
+    assert {frozenset(c) for c in classes} == brute_force_classes(group)
+    assert sorted(i for c in classes for i in c) == list(range(group.size))
+    assert all(group.size % len(c) == 0 for c in classes)
+    if group.is_abelian():
+        assert all(len(c) == 1 for c in classes)
+
+
+def test_incomplete_classes_raise():
+    group = unitriangular(3, 2)
+    partial = GroupTable(group.algebra, group.elements[:5])
+    with pytest.raises(VerificationFailed, match="incomplete"):
+        partial.classes()
+
+
+def test_xi_table_keeps_both_kinds_of_zero():
+    # on UT_3(5) with lam = 3 e13: a class that misses 1 + l_bar gives the
+    # conductor-1 zero, a class whose values cancel a conductor-5 zero
+    group = unitriangular(3, 5)
+    lam = Functional.from_entries(group.algebra, {(1, 3): 3})
+    table = xi(group.algebra, lam, group=group).table
+    lgroup = GroupTable.from_subspace(
+        group.algebra, chain_compute(group.algebra, lam).l_bar)
+    assert exact(table) == exact(brute_force_induce(theta_lambda(lgroup, lam),
+                                                    group))
+    zeros = [v.m for v in table.values if v.is_zero()]
+    assert (zeros.count(1), zeros.count(5)) == (100, 20)
+
+
 @pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (3, 4), (3, 5), (4, 2)])
 def test_induce_theta_from_l_bar_matches_oracle(rng, n, q):
     group = unitriangular(n, q)
@@ -104,10 +144,6 @@ VALUE_POOL = [CyclotomicNumber.one(), CyclotomicNumber.rational(-1),
               CyclotomicNumber.rational(Fraction(5, 2)),
               CyclotomicNumber.zeta(3), CyclotomicNumber.zeta(4, 3),
               CyclotomicNumber.zeta(9, 2) + CyclotomicNumber.one()]
-
-
-def noncommutative(q):
-    return GroupTable.from_algebra(u4_and_subalgebra(FIELDS[q])[1])
 
 
 # UT_3(q) alone would not do: there x u x and x u x^{-1} differ only by the
