@@ -26,8 +26,12 @@ class GroupTable:
     Group products are computed on coordinates: for x = 1 + a, both
     y -> x y and y -> x y x^{-1} are affine maps of the coordinates of
     y - 1, so each x costs one set of basis products and then one sparse
-    mat-vec per element.  The multiplication table takes every x; the
-    conjugacy classes take only the generators."""
+    mat-vec per element.  Only the generators x of
+    algebra.group_generators() pay for that: their rows y -> x y
+    (generator_rows) cost |gens| * |G| mat-vecs, every other row of the
+    multiplication table is composed from them by list lookups, and the
+    conjugacy classes are the components of the generators' conjugation
+    maps."""
 
     def __init__(self, algebra, elements):
         self.algebra = algebra
@@ -36,6 +40,8 @@ class GroupTable:
         if len(self.index) != len(self.elements):
             raise ValueError("duplicate group elements")
         self._inverses = None
+        self._generator_rows = None
+        self._tree = None
         self._mul_table = None
         self._coords = None
         self._coord_index = None
@@ -80,29 +86,70 @@ class GroupTable:
             self._coord_index = {c: i for i, c in enumerate(self._coords)}
         return self._coords
 
-    def mul_table(self):
-        """index x index -> index of the product; built once on demand.
+    def generator_rows(self):
+        """For each s in algebra.group_generators(), the list whose entry y
+        is the index of s y; built once on demand.
 
-        Row x = 1 + a is y -> a + (1 + a) y on coordinates, whose columns
-        are the coordinates of u_b + a u_b for the basis matrices u_b."""
-        if self._mul_table is None:
+        For s = 1 + a, y -> s y is affine on the coordinates of y - 1:
+        its columns are the coordinates of u_b + a u_b for the basis
+        matrices u_b, and its constant is the coordinates of a.  A
+        product that falls outside the element list, or an element that
+        no product of generators reaches from the identity, means the
+        list is not the group generated, and raises VerificationFailed.
+        The search that checks the second also records, for each other
+        element, the generator row and the element it was first reached
+        from, in search order (the tree that mul_table composes along)."""
+        if self._generator_rows is None:
             coords = self.coordinates()
             lookup = self._coord_index
             algebra = self.algebra
             basis = algebra.basis()
-            table = []
-            for g, x in zip(self.elements, coords):
-                a = g.body
+            rows = []
+            for s in algebra.group_generators():
+                a = s.body
                 columns = [sparse_column(algebra.coordinates(u + a @ u))
                            for u in basis]
+                start = tuple(algebra.coordinates(a))
                 try:
-                    table.append([lookup[apply_columns(algebra.field,
-                                                       columns, y, x)]
-                                  for y in coords])
+                    rows.append([lookup[apply_columns(algebra.field,
+                                                      columns, y, start)]
+                                 for y in coords])
                 except KeyError:
                     raise VerificationFailed(
                         "group table is incomplete: a product falls "
                         "outside the element list") from None
+            reached = [False] * self.size
+            reached[self.identity_index()] = True
+            tree = []
+            frontier = [self.identity_index()]
+            for x in frontier:  # grows as the search reaches elements
+                for row in rows:
+                    y = row[x]
+                    if not reached[y]:
+                        reached[y] = True
+                        tree.append((row, x))
+                        frontier.append(y)
+            if len(frontier) != self.size:
+                raise VerificationFailed(
+                    "group table is incomplete: the generators do not "
+                    "reach every element")
+            self._generator_rows, self._tree = rows, tree
+        return self._generator_rows
+
+    def mul_table(self):
+        """index x index -> index of the product; built once on demand.
+
+        Row 1 is the identity map, and since (s x) y = s (x y), the row of
+        s x is the generator row of s read at the entries of the row of x:
+        one list lookup per entry.  Along the search tree of
+        generator_rows every row is reached, so the table costs the
+        generator rows' |gens| * |G| mat-vecs and |G|^2 lookups."""
+        if self._mul_table is None:
+            self.generator_rows()
+            table = [None] * self.size
+            table[self.identity_index()] = list(range(self.size))
+            for row, x in self._tree:
+                table[row[x]] = [row[k] for k in table[x]]
             self._mul_table = table
         return self._mul_table
 
@@ -422,51 +469,73 @@ class AbelianDual:
         return len(self.characters)
 
 
-def abelian_dual(group, cap=DEFAULT_CAP):
-    """Characters of an abelian group via a power-normal form: generators
-    are extracted greedily by maximal relative order, every element gets a
-    normal-form exponent vector, and characters are built by solving
-    z^m = chi(relation) stepwise.  Powers and products are read from the
-    multiplication table, so elements are handled as indices."""
+def abelian_dual(group):
+    """Characters of an abelian group via a power-normal form over the
+    generators of algebra.group_generators().
+
+    Generators are taken greedily by maximal relative order: with H the
+    subgroup of the ones taken so far, the relative order m of s is the
+    order of s H in G / H, and the element s^m of H is recorded as its
+    word in the earlier generators.  Every algebra group is a p-group,
+    and in an abelian p-group the exponent of G / H is the largest order
+    among the images of the generators, which span G / H.  An element of
+    maximal order spans a direct summand, so the relative orders are the
+    invariant factors, largest first, whichever generators are given.
+    The characters, their exponent tables and the modulus M (the group
+    exponent) do not depend on the generators at all.
+
+    The normal form lists the elements s_1^k_1 ... s_j^k_j, k_1 varying
+    fastest, and each layer s^k H is read from the multiplication table.
+    A character is chosen by solving z^m = chi(s^m) at each generator,
+    and its exponent table is built layer by layer:
+    table[s^k h] = table[h] + k t_s mod M, one addition per element."""
     if not group.is_abelian():
         raise ValueError("group is not abelian")
+    rows = group.generator_rows()
     mul = group.mul_table()
     identity = group.identity_index()
-    norm_form = {identity: ()}  # element index -> exponent vector
-    gens, rel_orders, rel_words = [], [], []
-    while len(norm_form) < group.size:
-        best, best_m, best_word = None, 0, None
-        for g in range(group.size):
-            if g in norm_form:
+    gens = [row[identity] for row in rows]
+    position = [None] * group.size  # element index -> place in normal form
+    position[identity] = 0
+    normal = [identity]
+    rel_orders, rel_words = [], []
+    modulus = 1
+    while len(normal) < group.size:
+        best = None
+        for row, g in zip(rows, gens):
+            if position[g] is not None:
                 continue
             m, h = 1, g
-            while h not in norm_form:
-                h = mul[h][g]
+            while position[h] is None:
+                h = row[h]
                 m += 1
-            if m > best_m:
-                best, best_m, best_word = g, m, norm_form[h]
-        g, m = best, best_m
-        new_norm = {}
+            if best is None or m > best[0]:
+                best = (m, row, h)
+        if best is None:
+            raise VerificationFailed("dual is incomplete")
+        m, row, h = best
+        word, rest = [], position[h]
+        for earlier in rel_orders:
+            rest, digit = divmod(rest, earlier)
+            word.append(digit)
+        layer = normal
+        normal = list(layer)
         power = identity
-        for k in range(m):
-            for elt, vec in norm_form.items():
-                new_norm[mul[elt][power]] = vec + (k,)
-            power = mul[power][g]
-        norm_form = new_norm
-        gens.append(g)
-        rel_orders.append(m)
-        rel_words.append(best_word)
-    modulus = 1
-    for g in gens:
-        order, h = 1, g
+        for _ in range(1, m):
+            power = row[power]
+            normal.extend([mul[power][x] for x in layer])
+        for i in range(len(layer), len(normal)):
+            position[normal[i]] = i
+        order = m  # h = s^m
         while h != identity:
-            h = mul[h][g]
+            h = row[h]
             order += 1
+        rel_orders.append(m)
+        rel_words.append(word)
         modulus = lcm(modulus, order)
     # assignments of exponents t_i of zeta_M to generators
     assignments = [()]
-    for i, m in enumerate(rel_orders):
-        word = rel_words[i] + (0,) * (i - len(rel_words[i]))
+    for m, word in zip(rel_orders, rel_words):
         new_assignments = []
         for partial in assignments:
             c = sum(w * t for w, t in zip(word, partial)) % modulus
@@ -484,13 +553,15 @@ def abelian_dual(group, cap=DEFAULT_CAP):
     characters = []
     exponents = []
     for ts in assignments:
-        table_exp = []
-        for g in range(group.size):
-            vec = norm_form[g]
-            table_exp.append(sum(v * t for v, t in zip(vec, ts)) % modulus)
-        exponents.append(tuple(table_exp))
+        layered = [0]
+        for t, m in zip(ts, rel_orders):
+            layered = [(e + shift) % modulus
+                       for shift in [k * t for k in range(m)]
+                       for e in layered]
+        table_exp = tuple(map(layered.__getitem__, position))
+        exponents.append(table_exp)
         characters.append(
-            ClassFunction(group, [zeta_powers[e] for e in table_exp]))
+            ClassFunction(group, map(zeta_powers.__getitem__, table_exp)))
     order = sorted(range(len(characters)), key=lambda i: exponents[i])
     return AbelianDual(group=group,
                        characters=[characters[i] for i in order],
@@ -542,13 +613,32 @@ def _value_exponents(f):
 
 def homomorphism_defect(f):
     """The first pair (g, h), in the order of the group's elements, with
-    f(gh) != f(g) f(h), or None; exhaustive over all pairs of the
-    multiplication table.  Root-of-unity valued tables are checked in
-    exponent arithmetic."""
+    f(gh) != f(g) f(h), or None.  Root-of-unity valued tables are checked
+    in exponent arithmetic.
+
+    If f(1) = 1 and f(s h) = f(s) f(h) for every generator s of
+    group.generator_rows() and every h, f is a homomorphism, and None is
+    returned after |gens| * |G| checks.  Proof, for any group: write
+    g = s_1 ... s_k, a word in the generators (positive words suffice in a
+    finite group).  By induction on k, f(g h) = f(s_1) f(s_2 ... s_k h) =
+    f(s_1) ... f(s_k) f(h); at h = 1 this reads f(g) = f(s_1) ... f(s_k),
+    so f(g h) = f(g) f(h).  A table with a value that is not a root of
+    unity skips this test: a homomorphism with f(1) = 1 has
+    f(g)^|G| = f(1) = 1 at every g, so the test could not pass.  Otherwise
+    every pair of the multiplication table is scanned in order, so the
+    first witness is the one an exhaustive scan finds (the zero table is
+    the one homomorphism left to that scan)."""
     group = f.group
-    mul = group.mul_table()
     size = group.size
     exps, modulus = _value_exponents(f)
+    if exps is not None:
+        identity = group.identity_index()
+        if exps[identity] == 0 and not any(
+                (exps[row[identity]] + e - exps[k]) % modulus
+                for row in group.generator_rows()
+                for e, k in zip(exps, row)):
+            return None
+    mul = group.mul_table()
     if exps is not None:
         for i in range(size):
             ei = exps[i]

@@ -469,7 +469,7 @@ def corner_character_analysis(n, field, cap=DEFAULT_CAP):
         if chi(g) != want:
             formula_ok = False
             break
-    dual = abelian_dual(group, cap)
+    dual = abelian_dual(group)
     cons_idx, sum_ok = _corner_constituents(dual, lgroup, kappa, chi)
     distinct = len({dual.exponents[i] for i in cons_idx}) == len(cons_idx)
     max_conductor = 1
@@ -495,7 +495,9 @@ def corner_character_analysis(n, field, cap=DEFAULT_CAP):
         constituents_sum_matches=sum_ok,
         max_constituent_conductor=max_conductor,
         max_min_level=max_level,
-        max_element_order=max(g.order() for g in group.elements),
+        # in an abelian p-group the exponent, the largest element order,
+        # is the largest order of a generator
+        max_element_order=max(s.order() for s in algebra.group_generators()),
         kirillov_is_character=psi_defect is None,
         kirillov_witness=_witness_keys(psi_defect),
         exp_kirillov_is_character=psi_exp_defect is None,
@@ -512,7 +514,8 @@ def _corner_constituents(dual, lgroup, kappa, chi):
     Both sides are read as exponents of zeta_M, M = dual.modulus:
     theta_kappa(h) = zeta_p^t = zeta_M^(t M / p) for t = Tr kappa(h - 1),
     and the sum of the constituents at g is sum_t c_t zeta_M^t for the
-    number c_t of constituents with exponent t at g."""
+    number c_t of constituents with exponent t at g.  That sum is built
+    once per distinct count vector."""
     group = dual.group
     field = group.algebra.field
     modulus = dual.modulus
@@ -527,14 +530,19 @@ def _corner_constituents(dual, lgroup, kappa, chi):
     if not cons_idx:
         return cons_idx, False
     zeta = [CyclotomicNumber.zeta(modulus, t) for t in range(modulus)]
+    sums = {}
     for g, want in enumerate(chi.values):
         counts = [0] * modulus
         for i in cons_idx:
             counts[dual.exponents[i][g]] += 1
-        total = CyclotomicNumber.zero(modulus)
-        for t, c in enumerate(counts):
-            if c:
-                total = total + zeta[t].scale(c)
+        counts = tuple(counts)
+        total = sums.get(counts)
+        if total is None:
+            total = CyclotomicNumber.zero(modulus)
+            for t, c in enumerate(counts):
+                if c:
+                    total = total + zeta[t].scale(c)
+            sums[counts] = total
         if total != want:
             return cons_idx, False
     return cons_idx, True

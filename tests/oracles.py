@@ -270,6 +270,12 @@ def brute_force_classes(group):
             for g in group.elements}
 
 
+def max_element_order(group):
+    """The largest order of an element, one chain of GroupElement
+    products per element."""
+    return max(g.order() for g in group.elements)
+
+
 def xi_set(group, lam, s_bar):
     """Xi = {g lam s g^{-1} : g in G, s in 1 + s_bar} as a list of
     functionals in key order, one pair of actions for every (g, s)."""

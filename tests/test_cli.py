@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -340,3 +341,59 @@ def test_scripts_reject_q_that_is_not_a_prime_power(script, argv):
                          timeout=120)
     assert out.returncode == 2
     assert out.stdout == "" and "is not a prime power" in out.stderr
+
+
+# sha256 of the JSON that main prints for each kappa and exotic run below,
+# recorded before the corner analysis moved onto group generators; the
+# report must not change by a byte
+PINNED_DIGESTS = {
+    "kappa --q 2 --n 2":
+        "4529369d4d71049aef9dca17ab19cc5e2b06b28cdce075c772c7e85dae5bbbdc",
+    "kappa --q 2 --n 3":
+        "869fe4bcae514f073054530b35a50799d9225d320e1dd054d13fa43f372c48fc",
+    "kappa --q 2 --n 4":
+        "acbe14bd910cf5487a4cb167c30514f49cdfde4539f7eadcd56188d4e75c9735",
+    "kappa --q 2 --n 5":
+        "1c2d3aea0b0b71556ac63f2ace0de89865c71428e2c333f2da324b5dadd97c25",
+    "kappa --q 2 --n 6":
+        "60a6786fd0c8ed539c2fd5f1c29e0977cb04f5859e35c395ae1acb56eae3345a",
+    "kappa --q 2 --n 7":
+        "191d36c3c6b1494f3b1fc7b1c05c22950a9d23165bc10c8d9633917b0b798139",
+    "kappa --q 2 --n 8":
+        "d48bbd08b86a365d8a0fe50d3ce65b74253faa39702182e80076a24d95ef5b7c",
+    "kappa --q 3 --n 2":
+        "58d02d7bc23627cdadc815d6949627bcdb4d1e519657bdc13b20b940dee2ddd5",
+    "kappa --q 3 --n 3":
+        "1d8231a94f3d323f25c17a3d9d0f48418d33d6f2e2ba0c19cbbe3b67718c2bd2",
+    "kappa --q 3 --n 4":
+        "7cb89c359afda70c67959e0aa7b0047f76960166526a076e4c707a0a4a1dc988",
+    "kappa --q 3 --n 5":
+        "980edeebe58b9085f8200ab0d5338edfe0d33fbf500bae5a53d6d66e9914f927",
+    "kappa --q 4 --n 2":
+        "4d5f0288b03f23049f36e2cadb0004d37f1bc1df53ac606577f5b3008d03ae2b",
+    "kappa --q 4 --n 3":
+        "3d49270c30a205cd527f7b51321f97a5cccc6df21bf3e2593ec12457c4a51914",
+    "kappa --q 4 --n 4":
+        "7fd5d1b7be8917f0cee33280ec026749c8dde613e925ebf2b35406469268fa3b",
+    "kappa --q 5 --n 2":
+        "c014f401527f7a06441f6e452867409e59bd261f09415e1e2cc5462862fc1f94",
+    "kappa --q 5 --n 3":
+        "186766505bf6d1689ea43f9c26b60975267ad2de43a4404d55cac0110cec83ce",
+    "kappa --q 5 --n 4":
+        "a80f4c5213f34ba499a588767c724a8df53b7b9f63c3dd5738594f3a15b332d0",
+    "exotic --r 2 --q 2":
+        "7fca34128928d2789b6e7953d62d32be4fe445188b153f62b36aa5371c1de0c6",
+    "exotic --r 2 --q 3":
+        "dbedfcba0edcf4c3741911d134fd2efb93c03f4e438417da7e6ef93bf9f5e007",
+    "exotic --r 2 --q 4":
+        "c6cf8336db8d45bc3863fae192e7c76a7cf4b6d0f8009bc92aed9ea3c0277738",
+    "exotic --r 2 --q 5":
+        "57ed572abd81e2821c3eaf02007056335ed177c6954fd82c6e45129dd3357334",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_DIGESTS))
+def test_corner_reports_match_pinned_digests(argv, capsys):
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[argv]

@@ -9,13 +9,16 @@ from utchar.algebra import NilAlgebra, Pattern, VerificationFailed
 from utchar.chain import chain_compute
 from utchar.characters import (ClassFunction, GroupTable, abelian_dual,
                                homomorphism_defect, induce, theta_lambda, xi)
+from utchar.cli import main
 from utchar.duals import Functional
-from utchar.exotic import constant_diagonal_algebra, corner_functional
+from utchar.exotic import (constant_diagonal_algebra,
+                           corner_character_analysis, corner_functional)
 from utchar.scalars import CyclotomicNumber, field_make
 
 from oracles import (brute_force_abelian_dual, brute_force_classes,
                      brute_force_induce, brute_force_mul_table,
-                     random_functional, random_subalgebra, u4_and_subalgebra)
+                     max_element_order, random_functional, random_subalgebra,
+                     u4_and_subalgebra)
 
 FIELDS = {q: field_make(p, e) for q, p, e in
           ((2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1), (8, 2, 3), (9, 3, 2))}
@@ -162,10 +165,7 @@ def test_induce_random_tables_on_random_subgroups_match_oracle(rng, make,
         assert exact(induce(f, group)) == exact(brute_force_induce(f, group))
 
 
-@pytest.mark.parametrize("n,q", [(n, q) for n, q in CONSTANT_DIAGONAL
-                                 if q ** (n - 1) <= 81])
-def test_abelian_dual_matches_oracle_on_constant_diagonal(n, q):
-    group = constant_diagonal(n, q)
+def assert_dual_matches_oracle(group):
     dual = abelian_dual(group)
     want = brute_force_abelian_dual(group)
     assert dual.exponents == want.exponents
@@ -173,10 +173,59 @@ def test_abelian_dual_matches_oracle_on_constant_diagonal(n, q):
     assert dual.characters == want.characters
 
 
-def first_defect(f):
+@pytest.mark.parametrize("n,q", [(n, q) for q in (2, 3, 4, 5, 8, 9)
+                                 for n in range(2, 9)
+                                 if q ** (n - 1) <= 128])
+def test_abelian_dual_matches_oracle_on_constant_diagonal(n, q):
+    assert_dual_matches_oracle(constant_diagonal(n, q))
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (5, 2), (7, 2), (4, 3), (5, 3),
+                                 (3, 4), (4, 4), (4, 5), (3, 9)])
+def test_abelian_dual_matches_oracle_on_corner_subgroups(n, q):
+    # the subgroup 1 + l_bar of the corner functional's chain on A_n(q)
+    algebra = constant_diagonal_algebra(n, FIELDS[q])
+    ch = chain_compute(algebra, corner_functional(algebra))
+    lgroup = GroupTable.from_subspace(algebra, ch.l_bar)
+    assert lgroup.is_abelian()
+    assert_dual_matches_oracle(lgroup)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_abelian_dual_matches_oracle_on_abelian_pattern_algebra(q):
+    # span(e13, e14, e23, e24) in u_4(q): closed, with zero products
+    algebra = NilAlgebra.pattern_algebra(
+        Pattern(4, [(1, 3), (1, 4), (2, 3), (2, 4)]), FIELDS[q])
+    group = GroupTable.from_algebra(algebra)
+    assert group.is_abelian() and group.size == q ** 4
+    assert_dual_matches_oracle(group)
+
+
+@pytest.mark.parametrize("n,q", CONSTANT_DIAGONAL)
+def test_max_element_order_matches_oracle(n, q):
+    rep = corner_character_analysis(n, FIELDS[q])
+    assert rep.max_element_order == max_element_order(constant_diagonal(n, q))
+
+
+def test_missing_generator_raises(monkeypatch, capsys):
+    # without 1 + N, the rest generate only 1 + A^2 inside A_4(2)
+    gens = NilAlgebra.group_generators
+    monkeypatch.setattr(NilAlgebra, "group_generators",
+                        lambda algebra: gens(algebra)[1:])
+    with pytest.raises(VerificationFailed, match="incomplete"):
+        constant_diagonal(4, 2).mul_table()
+    with pytest.raises(VerificationFailed, match="incomplete"):
+        abelian_dual(constant_diagonal(4, 2))
+    assert main(["kappa", "--n", "4", "--q", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "incomplete" in captured.err
+
+
+def first_defect(f, mul=None):
     """The lexicographically first (i, j) with f(g_i g_j) != f(g_i) f(g_j),
     from the oracle's multiplication table."""
-    mul = brute_force_mul_table(f.group)
+    if mul is None:
+        mul = brute_force_mul_table(f.group)
     values = f.values
     for i, row in enumerate(mul):
         for j, k in enumerate(row):
@@ -218,3 +267,50 @@ def test_homomorphism_defect_on_nonabelian_group(rng):
     theta = theta_lambda(group, lam)
     want = first_defect(theta)
     assert as_indices(group, homomorphism_defect(theta)) == want
+
+
+def linear_functional(rng, algebra):
+    """A random functional that vanishes on A^2, the span of the basis
+    products, so that theta_lambda is a linear character."""
+    basis = algebra.basis()
+    square = {k for u in basis for v in basis
+              for k, c in enumerate(algebra.coordinates(u @ v)) if c}
+    return Functional(algebra, [0 if k in square
+                                else rng.randrange(algebra.field.q)
+                                for k in range(algebra.dim)])
+
+
+@pytest.mark.parametrize("make,size", [
+    (unitriangular, (3, 2)), (unitriangular, (3, 3)), (unitriangular, (3, 4)),
+    (unitriangular, (3, 5)), (unitriangular, (4, 2)), (noncommutative, (2,)),
+    (noncommutative, (3,)), (constant_diagonal, (4, 3)),
+    (constant_diagonal, (5, 2))])
+def test_homomorphism_defect_generator_test_matches_scan(rng, make, size):
+    group = make(*size)
+    mul = brute_force_mul_table(group)
+    identity = group.identity_index()
+    gens = {group.index[s.key()] for s in group.algebra.group_generators()}
+    psi = theta_lambda(group, linear_functional(rng, group.algebra))
+    assert first_defect(psi, mul) is None
+    assert homomorphism_defect(psi) is None
+    # a defect planted at an element that is neither a generator nor a
+    # product of two generators
+    near = gens | {mul[s][t] for s in gens for t in gens} | {identity}
+    planted = next(k for k in range(group.size) if k not in near)
+    values = list(psi.values)
+    zeta = CyclotomicNumber.zeta(group.algebra.field.p)
+    tables = []
+    for wrong in (values[planted] * zeta,  # exponent path
+                  CyclotomicNumber.rational(2)):  # non-root path
+        table = list(values)
+        table[planted] = wrong
+        tables.append(table)
+    tables.append([v * zeta for v in values])  # roots of unity, f(1) != 1
+    tables.append([v.scale(2) for v in values])  # non-root, f(1) != 1
+    tables.append([CyclotomicNumber.zero()] * group.size)  # multiplicative
+    wants = []
+    for table in tables:
+        f = ClassFunction(group, table)
+        wants.append(first_defect(f, mul))
+        assert as_indices(group, homomorphism_defect(f)) == wants[-1]
+    assert None not in wants[:4] and wants[4] is None
