@@ -39,9 +39,15 @@ class Pattern:
         return cls(n, [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)])
 
     def is_closed(self):
+        """(i, j), (j, k) in P imply (i, k) in P.  The positions are indexed
+        by row, so each (i, j) meets only the (j, k): O(n^3) membership
+        tests, not O(|P|^2)."""
         pos = self.positions
+        by_row = {}
+        for i, j in self.order:
+            by_row.setdefault(i, []).append(j)
         return all((i, k) in pos
-                   for (i, j) in pos for (j2, k) in pos if j2 == j)
+                   for i, j in self.order for k in by_row.get(j, ()))
 
     def __contains__(self, pos):
         return pos in self.positions
@@ -259,42 +265,55 @@ class GroupElement:
 # sparse linear algebra over F_q; rows are dicts {column index: encoding}
 
 
-def _row_sub_scaled(row, factor, other, field):
-    """row - factor * other, sparse."""
-    out = dict(row)
-    for c, v in other.items():
-        s = field.sub(out.get(c, 0), field.mul(factor, v))
-        if s:
-            out[c] = s
-        else:
-            out.pop(c, None)
-    return out
-
-
 def rref(rows, field):
     """Reduced row echelon form; returns rows sorted by pivot column.
 
-    Pivot rows are kept fully inter-reduced: each pivot row is zero at
-    every other pivot column.
+    Pivot rows are kept fully inter-reduced: each pivot row is 1 at its
+    pivot and 0 at every other pivot column.  An incoming row is therefore
+    cleared against all of its pivot hits in one pass: subtracting one
+    pivot row leaves the row's entries at the other hits unchanged.
+
+    users[c] is the set of pivot columns whose rows have an entry in the
+    non-pivot column c (the column lists of structured Gaussian
+    elimination: LaMacchia and Odlyzko, "Solving large sparse linear
+    systems over finite fields", CRYPTO '90).  A new pivot c reduces only
+    the rows users.pop(c), so a row costs its entries plus those of the
+    pivot rows it hits, and a new pivot its entries times the number of
+    earlier rows that use its column, with no scan over all pivots.
     """
+    sub, mul = field.sub, field.mul
     pivots = {}
+    users = {}
     for row in rows:
         row = {c: v for c, v in row.items() if v}
-        while row:
-            hits = [c for c in row if c in pivots]
-            if not hits:
-                break
-            c = min(hits)
-            row = _row_sub_scaled(row, row[c], pivots[c], field)
+        for c, v in [(c, v) for c, v in row.items() if c in pivots]:
+            for k, w in pivots[c].items():
+                s = sub(row.get(k, 0), mul(v, w))
+                if s:
+                    row[k] = s
+                else:
+                    del row[k]
         if not row:
             continue
         c = min(row)
         inv = field.inv(row[c])
-        row = {k: field.mul(inv, v) for k, v in row.items()}
-        for c2 in list(pivots):
+        row = {k: mul(inv, v) for k, v in row.items()}
+        to_reduce = users.pop(c, ())
+        for k in row:
+            if k != c:
+                users.setdefault(k, set()).add(c)
+        for c2 in to_reduce:
             prow = pivots[c2]
-            if c in prow:
-                pivots[c2] = _row_sub_scaled(prow, prow[c], row, field)
+            factor = prow[c]
+            for k, v in row.items():
+                s = sub(prow.get(k, 0), mul(factor, v))
+                if s:
+                    prow[k] = s
+                    users[k].add(c2)
+                else:
+                    del prow[k]
+                    if k != c:
+                        users[k].discard(c2)
         pivots[c] = row
     return [pivots[c] for c in sorted(pivots)]
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -457,16 +458,25 @@ def restrict(f, subgroup):
 
 @dataclass
 class AbelianDual:
-    """The complete character group of an abelian algebra group."""
+    """The complete character group of an abelian algebra group: character
+    i takes the value zeta_M^exponents[i][g] at the element of index g."""
 
     group: GroupTable
-    characters: list  # of ClassFunction
     exponents: list   # per character: tuple of exponents of zeta_M
     modulus: int      # M = group exponent
     structure: list   # invariant factors, largest first
 
+    @cached_property
+    def characters(self):
+        """The characters as ClassFunctions, built on first read; the
+        corner analysis reads only the exponent tables."""
+        zeta_powers = [CyclotomicNumber.zeta(self.modulus, t)
+                       for t in range(self.modulus)]
+        return [ClassFunction(self.group, map(zeta_powers.__getitem__, exps))
+                for exps in self.exponents]
+
     def __len__(self):
-        return len(self.characters)
+        return len(self.exponents)
 
 
 def abelian_dual(group):
@@ -488,7 +498,9 @@ def abelian_dual(group):
     fastest, and each layer s^k H is read from the multiplication table.
     A character is chosen by solving z^m = chi(s^m) at each generator,
     and its exponent table is built layer by layer:
-    table[s^k h] = table[h] + k t_s mod M, one addition per element."""
+    table[s^k h] = table[h] + k t_s mod M, one addition per element.
+    The ClassFunctions are built from those tables only when
+    AbelianDual.characters is first read."""
     if not group.is_abelian():
         raise ValueError("group is not abelian")
     rows = group.generator_rows()
@@ -549,8 +561,6 @@ def abelian_dual(group):
         assignments = new_assignments
     if len(assignments) != group.size:
         raise VerificationFailed("dual is incomplete")
-    zeta_powers = [CyclotomicNumber.zeta(modulus, t) for t in range(modulus)]
-    characters = []
     exponents = []
     for ts in assignments:
         layered = [0]
@@ -558,16 +568,9 @@ def abelian_dual(group):
             layered = [(e + shift) % modulus
                        for shift in [k * t for k in range(m)]
                        for e in layered]
-        table_exp = tuple(map(layered.__getitem__, position))
-        exponents.append(table_exp)
-        characters.append(
-            ClassFunction(group, map(zeta_powers.__getitem__, table_exp)))
-    order = sorted(range(len(characters)), key=lambda i: exponents[i])
-    return AbelianDual(group=group,
-                       characters=[characters[i] for i in order],
-                       exponents=[exponents[i] for i in order],
-                       modulus=modulus,
-                       structure=rel_orders)
+        exponents.append(tuple(map(layered.__getitem__, position)))
+    return AbelianDual(group=group, exponents=sorted(exponents),
+                       modulus=modulus, structure=rel_orders)
 
 
 def constituents_of_induced_linear(dual, subgroup, f_on_subgroup):

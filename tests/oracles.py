@@ -3,13 +3,13 @@ values; these deliberately avoid the library's sparse elimination, BFS
 orbits, and combinatorial shortcuts."""
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from utchar.algebra import (DEFAULT_CAP, GroupElement, NilAlgebra, NilMatrix,
                             Pattern, Subspace, VerificationFailed)
-from utchar.characters import (AbelianDual, ClassFunction, GroupTable,
-                               theta_lambda)
+from utchar.characters import ClassFunction, GroupTable, theta_lambda
 from utchar.duals import Functional, act_coadjoint, act_left, act_right
 from utchar.exotic import constant_diagonal_algebra
 from utchar.scalars import CyclotomicNumber
@@ -53,6 +53,50 @@ def dense_left_kernel(matrix, field):
         if not any(row[:ncols]):
             kernel.append(row[ncols:])
     return dense_rref(kernel, field)
+
+
+def pivot_scan_rref(rows, field):
+    """algebra.rref as it was before the column index: each incoming row is
+    reduced one pivot hit at a time (min(hits), rescanned after every
+    subtraction), and each new pivot scans every earlier pivot row."""
+
+    def sub_scaled(row, factor, other):
+        out = dict(row)
+        for c, v in other.items():
+            s = field.sub(out.get(c, 0), field.mul(factor, v))
+            if s:
+                out[c] = s
+            else:
+                out.pop(c, None)
+        return out
+
+    pivots = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            hits = [c for c in row if c in pivots]
+            if not hits:
+                break
+            c = min(hits)
+            row = sub_scaled(row, row[c], pivots[c])
+        if not row:
+            continue
+        c = min(row)
+        inv = field.inv(row[c])
+        row = {k: field.mul(inv, v) for k, v in row.items()}
+        for c2 in list(pivots):
+            prow = pivots[c2]
+            if c in prow:
+                pivots[c2] = sub_scaled(prow, prow[c], row)
+        pivots[c] = row
+    return [pivots[c] for c in sorted(pivots)]
+
+
+def pair_scan_is_closed(pattern):
+    """Pattern.is_closed by pairing every two positions, O(|P|^2)."""
+    pos = pattern.positions
+    return all((i, k) in pos
+               for (i, j) in pos for (j2, k) in pos if j2 == j)
 
 
 def definitional_form_matrix(algebra, lam, left_basis, right_basis):
@@ -289,6 +333,18 @@ def xi_set(group, lam, s_bar):
     return [seen[k] for k in sorted(seen)]
 
 
+@dataclass
+class EnumeratedDual:
+    """The result of brute_force_abelian_dual.  Its characters are built
+    here from the normal form, independently of AbelianDual.characters,
+    which derives them from the exponent tables."""
+
+    characters: list  # of ClassFunction
+    exponents: list
+    modulus: int
+    structure: list
+
+
 def brute_force_abelian_dual(group, cap=DEFAULT_CAP):
     """Characters of an abelian group via a power-normal form: generators
     are extracted greedily by maximal relative order, every element gets a
@@ -357,11 +413,10 @@ def brute_force_abelian_dual(group, cap=DEFAULT_CAP):
         characters.append(
             ClassFunction(group, [zeta_powers[e] for e in table_exp]))
     order = sorted(range(len(characters)), key=lambda i: exponents[i])
-    return AbelianDual(group=group,
-                       characters=[characters[i] for i in order],
-                       exponents=[exponents[i] for i in order],
-                       modulus=modulus,
-                       structure=rel_orders)
+    return EnumeratedDual(characters=[characters[i] for i in order],
+                          exponents=[exponents[i] for i in order],
+                          modulus=modulus,
+                          structure=rel_orders)
 
 
 def full_group_orbit(group, lam, which):

@@ -11,9 +11,10 @@ from oracles import (all_pairs_closed, all_pairs_commutative,
                      all_pairs_ideal_check, all_pairs_products, dense_inverse,
                      dense_left_kernel, dense_product, dense_rref,
                      elimination_coordinates, generated_group,
-                     generator_test_algebras,
-                     random_closed_pattern, random_element, random_subalgebra,
-                     subspace_dense_rows, u4_and_subalgebra)
+                     generator_test_algebras, pair_scan_is_closed,
+                     pivot_scan_rref, random_closed_pattern, random_element,
+                     random_subalgebra, subspace_dense_rows,
+                     u4_and_subalgebra)
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -217,6 +218,122 @@ def test_rref_is_canonical_under_row_mixing(rng):
             mixed.append({c: v for c, v in comb.items() if v})
         rng.shuffle(mixed)
         assert rref(mixed, F3) == base
+
+
+RREF_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
+
+
+class CountingField:
+    """A field whose operations count themselves."""
+
+    def __init__(self, field):
+        self.field = field
+        self.ops = 0
+
+    def __getattr__(self, name):
+        op = getattr(self.field, name)
+
+        def counted(*args):
+            self.ops += 1
+            return op(*args)
+        return counted
+
+
+def assert_rref_matches_oracles(rows, width, field):
+    counting, scan_counting = CountingField(field), CountingField(field)
+    got = rref(rows, counting)
+    assert pivot_scan_rref(rows, scan_counting) == got
+    assert counting.ops == scan_counting.ops
+    dense = [[r.get(c, 0) for c in range(width)] for r in rows]
+    assert [[r.get(c, 0) for c in range(width)] for r in got] \
+        == dense_rref(dense, field)
+    pivots = [min(r) for r in got]
+    assert pivots == sorted(set(pivots))
+    for r, c in zip(got, pivots):
+        assert all(r.values())
+        assert r[c] == 1
+        assert all(c2 not in r for c2 in pivots if c2 != c)
+
+
+def _random_row(rng, field, width, density):
+    return {c: rng.randrange(1, field.q) for c in range(width)
+            if rng.random() < density}
+
+
+def _combination(rng, field, rows):
+    out = {}
+    for row in rows:
+        f = rng.randrange(field.q)
+        for c, v in row.items():
+            out[c] = field.add(out.get(c, 0), field.mul(f, v))
+    return out  # may hold zero entries
+
+
+@pytest.mark.parametrize("p,e", RREF_FIELDS)
+def test_rref_matches_pivot_scan_and_dense_oracles(p, e, rng):
+    """Sparse and dense rows with zero rows, stored zeros, duplicates,
+    scaled copies and combinations of earlier rows, which cancel to zero
+    after reduction."""
+    field = field_make(p, e)
+    for _ in range(60):
+        width = rng.randrange(0, 14)
+        density = rng.choice([0.1, 0.25, 0.5, 0.9])
+        rows = [_random_row(rng, field, width, density)
+                for _ in range(rng.randrange(0, 10))]
+        for _ in range(rng.randrange(0, 6)):
+            kind = rng.randrange(4)
+            if kind == 0:
+                rows.append({})
+            elif kind == 1 and width:
+                rows.append({rng.randrange(width): 0})
+            elif kind == 2 and rows:
+                f = rng.randrange(1, field.q)
+                rows.append({c: field.mul(f, v)
+                             for c, v in rng.choice(rows).items()})
+            elif rows:
+                rows.append(_combination(
+                    rng, field, rng.sample(rows, rng.randrange(1, len(rows) + 1))))
+        rng.shuffle(rows)
+        assert_rref_matches_oracles(rows, width, field)
+
+
+@pytest.mark.parametrize("p,e", RREF_FIELDS)
+def test_rref_fill_in_updates_the_column_index(p, e, rng):
+    """Staircase rows k: e_k + entries in the next few columns, fed in
+    order: each new pivot k is used by earlier rows, and reducing them
+    fills in columns they did not use before, which later pivots must
+    find through the column index; over small fields the fill-ins also
+    cancel."""
+    field = field_make(p, e)
+    for _ in range(40):
+        width = rng.randrange(4, 20)
+        reach = rng.randrange(1, 5)
+        rows = []
+        for k in range(width):
+            row = {k: rng.randrange(1, field.q)}
+            for c in range(k + 1, min(width, k + 1 + reach)):
+                if rng.random() < 0.7:
+                    row[c] = rng.randrange(1, field.q)
+            rows.append(row)
+        if rng.random() < 0.3:
+            rows.reverse()
+        for _ in range(rng.randrange(0, 4)):
+            rows.insert(rng.randrange(len(rows) + 1),
+                        _combination(rng, field, rng.sample(rows, 2)))
+        assert_rref_matches_oracles(rows, width, field)
+
+
+def test_pattern_closure_matches_pair_scan(rng):
+    for _ in range(300):
+        n = rng.randrange(1, 9)
+        positions = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+        density = rng.random()
+        pattern = Pattern(n, [pos for pos in positions
+                              if rng.random() < density])
+        assert pattern.is_closed() == pair_scan_is_closed(pattern)
+    for n in range(2, 9):
+        closed = random_closed_pattern(rng, n)
+        assert closed.is_closed() and pair_scan_is_closed(closed)
 
 
 def test_solution_space_and_restrict_to_zero():

@@ -397,3 +397,89 @@ def test_corner_reports_match_pinned_digests(argv, capsys):
     assert main(argv.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[argv]
+
+
+# sha256 of the JSON that main prints for closed-form verifications and for
+# kernel chains of functionals that are not quasi-monomial (each shares a
+# row or a column, so the chain is computed by elimination), recorded before
+# rref kept its column index; the reports must not change by a byte
+PINNED_CHAIN_DIGESTS = {
+    "verify --r 2 --q 2":
+        "0469bc1815bf0927459b10256e4a03bcd210eff2973f3024d1cc2e2a925cd147",
+    "verify --r 2 --q 3":
+        "ac75985cb6e27ba9e2aac3f1a59c24396e9d6882a3e44611ddc50ce523267435",
+    "verify --r 2 --q 4":
+        "62e8596d1c1500405e05ec7543300146b8a760d56736f41038026560a509d855",
+    "verify --r 2 --q 5":
+        "4fa79f944c3ce4b3c7a0e5e7cdee37b86d4880067433df92c5a134cc70f68738",
+    "verify --r 3 --q 2":
+        "d1806303d3dba0fbf87bf08fe62557fa06562790213c863032982a879f1c7430",
+    "verify --r 3 --q 3":
+        "6bb4052ef51a7a3930139b0d8447a255af94a6a1f2f7b11ac85ba06a1966d10a",
+    "verify --r 3 --q 4":
+        "d2db6aba790a4ff2c2604590ddb7a5286eaf253b73355ad3866a3b996981e419",
+    "verify --r 3 --q 5":
+        "b9ee632516c51eb21e024ca7dcd34c82d2fda85408f70612396bdda1269c75bf",
+    "verify --r 4 --q 2":
+        "cd25e93196177836888f241e4dbc659e0d0a03124656e2667f2e3c5614342b6d",
+    "verify --r 4 --q 3":
+        "60d2043ec2f44aa9f280f52e618b205c3b3b6b5159a70fb7c774438b981f5075",
+    "verify --r 4 --q 4":
+        "915ed50a407ddbf9f7571a94e514cef1fc5c179e2527e7f0eaea56d56c29e334",
+    "verify --r 4 --q 5":
+        "a7d288253357f2b3584563be9a7d11f75f486261dde4c682ee5600418981f17e",
+    "verify --r 5 --q 2":
+        "b3da7fc0971a40a085e66a7f03e75736a911f76bd41ab9cbc679975636e44c28",
+    "verify --r 5 --q 3":
+        "4921d924a6930bcd38c9ebbc56bab6a41e7d3759c011918c42bc000f1428831e",
+    "verify --r 5 --q 4":
+        "8bcc50f1dc0d216431b443c2938773c7b0a230adb46345c5c44d4b75c76a268a",
+    "verify --r 5 --q 5":
+        "c6937d160927ecf14c8f085c013e4801f7696de2faa6d206508c80ca685f0cb1",
+    "verify --r 6 --q 2":
+        "3d1541b82f2ece4bac2397ebb8176ec9dc79f8de9a4dd1a3fcda41b40b87d284",
+    "verify --r 6 --q 3":
+        "5862c9aa669ba2fe9b1872923d5e2a1db65e696145a5f3231eb96221d8680030",
+    "verify --r 6 --q 4":
+        "768a76073cf8db815f16f73dda2b2393ed5e363a757e5881024e40aeef03de57",
+    "verify --r 6 --q 5":
+        "9e540648a7c4b05ec7a59f7341bcb7c48fc3aba7271396b8a08bb97044db87ad",
+    "chain --q 2 --n 8 --lambda "
+    "[[1,5,1],[1,7,1],[2,6,1],[3,8,1],[4,8,1]]":
+        "c4dee58ddc618e868fae288a472d2435926b4a4bf3522a37eae8251cc6437d8b",
+    "chain --q 3 --n 9 --lambda "
+    "[[1,6,2],[1,9,1],[2,7,1],[3,9,2],[4,8,1],[2,5,1]]":
+        "4952a6b920ca7ff938f1691fc3ba608c9a8d0414dde03f1798c8005b57974bee",
+    "chain --q 4 --n 10 --lambda "
+    "[[1,7,1],[2,7,3],[2,9,2],[3,10,1],[4,8,1],[5,10,3]]":
+        "dca7e969ce852362d2f951af5572257aed6576569cc081ae06e8e7891a4fc5a5",
+    "chain --q 5 --n 10 --lambda "
+    "[[1,6,4],[1,8,1],[2,9,3],[3,7,1],[3,10,2],[4,9,1]]":
+        "06159b71064ded1a670edc1cb093d545260b6a405d26bb3ce66382634c8452ba",
+    "chain --q 2 --n 11 --lambda "
+    "[[1,7,1],[1,11,1],[2,8,1],[3,10,1],[4,9,1],[5,11,1],[2,10,1]]":
+        "0c3f8dacb44f935e4070ae0c2654b7790aa66eaf783ba867bf3b19ff2d1566d5",
+    "chain --q 3 --n 12 --lambda "
+    "[[1,8,1],[1,12,2],[2,9,1],[3,11,1],[4,10,2],[5,12,1],[6,9,1]]":
+        "8114226e65f9d254906686c5a7ed1fd1282e13c2780299306c9504d29dc616ed",
+    "chain --q 5 --n 9 --lambda "
+    "[[1,2,2],[1,3,4],[1,4,1],[1,8,3],[2,3,3],[2,5,3],[2,8,4],[2,9,1],"
+    "[3,5,2],[3,6,3],[3,7,4],[4,6,4],[4,7,1],[4,9,2],[5,6,2],[5,7,3],"
+    "[5,8,3],[6,7,3],[6,9,1],[8,9,1]]":
+        "f15e2c23b00e484ba869328462dc8019c9f8ab438e3f96d18fcece2d81cb3233",
+    "chain --q 4 --n 12 --lambda "
+    "[[1,2,3],[1,3,3],[1,4,1],[1,5,3],[1,6,1],[1,7,1],[1,9,3],[1,11,1],"
+    "[2,4,3],[2,7,1],[2,11,1],[2,12,2],[3,4,2],[3,5,3],[3,6,3],[3,8,3],"
+    "[3,11,2],[3,12,3],[4,5,3],[4,8,2],[4,10,3],[4,12,1],[5,7,1],"
+    "[5,9,2],[5,10,3],[5,11,2],[5,12,3],[6,10,1],[6,12,1],[7,8,2],"
+    "[7,10,2],[7,12,2],[8,10,1],[9,11,2],[9,12,3],[10,11,1],[10,12,2]]":
+        "9d322af68db03b55225c48093d61ecfd70ddc298138387d53f0412deaf9be4fe",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_CHAIN_DIGESTS))
+def test_chain_reports_match_pinned_digests(argv, capsys):
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == PINNED_CHAIN_DIGESTS[argv]
