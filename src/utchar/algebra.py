@@ -368,18 +368,23 @@ def sparse_column(vec):
 
 
 def apply_columns(field, columns, vec, start):
-    """start + sum_b vec[b] * columns[b] over F_q, as a tuple, for sparse
-    columns; a column whose coefficient vec[b] is zero is never read."""
+    """start + sum_b vec[b] * column over the (b, column) pairs of
+    columns, as a tuple, for sparse columns; start must be reduced.  A
+    column left out of the pairs is zero, and one whose coefficient vec[b]
+    is zero is never read.  Over a prime field only the entries a column
+    touches are reduced."""
     acc = list(start)
     if field.e == 1:
-        for c, column in zip(vec, columns):
+        p = field.p
+        for b, column in columns:
+            c = vec[b]
             if c:
                 for k, v in column:
-                    acc[k] += c * v
-        p = field.p
-        return tuple([a % p for a in acc])
+                    acc[k] = (acc[k] + c * v) % p
+        return tuple(acc)
     add, mul = field.add, field.mul
-    for c, column in zip(vec, columns):
+    for b, column in columns:
+        c = vec[b]
         if c:
             for k, v in column:
                 acc[k] = add(acc[k], mul(c, v))
@@ -528,13 +533,14 @@ class NilAlgebra:
     echelon span for both kinds; for a pattern algebra the span is
     Subspace.full, whose basis is the e_ij in pattern order."""
 
-    __slots__ = ("pattern", "field", "span", "is_pattern")
+    __slots__ = ("pattern", "field", "span", "is_pattern", "_generators")
 
     def __init__(self, pattern, field, span, is_pattern):
         self.pattern = pattern
         self.field = field
         self.span = span
         self.is_pattern = is_pattern
+        self._generators = None
 
     @classmethod
     def pattern_algebra(cls, pattern, field):
@@ -582,7 +588,10 @@ class NilAlgebra:
         return GroupElement.identity(self.pattern, self.field)
 
     def enumerate_group(self, cap=DEFAULT_CAP):
-        """All q^dim elements of 1 + algebra, in deterministic order."""
+        """All q^dim elements of 1 + algebra: the i-th is
+        1 + span.matrix(c) for the i-th c of
+        itertools.product(range(q), repeat=dim), so its coordinates over
+        basis() are that c."""
         if self.size > cap:
             raise CapExceeded(f"group of size {self.size} exceeds cap {cap}")
         matrix = self.span.matrix
@@ -590,8 +599,9 @@ class NilAlgebra:
             yield GroupElement(matrix(coeffs))
 
     def group_generators(self):
-        """Generators of the group 1 + A: the elements 1 + t u for t in an
-        F_p-basis of F_q and u in a set U of algebra elements.
+        """Generators of the group 1 + A, as a tuple built once: the
+        elements 1 + t u for t in an F_p-basis of F_q and u in a set U of
+        algebra elements.
 
         For a subspace algebra, U is the union of the echelon bases of the
         powers A ⊇ A^2 ⊇ A^3 ⊇ ..., where A^(k+1) = span(A^k A).  These
@@ -613,6 +623,8 @@ class NilAlgebra:
         every position and every c in F_q.  Those elements generate 1 + A
         by the argument above, because the e_ij contain a basis of each
         power (a product of elementary matrices is elementary or zero)."""
+        if self._generators is not None:
+            return self._generators
         basis = self.basis()
         # kept: on u_n this fork gives n - 1 units, the echelon powers would
         # give all n(n - 1)/2, and orbit BFS cost grows with the unit count
@@ -634,8 +646,9 @@ class NilAlgebra:
                     if u.key() not in seen:
                         seen.add(u.key())
                         units.append(u)
-        return [GroupElement(u.scale(t)) for u in units
-                for t in self.field.prime_basis()]
+        self._generators = tuple(GroupElement(u.scale(t)) for u in units
+                                 for t in self.field.prime_basis())
+        return self._generators
 
     def __repr__(self):
         kind = "pattern" if self.is_pattern else "subspace"

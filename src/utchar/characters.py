@@ -5,6 +5,7 @@ duals of abelian groups, and field-of-values analysis."""
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,11 +31,14 @@ class GroupTable:
     mat-vec per element.  Only the generators x of
     algebra.group_generators() pay for that: their rows y -> x y
     (generator_rows) cost |gens| * |G| mat-vecs, every other row of the
-    multiplication table is composed from them by list lookups, and the
-    conjugacy classes are the components of the generators' conjugation
-    maps."""
+    multiplication table is composed from them by list lookups, the
+    inverses follow the generators' search tree at one mat-vec per
+    element, and the conjugacy classes are the components of the
+    generators' conjugation maps."""
 
-    def __init__(self, algebra, elements):
+    def __init__(self, algebra, elements, coords=None):
+        """coords, if given, lists each element's coordinates over
+        algebra.basis(); otherwise they are computed when first needed."""
         self.algebra = algebra
         self.elements = list(elements)
         self.index = {g.key(): i for i, g in enumerate(self.elements)}
@@ -44,14 +48,18 @@ class GroupTable:
         self._generator_rows = None
         self._tree = None
         self._mul_table = None
-        self._coords = None
+        self._coords = None if coords is None else list(coords)
         self._coord_index = None
         self._classes = None
         self.theta = AdditiveCharacter(algebra.field)
 
     @classmethod
     def from_algebra(cls, algebra, cap=DEFAULT_CAP):
-        return cls(algebra, algebra.enumerate_group(cap))
+        """The table of algebra.enumerate_group(cap), whose i-th element
+        has the i-th coordinate tuple of the same product order."""
+        return cls(algebra, algebra.enumerate_group(cap),
+                   itertools.product(range(algebra.field.q),
+                                     repeat=algebra.dim))
 
     @classmethod
     def from_subspace(cls, algebra, subspace, cap=DEFAULT_CAP):
@@ -61,7 +69,7 @@ class GroupTable:
         sub = NilAlgebra.from_subspace(subspace, algebra.field, check=False)
         if not sub.is_closed_under_products():
             raise VerificationFailed("subspace is not closed under products")
-        return cls(sub, sub.enumerate_group(cap))
+        return cls.from_algebra(sub, cap)
 
     @property
     def size(self):
@@ -71,21 +79,65 @@ class GroupTable:
         return self.index[()]
 
     def inverses(self):
+        """Each element's inverse, in element order; built once on demand.
+
+        Along the search tree of generator_rows, an element y other than
+        the identity is s x for a generator s and an element x reached
+        before it, so y^{-1} = x^{-1} s^{-1}.  For s^{-1} = 1 + c,
+        z -> z s^{-1} is affine on the coordinates of z - 1: its columns
+        are the coordinates of u_b + u_b c, and its constant is the
+        coordinates of c.  That costs one inverse series and one set of
+        basis products per generator, then one sparse mat-vec per
+        element."""
         if self._inverses is None:
-            self._inverses = [g.inverse() for g in self.elements]
+            rows = self.generator_rows()
+            coords, lookup = self.coordinates(), self._coordinate_index()
+            algebra = self.algebra
+            basis = algebra.basis()
+            maps = []
+            for s in algebra.group_generators():
+                c = s.inverse().body
+                maps.append((_columns(algebra, [u + u @ c for u in basis]),
+                             tuple(algebra.coordinates(c))))
+            inverse = [None] * self.size
+            inverse[self.identity_index()] = self.identity_index()
+            for g, x in self._tree:
+                columns, start = maps[g]
+                inverse[rows[g][x]] = lookup[apply_columns(
+                    algebra.field, columns, coords[inverse[x]], start)]
+            self._inverses = [self.elements[i] for i in inverse]
         return self._inverses
 
     def contains(self, g):
         return g.key() in self.index
 
     def coordinates(self):
-        """Each element's coordinate tuple over algebra.basis(); built once,
-        with the map from coordinates back to indices."""
+        """Each element's coordinate tuple over algebra.basis(): recorded
+        by the enumeration that built the table, or computed once."""
         if self._coords is None:
             self._coords = [tuple(self.algebra.coordinates(g.body))
                             for g in self.elements]
-            self._coord_index = {c: i for i, c in enumerate(self._coords)}
         return self._coords
+
+    def _coordinate_index(self):
+        """The map from coordinate tuples back to indices; built once."""
+        if self._coord_index is None:
+            self._coord_index = {c: i
+                                 for i, c in enumerate(self.coordinates())}
+        return self._coord_index
+
+    def coordinates_in(self, ambient):
+        """Each element's coordinate tuple over ambient.basis(), for an
+        algebra that contains this table's algebra.  The ambient
+        coordinates of y - 1 are linear in its own coordinates, with the
+        ambient coordinates of the basis matrices as columns: one sparse
+        mat-vec per element, and none when the spans are equal."""
+        if ambient.span == self.algebra.span:
+            return self.coordinates()
+        columns = _columns(ambient, self.algebra.basis())
+        zero = (0,) * ambient.dim
+        return [apply_columns(ambient.field, columns, y, zero)
+                for y in self.coordinates()]
 
     def generator_rows(self):
         """For each s in algebra.group_generators(), the list whose entry y
@@ -98,18 +150,17 @@ class GroupTable:
         no product of generators reaches from the identity, means the
         list is not the group generated, and raises VerificationFailed.
         The search that checks the second also records, for each other
-        element, the generator row and the element it was first reached
-        from, in search order (the tree that mul_table composes along)."""
+        element, the index of the generator and the element it was first
+        reached from, in search order (the tree that mul_table and
+        inverses follow)."""
         if self._generator_rows is None:
-            coords = self.coordinates()
-            lookup = self._coord_index
+            coords, lookup = self.coordinates(), self._coordinate_index()
             algebra = self.algebra
             basis = algebra.basis()
             rows = []
             for s in algebra.group_generators():
                 a = s.body
-                columns = [sparse_column(algebra.coordinates(u + a @ u))
-                           for u in basis]
+                columns = _columns(algebra, [u + a @ u for u in basis])
                 start = tuple(algebra.coordinates(a))
                 try:
                     rows.append([lookup[apply_columns(algebra.field,
@@ -124,11 +175,11 @@ class GroupTable:
             tree = []
             frontier = [self.identity_index()]
             for x in frontier:  # grows as the search reaches elements
-                for row in rows:
+                for g, row in enumerate(rows):
                     y = row[x]
                     if not reached[y]:
                         reached[y] = True
-                        tree.append((row, x))
+                        tree.append((g, x))
                         frontier.append(y)
             if len(frontier) != self.size:
                 raise VerificationFailed(
@@ -146,10 +197,11 @@ class GroupTable:
         generator_rows every row is reached, so the table costs the
         generator rows' |gens| * |G| mat-vecs and |G|^2 lookups."""
         if self._mul_table is None:
-            self.generator_rows()
+            rows = self.generator_rows()
             table = [None] * self.size
             table[self.identity_index()] = list(range(self.size))
-            for row, x in self._tree:
+            for g, x in self._tree:
+                row = rows[g]
                 table[row[x]] = [row[k] for k in table[x]]
             self._mul_table = table
         return self._mul_table
@@ -161,24 +213,22 @@ class GroupTable:
         The classes are the connected components of the graph
         g -> x g x^{-1} for x in algebra.group_generators(), since those
         generate the group.  For x = 1 + a, y -> x y x^{-1} is linear on
-        the coordinates of y - 1: its columns are the coordinates of
-        x u_b x^{-1}.  A generator whose map is the identity (every
-        generator of an abelian group) adds no edge and is skipped."""
+        the coordinates of y - 1, and it moves y by the combination of
+        the columns x u_b x^{-1} - u_b, of which only the nonzero ones are
+        kept.  A generator whose map is the identity (every generator of
+        an abelian group) has none, adds no edge and is skipped."""
         if self._classes is None:
-            coords = self.coordinates()
-            lookup = self._coord_index
+            coords, lookup = self.coordinates(), self._coordinate_index()
             algebra = self.algebra
             basis = algebra.basis()
-            identity = [[(b, 1)] for b in range(len(basis))]
             maps = []
             for x in algebra.group_generators():
                 a, ainv = x.body, x.inverse().body
                 left = [u + a @ u for u in basis]  # (1 + a) u_b
-                columns = [sparse_column(algebra.coordinates(m + m @ ainv))
-                           for m in left]
-                if columns != identity:
+                columns = _columns(algebra, [m + m @ ainv - u
+                                             for m, u in zip(left, basis)])
+                if columns:
                     maps.append(columns)
-            zero = (0,) * len(basis)
             found = [False] * self.size
             classes = []
             for start in range(self.size):
@@ -187,10 +237,11 @@ class GroupTable:
                 found[start] = True
                 members = [start]
                 for i in members:  # grows as the search finds conjugates
+                    y = coords[i]
                     for columns in maps:
                         try:
                             j = lookup[apply_columns(algebra.field, columns,
-                                                     coords[i], zero)]
+                                                     y, y)]
                         except KeyError:
                             raise VerificationFailed(
                                 "group table is incomplete: a conjugate "
@@ -207,6 +258,14 @@ class GroupTable:
 
     def __repr__(self):
         return f"GroupTable(size={self.size})"
+
+
+def _columns(algebra, mats):
+    """The (b, column) pairs, for apply_columns, of the nonzero sparse
+    columns algebra.coordinates(mats[b])."""
+    columns = [(b, sparse_column(algebra.coordinates(m)))
+               for b, m in enumerate(mats)]
+    return [(b, column) for b, column in columns if column]
 
 
 class ClassFunction:
@@ -312,7 +371,7 @@ def _orbit_sum(group, functionals, scale):
     mask = (1 << width) - 1
     shifts = [[bits * field.trace(field.mul(a, b)) for b in range(q)]
               for a in range(q)]
-    coords = [tuple(algebra.coordinates(g.body)) for g in group.elements]
+    coords = group.coordinates_in(algebra)
     # children[k]: each length-k prefix of an element -> its next entries
     children = [None] * algebra.dim
     prefixes = set(coords)
@@ -431,9 +490,7 @@ def induce(f, group):
     zero."""
     sub = f.group
     group.inverses()  # unused; perfbench's traced gate needs it reached
-    algebra = group.algebra
-    in_sub = {tuple(algebra.coordinates(h.body)): i
-              for i, h in enumerate(sub.elements)}
+    in_sub = {c: i for i, c in enumerate(sub.coordinates_in(group.algebra))}
     coords = group.coordinates()
     values = [None] * group.size
     for members in group.classes():

@@ -177,8 +177,10 @@ def orbit(lam, which, cap=DEFAULT_CAP):
     c_k = act(delta_k) - delta_k for the unit functional delta_k.  Column k
     of a move is computed, by one action, the first time a functional with
     f_k != 0 is moved, so an orbit costs at most one action per move and
-    coordinate that its functionals use.  The BFS runs on value tuples.
-    More than cap functionals raise CapExceeded."""
+    coordinate that its functionals use.  Each move keeps only its nonzero
+    columns, as (k, c_k) pairs, so moving f touches only the coordinates
+    that the move changes.  The BFS runs on value tuples.  More than cap
+    functionals raise CapExceeded."""
     if which not in ("left", "right", "two-sided", "coadjoint"):
         raise ValueError(f"unknown orbit kind {which!r}")
     algebra = lam.algebra
@@ -193,21 +195,25 @@ def orbit(lam, which, cap=DEFAULT_CAP):
     else:
         acts = [lambda f, g=g: act_left(g, f) for g in gens] + \
                [lambda f, g=g: act_right(f, g) for g in gens]
-    columns = [[None] * algebra.dim for _ in acts]
+    computed = [False] * algebra.dim
+    moves = [[] for _ in acts]
     seen = {lam.values}
     frontier = deque(seen)
     while frontier:
         f = frontier.popleft()
         for k, c in enumerate(f):
-            if c and columns[0][k] is None:
+            if c and not computed[k]:
+                computed[k] = True
                 unit = [0] * algebra.dim
                 unit[k] = 1
                 delta = Functional(algebra, unit)
-                for act, cols in zip(acts, columns):
+                for act, cols in zip(acts, moves):
                     moved = list(act(delta).values)
                     moved[k] = field.sub(moved[k], 1)
-                    cols[k] = sparse_column(moved)
-        for cols in columns:
+                    column = sparse_column(moved)
+                    if column:
+                        cols.append((k, column))
+        for cols in moves:
             nxt = apply_columns(field, cols, f, f)
             if nxt not in seen:
                 if len(seen) >= cap:

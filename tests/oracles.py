@@ -282,9 +282,10 @@ def brute_force_mul_table(group):
 
 def brute_force_induce(f, group):
     """Ind_H^G f(g) = (1/|H|) sum over x in G with x g x^{-1} in H of
-    f(x g x^{-1}); every conjugate is a GroupElement product."""
+    f(x g x^{-1}); every conjugate is a GroupElement product, and every
+    inverse a GroupElement inverse series."""
     sub = f.group
-    inverses = group.inverses()
+    inverses = [x.inverse() for x in group.elements]
     values = []
     abelian_shortcut = group.is_abelian()
     for g in group.elements:
@@ -307,8 +308,9 @@ def brute_force_induce(f, group):
 
 def brute_force_classes(group):
     """The conjugacy classes as sets of element indices, one
-    GroupElement conjugation x g x^{-1} for every pair (x, g)."""
-    inverses = group.inverses()
+    GroupElement conjugation x g x^{-1} for every pair (x, g), with each
+    x^{-1} from the GroupElement inverse series."""
+    inverses = [x.inverse() for x in group.elements]
     return {frozenset(group.index[(x * g * xinv).key()]
                       for x, xinv in zip(group.elements, inverses))
             for g in group.elements}

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from utchar.algebra import (CapExceeded, GroupElement, NilAlgebra, NilMatrix,
-                            Pattern, Subspace, ideal_check, left_kernel,
-                            nonzero_products, quotient_project, rref,
-                            solution_space, trunc_exp, trunc_log)
+                            Pattern, Subspace, apply_columns, ideal_check,
+                            left_kernel, nonzero_products, quotient_project,
+                            rref, solution_space, sparse_column, trunc_exp,
+                            trunc_log)
 from utchar.scalars import field_make
 
 from oracles import (all_pairs_closed, all_pairs_commutative,
@@ -600,3 +601,34 @@ def test_pattern_algebra_basis_is_the_elementary_matrices(rng):
             x = random_element(rng, alg).body
             assert alg.coordinates(x) == [x.coeff(i, j)
                                           for i, j in pattern.order]
+
+
+class Unread:
+    """A column that fails the test if apply_columns reads it."""
+
+    def __iter__(self):
+        raise AssertionError("a column with a zero coefficient was read")
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+def test_apply_columns_matches_dense_mat_vec(p, e, rng):
+    field = field_make(p, e)
+    q = field.q
+    for _ in range(40):
+        width, height = rng.randint(1, 8), rng.randint(3, 8)
+        # column 0 is zero and left out; coefficient 1 is zero
+        dense = [[0] * width] + [
+            [rng.choice((0, rng.randrange(q))) for _ in range(width)]
+            for _ in range(height - 1)]
+        vec = [rng.randrange(1, q)] + [0] + [
+            rng.choice((0, rng.randrange(q))) for _ in range(height - 2)]
+        start = [rng.randrange(q) for _ in range(width)]
+        start[0] = rng.randrange(1, q)
+        want = list(start)
+        for c, column in zip(vec, dense):
+            for k, v in enumerate(column):
+                want[k] = field.add(want[k], field.mul(c, v))
+        pairs = [(b, sparse_column(column) if vec[b] else Unread())
+                 for b, column in enumerate(dense) if any(column)]
+        rng.shuffle(pairs)
+        assert apply_columns(field, pairs, vec, tuple(start)) == tuple(want)

@@ -483,3 +483,52 @@ def test_chain_reports_match_pinned_digests(argv, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() \
         == PINNED_CHAIN_DIGESTS[argv]
+
+
+# sha256 of the JSON that main prints for value tables and orbits below,
+# recorded before orbit moves kept only their nonzero columns and before
+# group tables took their coordinates from the enumeration and their
+# inverses from the generators' search tree; the reports must not change by
+# a byte
+PINNED_TABLE_DIGESTS = {
+    "table --which theta --n 3 --q 5 --lambda [[1,3,2]]":
+        "2eef6878ef3300eb7ba68d81386f807d8851340b731a0be781bd593c70c983b4",
+    "table --which kirillov --n 3 --q 5 --lambda [[1,3,2]]":
+        "e92d9226c8689d5435c4fd4cb11372f291250a838cdb40e461f66f055890ee5d",
+    "table --which expkirillov --n 3 --q 5 --lambda [[1,3,2]]":
+        "21fd077292f483d3f58d5e9470a4de8ee2a59106cb55f2c4baf88b2ba695103f",
+    "table --which superchar --n 3 --q 5 --lambda [[1,3,2]]":
+        "dbc39cd8537b234449127c6788ad8995311a7f36014d07ef69b596a88b4130c1",
+    "table --which xi --n 3 --q 5 --lambda [[1,3,2]]":
+        "6cb267427a7c7faee1c5ae77acf8edeb339ab393b83af95eaef6bdb710cc17e5",
+    "table --which theta --n 4 --q 3 --lambda [[1,3,1],[2,4,2]]":
+        "5e779d406f0c02d242f7a9b3b905f77693d63f9023a6ef9cc527ab1f7770ecab",
+    "table --which kirillov --n 4 --q 3 --lambda [[1,3,1],[2,4,2]]":
+        "885444825970e601808e20e3c5320b677c6c0205ca83e73fb182d8a21cbfe0cd",
+    "table --which expkirillov --n 4 --q 3 --lambda [[1,3,1],[2,4,2]]":
+        "7babf3f100808576bd1376714fd5819f3cc3840ddf0b3b2d9c552617694218f2",
+    "table --which superchar --n 4 --q 3 --lambda [[1,3,1],[2,4,2]]":
+        "2a8bfb2d0a1c155a8edd1c36f53e604dff97ddd9d0a4255c38598104234c1485",
+    "table --which xi --n 4 --q 3 --lambda [[1,3,1],[2,4,2]]":
+        "b3ba6b31b65330bb521cdb4a7ef2d626f24c7b0261f45d877a2593e5071051b8",
+    "table --which theta --n 5 --q 2 --lambda [[1,5,1],[2,3,1]]":
+        "ebcdef37f03609813f057615f72d2e9b3922a04d00524b8fb104bd23523763ff",
+    "orbit --which left --n 5 --q 3 --lambda [[1,4,1],[2,5,2]]":
+        "374720408fd53364124614a8ea02ce575d6cf23531387bf8fbee1d08ca31512b",
+    "orbit --which right --n 5 --q 3 --lambda [[1,4,1],[2,5,2]]":
+        "2a0a329c86f45992fbb560c004d6a48688cab0b822966e08d48bc4a5ca0d676d",
+    "orbit --which two-sided --n 5 --q 3 --lambda [[1,4,1],[2,5,2]]":
+        "0c0e98ed8786d94e164044cddf571c741a70516b0e4eb2241a1ee08734c53fce",
+    "orbit --which coadjoint --n 5 --q 3 --lambda [[1,4,1],[2,5,2]]":
+        "64a37d3294dc2a058a025805ebef7bb3656b3e169a7ed1b63e6be2150ec5a972",
+    "orbit --which coadjoint --n 6 --q 2 --lambda [[1,6,1],[2,5,1]]":
+        "704a859cd53a6be16cc11f67be82de747dfef29605eecce0038e1cf659ed33d1",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_TABLE_DIGESTS))
+def test_tables_and_orbits_match_pinned_digests(argv, capsys):
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == PINNED_TABLE_DIGESTS[argv]

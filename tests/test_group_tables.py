@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from utchar.algebra import NilAlgebra, Pattern, VerificationFailed
+from utchar.algebra import NilAlgebra, NilMatrix, Pattern, VerificationFailed
 from utchar.chain import chain_compute
 from utchar.characters import (ClassFunction, GroupTable, abelian_dual,
                                homomorphism_defect, induce, theta_lambda, xi)
@@ -16,9 +16,9 @@ from utchar.exotic import (constant_diagonal_algebra,
 from utchar.scalars import CyclotomicNumber, field_make
 
 from oracles import (brute_force_abelian_dual, brute_force_classes,
-                     brute_force_induce, brute_force_mul_table,
-                     max_element_order, random_functional, random_subalgebra,
-                     u4_and_subalgebra)
+                     brute_force_induce, brute_force_mul_table, dense_inverse,
+                     generator_test_algebras, max_element_order,
+                     random_functional, random_subalgebra, u4_and_subalgebra)
 
 FIELDS = {q: field_make(p, e) for q, p, e in
           ((2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1), (8, 2, 3), (9, 3, 2))}
@@ -314,3 +314,79 @@ def test_homomorphism_defect_generator_test_matches_scan(rng, make, size):
         wants.append(first_defect(f, mul))
         assert as_indices(group, homomorphism_defect(f)) == wants[-1]
     assert None not in wants[:4] and wants[4] is None
+
+
+def assert_inverses_match(group):
+    """inverses() against the GroupElement inverse series and the dense
+    oracle, element by element."""
+    pattern, field = group.algebra.pattern, group.algebra.field
+    width = len(pattern.order)
+    inverses = group.inverses()
+    assert inverses == [g.inverse() for g in group.elements]
+    for g, inv in zip(group.elements, inverses):
+        vec = g.body.vector()
+        dense = dense_inverse(pattern, field,
+                              [vec.get(k, 0) for k in range(width)])
+        assert inv.body == NilMatrix.from_vector(pattern, field,
+                                                 dict(enumerate(dense)))
+
+
+@pytest.mark.parametrize("make,size", [
+    (unitriangular, (3, 2)), (unitriangular, (3, 3)), (unitriangular, (3, 4)),
+    (unitriangular, (3, 5)), (unitriangular, (4, 2)), (unitriangular, (4, 3)),
+    (noncommutative, (2,)), (noncommutative, (3,)),
+    (constant_diagonal, (2, 4)), (constant_diagonal, (3, 4)),
+    (constant_diagonal, (4, 4)), (constant_diagonal, (5, 4)),
+    (constant_diagonal, (2, 9)), (constant_diagonal, (3, 9))])
+def test_inverses_match_series_and_dense_oracle(make, size):
+    # UT_4(2) and UT_4(3) are the u_4(q) of u4_and_subalgebra
+    assert_inverses_match(make(*size))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_inverses_match_oracles_on_generator_test_algebras(rng, q):
+    for algebra in generator_test_algebras(rng, FIELDS[q]):
+        assert_inverses_match(GroupTable.from_algebra(algebra))
+
+
+def subgroup_tables(q):
+    """Tables built by enumeration, with their ambient algebras: UT_3(q),
+    A_3(q) inside u_3(q), and the non-commutative subalgebra of u_4(q)
+    inside u_4(q), through from_subspace."""
+    field = FIELDS[q]
+    u3 = NilAlgebra.pattern_algebra(Pattern.full(3), field)
+    u4, sub = u4_and_subalgebra(field)
+    return [(GroupTable.from_algebra(u3), u3),
+            (GroupTable.from_algebra(constant_diagonal_algebra(3, field)), u3),
+            (GroupTable.from_subspace(u4, sub.span), u4)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_recorded_coordinates_match_computed(q):
+    for group, ambient in subgroup_tables(q):
+        algebra = group.algebra
+        want = [tuple(algebra.coordinates(g.body)) for g in group.elements]
+        assert group.coordinates() == want
+        # a table built from an element list computes its coordinates
+        assert GroupTable(algebra, group.elements).coordinates() == want
+        assert group.coordinates_in(ambient) == [
+            tuple(ambient.coordinates(g.body)) for g in group.elements]
+        assert group.coordinates_in(algebra) == want
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 5), (4, 2), (4, 3)])
+def test_coordinates_in_matches_on_l_bar_subgroups(rng, n, q):
+    algebra = unitriangular(n, q).algebra
+    for _ in range(3):
+        lam = random_functional(rng, algebra)
+        lgroup = GroupTable.from_subspace(
+            algebra, chain_compute(algebra, lam).l_bar)
+        assert lgroup.coordinates_in(algebra) == [
+            tuple(algebra.coordinates(h.body)) for h in lgroup.elements]
+
+
+def test_group_generators_are_found_once():
+    for algebra in u4_and_subalgebra(FIELDS[3]):
+        gens = algebra.group_generators()
+        assert isinstance(gens, tuple)
+        assert algebra.group_generators() is gens
