@@ -38,18 +38,20 @@ class GroupTable:
 
     def __init__(self, algebra, elements, coords=None):
         """coords, if given, lists each element's coordinates over
-        algebra.basis(); otherwise they are computed when first needed."""
+        algebra.basis(), else they are computed; index maps them back."""
         self.algebra = algebra
         self.elements = list(elements)
-        self.index = {g.key(): i for i, g in enumerate(self.elements)}
+        if coords is None:
+            coords = [tuple(algebra.coordinates(g.body))
+                      for g in self.elements]
+        self.coords = list(coords)
+        self.index = {c: i for i, c in enumerate(self.coords)}
         if len(self.index) != len(self.elements):
             raise ValueError("duplicate group elements")
         self._inverses = None
         self._generator_rows = None
         self._tree = None
         self._mul_table = None
-        self._coords = None if coords is None else list(coords)
-        self._coord_index = None
         self._classes = None
         self.theta = AdditiveCharacter(algebra.field)
 
@@ -76,7 +78,7 @@ class GroupTable:
         return len(self.elements)
 
     def identity_index(self):
-        return self.index[()]
+        return self.index[(0,) * self.algebra.dim]
 
     def inverses(self):
         """Each element's inverse, in element order; built once on demand.
@@ -91,7 +93,7 @@ class GroupTable:
         element."""
         if self._inverses is None:
             rows = self.generator_rows()
-            coords, lookup = self.coordinates(), self._coordinate_index()
+            coords, lookup = self.coords, self.index
             algebra = self.algebra
             basis = algebra.basis()
             maps = []
@@ -108,23 +110,21 @@ class GroupTable:
             self._inverses = [self.elements[i] for i in inverse]
         return self._inverses
 
+    def index_of(self, g):
+        """The index of the element g, read from its coordinates; KeyError
+        if g is not in the table."""
+        if g.body.pattern == self.algebra.pattern:
+            coords = self.algebra.span.coordinates(g.body)
+            if coords is not None:
+                return self.index[tuple(coords)]
+        raise KeyError(g)
+
     def contains(self, g):
-        return g.key() in self.index
-
-    def coordinates(self):
-        """Each element's coordinate tuple over algebra.basis(): recorded
-        by the enumeration that built the table, or computed once."""
-        if self._coords is None:
-            self._coords = [tuple(self.algebra.coordinates(g.body))
-                            for g in self.elements]
-        return self._coords
-
-    def _coordinate_index(self):
-        """The map from coordinate tuples back to indices; built once."""
-        if self._coord_index is None:
-            self._coord_index = {c: i
-                                 for i, c in enumerate(self.coordinates())}
-        return self._coord_index
+        try:
+            self.index_of(g)
+        except KeyError:
+            return False
+        return True
 
     def coordinates_in(self, ambient):
         """Each element's coordinate tuple over ambient.basis(), for an
@@ -133,11 +133,11 @@ class GroupTable:
         ambient coordinates of the basis matrices as columns: one sparse
         mat-vec per element, and none when the spans are equal."""
         if ambient.span == self.algebra.span:
-            return self.coordinates()
+            return self.coords
         columns = _columns(ambient, self.algebra.basis())
         zero = (0,) * ambient.dim
         return [apply_columns(ambient.field, columns, y, zero)
-                for y in self.coordinates()]
+                for y in self.coords]
 
     def generator_rows(self):
         """For each s in algebra.group_generators(), the list whose entry y
@@ -154,7 +154,7 @@ class GroupTable:
         reached from, in search order (the tree that mul_table and
         inverses follow)."""
         if self._generator_rows is None:
-            coords, lookup = self.coordinates(), self._coordinate_index()
+            coords, lookup = self.coords, self.index
             algebra = self.algebra
             basis = algebra.basis()
             rows = []
@@ -218,7 +218,7 @@ class GroupTable:
         kept.  A generator whose map is the identity (every generator of
         an abelian group) has none, adds no edge and is skipped."""
         if self._classes is None:
-            coords, lookup = self.coordinates(), self._coordinate_index()
+            coords, lookup = self.coords, self.index
             algebra = self.algebra
             basis = algebra.basis()
             maps = []
@@ -281,7 +281,7 @@ class ClassFunction:
             raise ValueError("value table has wrong length")
 
     def __call__(self, g):
-        return self.values[self.group.index[g.key()]]
+        return self.values[self.group.index_of(g)]
 
     @property
     def degree(self):
@@ -426,9 +426,8 @@ def exp_kirillov(group, lam, cap=DEFAULT_CAP):
     """psi^Exp_lambda(Exp X) = psi_lambda(1 + X)."""
     psi = kirillov(group, lam, cap)
     values = [None] * group.size
-    for i, g in enumerate(group.elements):
-        target = trunc_exp(g.body)  # psi^Exp(Exp(x)) = psi(1 + x)
-        values[group.index[target.key()]] = psi.values[i]
+    for g, value in zip(group.elements, psi.values):
+        values[group.index_of(trunc_exp(g.body))] = value
     if any(v is None for v in values):
         raise VerificationFailed("Exp does not map the group onto itself")
     return ClassFunction(group, values)
@@ -491,7 +490,7 @@ def induce(f, group):
     sub = f.group
     group.inverses()  # unused; perfbench's traced gate needs it reached
     in_sub = {c: i for i, c in enumerate(sub.coordinates_in(group.algebra))}
-    coords = group.coordinates()
+    coords = group.coords
     values = [None] * group.size
     for members in group.classes():
         acc = CyclotomicNumber.zero()

@@ -229,7 +229,7 @@ def cmd_kappa(spec):
         "exp_kirillov_is_character": rep.exp_kirillov_is_character,
         "exp_kirillov_witness": _ser_witness(rep.exp_kirillov_witness),
     }
-    return body, 0
+    return body, 0 if rep.ok else 1
 
 
 def _ser_witness(witness):

@@ -7,6 +7,7 @@ and value fields."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .algebra import (DEFAULT_CAP, NilAlgebra, NilMatrix, Pattern,
                       Subspace, VerificationFailed, ideal_check,
@@ -445,6 +446,11 @@ class CornerReport:
     exp_kirillov_witness: object
     chi_formula_matches: bool
 
+    @property
+    def ok(self):
+        return (self.chi_formula_matches and self.constituents_distinct
+                and self.constituents_sum_matches)
+
 
 def corner_character_analysis(n, field, cap=DEFAULT_CAP):
     """Decompose the corner supercharacter of the abelian group A_n(q) into
@@ -460,21 +466,16 @@ def corner_character_analysis(n, field, cap=DEFAULT_CAP):
     # closed form: q^{n-2} * theta(corner entry) on the subgroup, else 0
     th = group.theta
     qq = field.q
-    formula_ok = True
-    for g in group.elements:
-        if lgroup.contains(g):
-            want = th(g.body.coeff(1, n)).scale(qq ** (n - 2))
-        else:
-            want = CyclotomicNumber.zero()
-        if chi(g) != want:
-            formula_ok = False
-            break
+    in_l = set(lgroup.coordinates_in(algebra))
+    formula_ok = all(
+        value == (th(g.body.coeff(1, n)).scale(qq ** (n - 2)) if c in in_l
+                  else CyclotomicNumber.zero())
+        for g, c, value in zip(group.elements, group.coords, chi.values))
     dual = abelian_dual(group)
     cons_idx, sum_ok = _corner_constituents(dual, lgroup, kappa, chi)
     distinct = len({dual.exponents[i] for i in cons_idx}) == len(cons_idx)
     max_conductor = 1
     max_level = 0
-    from math import gcd
     for i in cons_idx:
         g = dual.modulus
         for t in dual.exponents[i]:
@@ -522,9 +523,9 @@ def _corner_constituents(dual, lgroup, kappa, chi):
     _require(modulus % field.p == 0,
              "the group exponent is not a multiple of p")
     step = modulus // field.p
-    on_l = [(group.index[h.key()],
-             field.trace(kappa.evaluate_group(h)) * step)
-            for h in lgroup.elements]
+    on_l = [(group.index[c], field.trace(kappa.evaluate_group(h)) * step)
+            for h, c in zip(lgroup.elements,
+                            lgroup.coordinates_in(group.algebra))]
     cons_idx = [i for i, exps in enumerate(dual.exponents)
                 if all(exps[g] == t for g, t in on_l)]
     if not cons_idx:
@@ -602,7 +603,7 @@ class ExoticReport:
     @property
     def ok(self):
         return (self.technical.ok and all(self.split_checks.values())
-                and self.nu_central)
+                and self.nu_central and self.corner.ok)
 
 
 def exotic_report(r, field, n=None, cap=DEFAULT_CAP):

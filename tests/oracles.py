@@ -270,37 +270,45 @@ def dense_orbit_sum(group, functionals, scale):
     return ClassFunction(group, values)
 
 
+def key_index(group):
+    """The oracles' own map from each element's sorted-entry key to its
+    index, independent of the table's coordinate index."""
+    return {g.key(): i for i, g in enumerate(group.elements)}
+
+
 def brute_force_mul_table(group):
     """index x index -> index of the product, one GroupElement product and
     one sorted-key lookup per entry."""
-    table = []
-    for g in group.elements:
-        row = [group.index[(g * h).key()] for h in group.elements]
-        table.append(row)
-    return table
+    index = key_index(group)
+    return [[index[(g * h).key()] for h in group.elements]
+            for g in group.elements]
 
 
 def brute_force_induce(f, group):
     """Ind_H^G f(g) = (1/|H|) sum over x in G with x g x^{-1} in H of
     f(x g x^{-1}); every conjugate is a GroupElement product, and every
-    inverse a GroupElement inverse series."""
+    inverse a GroupElement inverse series; H's elements are found by their
+    sorted-entry keys."""
     sub = f.group
+    in_sub = key_index(sub)
     inverses = [x.inverse() for x in group.elements]
     values = []
     abelian_shortcut = group.is_abelian()
     for g in group.elements:
         if abelian_shortcut:
-            if sub.contains(g):
-                values.append(f(g).scale(Fraction(group.size, sub.size)))
+            h = in_sub.get(g.key())
+            if h is not None:
+                values.append(
+                    f.values[h].scale(Fraction(group.size, sub.size)))
             else:
                 values.append(CyclotomicNumber.zero())
             continue
         acc = CyclotomicNumber.zero()
         hit = False
         for x, xinv in zip(group.elements, inverses):
-            moved = x * g * xinv
-            if sub.contains(moved):
-                acc = acc + f(moved)
+            h = in_sub.get((x * g * xinv).key())
+            if h is not None:
+                acc = acc + f.values[h]
                 hit = True
         values.append(acc.scale(Fraction(1, sub.size)) if hit else acc)
     return ClassFunction(group, values)
@@ -310,8 +318,9 @@ def brute_force_classes(group):
     """The conjugacy classes as sets of element indices, one
     GroupElement conjugation x g x^{-1} for every pair (x, g), with each
     x^{-1} from the GroupElement inverse series."""
+    index = key_index(group)
     inverses = [x.inverse() for x in group.elements]
-    return {frozenset(group.index[(x * g * xinv).key()]
+    return {frozenset(index[(x * g * xinv).key()]
                       for x, xinv in zip(group.elements, inverses))
             for g in group.elements}
 
@@ -354,7 +363,7 @@ def brute_force_abelian_dual(group, cap=DEFAULT_CAP):
     z^m = chi(relation) stepwise."""
     if not group.is_abelian():
         raise ValueError("group is not abelian")
-    identity = group.elements[group.identity_index()]
+    identity = next(g for g in group.elements if g.is_identity())
     norm_form = {identity.key(): ()}
     reps = {identity.key(): identity}
     gens, rel_orders, rel_words = [], [], []

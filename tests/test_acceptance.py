@@ -235,15 +235,14 @@ def test_criterion_7_kirillov_character_pipeline():
             group = GroupTable.from_algebra(a3)
             kappa = corner_functional(a3)
             psi = kirillov(group, kappa)
+            by_key = {g.key(): g for g in group.elements}
             gk, hk = rep.corner.kirillov_witness
-            g = group.elements[group.index[gk]]
-            h = group.elements[group.index[hk]]
+            g, h = by_key[gk], by_key[hk]
             assert psi(g * h) != psi(g) * psi(h)
             if not exp_is_char:
                 psi_exp = exp_kirillov(group, kappa)
                 gk, hk = rep.corner.exp_kirillov_witness
-                g = group.elements[group.index[gk]]
-                h = group.elements[group.index[hk]]
+                g, h = by_key[gk], by_key[hk]
                 assert psi_exp(g * h) != psi_exp(g) * psi_exp(h)
             else:
                 assert rep.corner.exp_kirillov_witness is None

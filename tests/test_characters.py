@@ -18,8 +18,8 @@ from utchar.duals import Functional, orbit, orbit_keys
 from utchar.exotic import constant_diagonal_algebra, corner_functional
 from utchar.scalars import CyclotomicNumber, field_make
 
-from oracles import (dense_orbit_sum, random_functional, u4_and_subalgebra,
-                     xi_set)
+from oracles import (dense_orbit_sum, key_index, random_functional,
+                     u4_and_subalgebra, xi_set)
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -433,9 +433,10 @@ def check_orbit_sums(group, lam):
     psi = dense_orbit_sum(group, coadjoint,
                           Fraction(1, isqrt(len(coadjoint))))
     assert exact_values(kirillov(group, lam)) == exact_values(psi)
+    index = key_index(group)
     psi_exp = [None] * group.size
     for g, v in zip(group.elements, psi.values):
-        psi_exp[group.index[trunc_exp(g.body).key()]] = v
+        psi_exp[index[trunc_exp(g.body).key()]] = v
     assert exact_values(exp_kirillov(group, lam)) == \
         exact_values(ClassFunction(group, psi_exp))
     two = orbit(lam, "two-sided")

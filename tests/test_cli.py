@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import importlib.util
 import json
 import pathlib
 import subprocess
@@ -277,6 +279,44 @@ def test_s_bar_closure_failure_exits_1(monkeypatch, capsys):
     assert "s_bar is not closed under products" in captured.err
 
 
+CORNER_VERDICTS = ["chi_formula_matches", "constituents_distinct",
+                   "constituents_sum_matches"]
+
+
+def failing_corner(analysis, verdict):
+    """corner_character_analysis with one verdict of its report false."""
+    return lambda *args: dataclasses.replace(analysis(*args),
+                                             **{verdict: False})
+
+
+@pytest.mark.parametrize("verdict", CORNER_VERDICTS)
+def test_failed_corner_verdict_exits_1_from_kappa(monkeypatch, capsys,
+                                                  verdict):
+    argv = ["kappa", "--n", "3", "--q", "2"]
+    assert main(argv) == 0
+    want = json.loads(capsys.readouterr().out)
+    monkeypatch.setattr(cli, "corner_character_analysis",
+                        failing_corner(cli.corner_character_analysis,
+                                       verdict))
+    assert main(argv) == 1
+    # the report is still printed, with only the failed verdict changed
+    assert json.loads(capsys.readouterr().out) == {**want, verdict: False}
+
+
+@pytest.mark.parametrize("verdict", CORNER_VERDICTS)
+def test_failed_corner_verdict_exits_1_from_exotic(monkeypatch, capsys,
+                                                   verdict):
+    argv = ["exotic", "--r", "2", "--q", "2"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setattr(exotic, "corner_character_analysis",
+                        failing_corner(exotic.corner_character_analysis,
+                                       verdict))
+    assert main(argv) == 1
+    # the exotic JSON carries no corner verdict, so it does not change
+    assert capsys.readouterr().out == want
+
+
 @pytest.mark.parametrize("module,argv", [
     (exotic, ["kappa", "--n", "4", "--q", "2"]),
     (characters, ["table", "--n", "4", "--q", "2", "--lambda",
@@ -331,16 +371,34 @@ def test_unknown_which_exits_2(capsys):
             run(JobSpec(command=command, n=3, q=2, which="bogus"))
 
 
-@pytest.mark.parametrize("script,argv", [
-    ("verify_grid.py", ["--rmin", "2", "--rmax", "2", "--qs", "6"]),
-    ("exotic_grid.py", ["--rmin", "2", "--rmax", "2", "--qs", "2,12"]),
-    ("kappa_scan.py", ["--nmax", "3", "--qs", "1"])])
-def test_scripts_reject_q_that_is_not_a_prime_power(script, argv):
-    out = subprocess.run([sys.executable, str(ROOT / "scripts" / script)]
+@pytest.mark.parametrize("argv", [
+    ["verify", "--rmin", "2", "--rmax", "2", "--qs", "6"],
+    ["exotic", "--rmin", "2", "--rmax", "2", "--qs", "2,12"],
+    ["kappa", "--nmax", "3", "--qs", "1"]], ids=["verify", "exotic", "kappa"])
+def test_scripts_reject_q_that_is_not_a_prime_power(argv):
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "grid.py")]
                          + argv, cwd=ROOT, capture_output=True, text=True,
                          timeout=120)
     assert out.returncode == 2
     assert out.stdout == "" and "is not a prime power" in out.stderr
+
+
+def test_grid_script_exits_1_when_a_row_fails(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("grid",
+                                                  ROOT / "scripts" / "grid.py")
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)
+    argv = ["kappa", "--nmax", "3", "--qs", "2"]
+    assert grid.main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()
+    monkeypatch.setattr(grid, "corner_character_analysis",
+                        failing_corner(grid.corner_character_analysis,
+                                       "constituents_sum_matches"))
+    assert grid.main(argv) == 1
+    # the same rows are printed; only the timings may differ
+    failed = capsys.readouterr().out.splitlines()
+    assert [r.rsplit(None, 1)[0] for r in failed] == \
+        [r.rsplit(None, 1)[0] for r in rows]
 
 
 # sha256 of the JSON that main prints for each kappa and exotic run below,

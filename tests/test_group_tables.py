@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from utchar.algebra import NilAlgebra, NilMatrix, Pattern, VerificationFailed
+from utchar.algebra import (GroupElement, NilAlgebra, NilMatrix, Pattern,
+                            VerificationFailed)
 from utchar.chain import chain_compute
 from utchar.characters import (ClassFunction, GroupTable, abelian_dual,
                                homomorphism_defect, induce, theta_lambda, xi)
@@ -17,7 +18,7 @@ from utchar.scalars import CyclotomicNumber, field_make
 
 from oracles import (brute_force_abelian_dual, brute_force_classes,
                      brute_force_induce, brute_force_mul_table, dense_inverse,
-                     generator_test_algebras, max_element_order,
+                     generator_test_algebras, key_index, max_element_order,
                      random_functional, random_subalgebra, u4_and_subalgebra)
 
 FIELDS = {q: field_make(p, e) for q, p, e in
@@ -76,6 +77,12 @@ def test_mul_table_matches_oracle_on_noncommutative_subalgebra(q):
 def test_incomplete_mul_table_raises():
     group = unitriangular(3, 2)
     partial = GroupTable(group.algebra, group.elements[:5])
+    assert [partial.index_of(g) for g in group.elements[:5]] == list(range(5))
+    # algebra elements that the partial table lacks are not found
+    for g in group.elements[5:]:
+        assert not partial.contains(g)
+        with pytest.raises(KeyError):
+            partial.index_of(g)
     with pytest.raises(VerificationFailed, match="incomplete"):
         partial.mul_table()
 
@@ -238,7 +245,8 @@ def as_indices(group, defect):
     if defect is None:
         return None
     g, h = defect
-    return group.index[g.key()], group.index[h.key()]
+    index = key_index(group)
+    return index[g.key()], index[h.key()]
 
 
 @pytest.mark.parametrize("n,q", [(3, 2), (4, 2), (4, 3), (3, 5)])
@@ -288,8 +296,9 @@ def linear_functional(rng, algebra):
 def test_homomorphism_defect_generator_test_matches_scan(rng, make, size):
     group = make(*size)
     mul = brute_force_mul_table(group)
-    identity = group.identity_index()
-    gens = {group.index[s.key()] for s in group.algebra.group_generators()}
+    index = key_index(group)
+    identity = index[()]
+    gens = {index[s.key()] for s in group.algebra.group_generators()}
     psi = theta_lambda(group, linear_functional(rng, group.algebra))
     assert first_defect(psi, mul) is None
     assert homomorphism_defect(psi) is None
@@ -366,12 +375,33 @@ def test_recorded_coordinates_match_computed(q):
     for group, ambient in subgroup_tables(q):
         algebra = group.algebra
         want = [tuple(algebra.coordinates(g.body)) for g in group.elements]
-        assert group.coordinates() == want
+        assert group.coords == want
         # a table built from an element list computes its coordinates
-        assert GroupTable(algebra, group.elements).coordinates() == want
+        assert GroupTable(algebra, group.elements).coords == want
         assert group.coordinates_in(ambient) == [
             tuple(ambient.coordinates(g.body)) for g in group.elements]
         assert group.coordinates_in(algebra) == want
+        # the coordinate tuples are the table's one index
+        assert all(group.index_of(g) == i and group.contains(g)
+                   for i, g in enumerate(group.elements))
+        with pytest.raises(ValueError, match="duplicate group elements"):
+            GroupTable(algebra, group.elements + group.elements[-1:])
+        outside = [GroupElement(u) for u in ambient.basis()
+                   if not algebra.span.contains(u)]
+        assert bool(outside) == (ambient.span != algebra.span)
+        for g in outside:
+            assert not group.contains(g)
+            with pytest.raises(KeyError):
+                group.index_of(g)
+
+
+def test_index_of_rejects_a_matrix_over_another_pattern():
+    # e14 of u_4 lies at the place of e23 in the row-major order of u_3
+    group = unitriangular(3, 2)
+    e14 = NilMatrix.elementary(Pattern.full(4), FIELDS[2], 1, 4)
+    assert not group.contains(GroupElement(e14))
+    with pytest.raises(KeyError):
+        group.index_of(GroupElement(e14))
 
 
 @pytest.mark.parametrize("n,q", [(3, 2), (3, 5), (4, 2), (4, 3)])
