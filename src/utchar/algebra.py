@@ -343,15 +343,24 @@ def transpose(rows, width):
 
 def null_space(constraint_rows, width, field):
     """A basis of {x in F_q^width : sum_c r[c] x[c] = 0 for every row r},
-    one vector per free column of the reduced constraints."""
-    reduced = rref(list(constraint_rows), field)
+    in reduced row-echelon form, one vector per free column f.
+
+    The constraints are reduced with each pivot at its row's largest
+    column (rref on the relabelled columns width - 1 - c).  A pivot row
+    then reads x_pivot = -sum r[c] x_c over free columns c < pivot, so
+    the vector of f is 1 at f, 0 at every other free column, and nonzero
+    only at pivots greater than f: its leading 1 is at f, and the free
+    columns are the kernel's pivots.  The vectors come in order of f."""
+    last = width - 1
+    reduced = rref([{last - c: v for c, v in r.items()}
+                    for r in constraint_rows], field)
     basis = {c: {c: 1} for c in range(width)}
     for r in reduced:
-        pivot = min(r)
+        pivot = last - min(r)
         del basis[pivot]
         for c, v in r.items():  # reduced: other entries are free columns
-            if c != pivot:
-                basis[c][pivot] = field.neg(v)
+            if last - c != pivot:
+                basis[last - c][pivot] = field.neg(v)
     return list(basis.values())
 
 
@@ -488,7 +497,9 @@ class Subspace:
             self.row_dicts() + other.row_dicts())
 
     def restrict_to_zero(self, coords):
-        """The subspace of vectors vanishing on the given coordinates."""
+        """The subspace of vectors vanishing on the given coordinates.  The
+        kernel combinations and the rows are both in reduced echelon form,
+        so their products are too (`echelon_combinations`)."""
         cols = sorted(set(coords))
         col_pos = {c: k for k, c in enumerate(cols)}
         basis_rows = self.row_dicts()
@@ -497,9 +508,8 @@ class Subspace:
             mrows.append({col_pos[c]: v for c, v in rdict.items()
                           if c in col_pos})
         combos = left_kernel(mrows, len(cols), self.field)
-        vectors = [combine_rows(combo, basis_rows, self.field)
-                   for combo in combos]
-        return Subspace.from_vectors(self.pattern, self.field, vectors)
+        return echelon_combinations(self.pattern, self.field, combos,
+                                    basis_rows)
 
     def __eq__(self, other):
         if self is other:
@@ -517,9 +527,25 @@ class Subspace:
 
 
 def solution_space(pattern, field, constraint_rows):
-    """Kernel of the linear constraints (rows over position coordinates)."""
-    return Subspace.from_vectors(
-        pattern, field, null_space(constraint_rows, len(pattern.order), field))
+    """Kernel of the linear constraints (rows over position coordinates);
+    null_space returns it in reduced echelon form."""
+    return Subspace(pattern, field,
+                    null_space(constraint_rows, len(pattern.order), field))
+
+
+def echelon_combinations(pattern, field, combos, rows):
+    """The subspace spanned by the combinations sum_a k[a] * rows[a], for
+    combos and rows both in reduced echelon form (rows in pivot order, as
+    null_space and Subspace.row_dicts give them); no elimination is run.
+
+    The product K R of two reduced echelon matrices is reduced echelon:
+    row f of K is 1 at its pivot a_f and 0 at the other pivots of K, and
+    nonzero only at columns a >= a_f, so row f of K R is rows[a_f] plus
+    later rows, with its leading 1 at the pivot of rows[a_f]; at the
+    pivot of rows[a_g], a column of R that is the unit vector at a_g, it
+    reads K[f][a_g], which is 1 if g = f and 0 otherwise."""
+    return Subspace(pattern, field,
+                    [combine_rows(k, rows, field) for k in combos])
 
 
 # ---------------------------------------------------------------------------
@@ -717,6 +743,52 @@ def ideal_check(sub, ambient):
     if absorbs(sub_basis, sub_basis):
         return "subalgebra"
     return "none"
+
+
+def products_vanish_at(left, right, positions):
+    """Whether (u v)[i, k] = 0 for every u in the basis of the subspace
+    left, every v in the basis of right and every position (i, k).
+
+    No matrix product is formed: (u v)[i, k] is the dot product of row i
+    of u with column k of v, so the condition at (i, k) says that the row-i
+    slices of left's basis are orthogonal to the column-k slices of
+    right's.  Each set of slices is reduced once (`rref`) to a basis of
+    its span, and only the pairs of reduced slices are multiplied.
+
+    With h the vectors of a closed subspace S that vanish on a set P of
+    positions, h is a two-sided ideal of S exactly when this holds for
+    (S, h) and for (h, S) on P: u v and v u lie in S, and they lie in h
+    iff they vanish on P.  `ideal_check` is the product-based oracle."""
+    field = left.field
+    by_row, by_col = {}, {}
+    for u in left.basis_matrices():
+        for i, row in u.rows().items():
+            by_row.setdefault(i, []).append(dict(row))
+    for v in right.basis_matrices():
+        cols = {}
+        for (j, k), c in v.entries.items():
+            cols.setdefault(k, {})[j] = c
+        for k, col in cols.items():
+            by_col.setdefault(k, []).append(col)
+    reduced_rows, reduced_cols = {}, {}
+    add, mul = field.add, field.mul
+    for i, k in positions:
+        if i not in by_row or k not in by_col:
+            continue
+        if i not in reduced_rows:
+            reduced_rows[i] = rref(by_row[i], field)
+        if k not in reduced_cols:
+            reduced_cols[k] = rref(by_col[k], field)
+        for a in reduced_rows[i]:
+            for b in reduced_cols[k]:
+                dot = 0
+                for j, x in a.items():
+                    y = b.get(j)
+                    if y:
+                        dot = add(dot, mul(x, y))
+                if dot:
+                    return False
+    return True
 
 
 @dataclass(frozen=True)

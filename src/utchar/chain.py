@@ -2,18 +2,20 @@
 its stabilization, and the combinatorial fast path for quasi-monomial
 functionals on pattern algebras.
 
-Every step of the chain restricts one fixed matrix, the Gram matrix
-B[a][b] = lam(e_a e_b) of the form lam(XY) on the algebra basis.  B is
-built once per chain from the structurally nonzero basis products; each
-step is then sparse F_q linear algebra on B and the current basis of s^i,
-with no further matrix products."""
+Every step of the chain reads the form lam(XY) on the current s^i, in
+the coordinates of its echelon basis.  On s^0, the algebra itself, that
+is the Gram matrix B[a][b] = lam(e_a e_b), built once per chain from the
+structurally nonzero basis products; each step restricts the last form
+to the next s^i, so the chain runs sparse F_q linear algebra with no
+further matrix products, and each subspace costs one elimination."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .algebra import (Subspace, VerificationFailed, combine_rows,
-                      ideal_check, left_kernel, nonzero_products, transpose)
+                      echelon_combinations, ideal_check, left_kernel,
+                      nonzero_products, transpose)
 from .duals import Functional, is_quasi_monomial
 
 
@@ -104,44 +106,47 @@ def gram_block(algebra, gram, space):
     pivot_pos = {c: a for a, c in enumerate(algebra.span.pivots)}
     coords = [{pivot_pos[c]: v for c, v in row if c in pivot_pos}
               for row in space.rows]
-    coord_cols = transpose(coords, algebra.dim)
-    return [combine_rows(combine_rows(c, gram, field), coord_cols, field)
-            for c in coords]
+    return restrict_form(gram, coords, algebra.dim, field)
 
 
-def _span_of(algebra, combos, rows):
-    """The canonical span of the combinations sum_a k[a] * rows[a]."""
-    return Subspace.from_vectors(
-        algebra.pattern, algebra.field,
-        [combine_rows(k, rows, algebra.field) for k in combos])
+def restrict_form(form, combos, width, field):
+    """K M K^T as sparse rows: the form M, on width coordinates, read on
+    the vectors whose coefficients over those coordinates are the rows
+    of K."""
+    cols = transpose(combos, width)
+    return [combine_rows(combine_rows(k, form, field), cols, field)
+            for k in combos]
 
 
 def chain_compute(algebra, lam, validate=False):
     """Run the inductive kernel chain for lam on the algebra until the
     descending side stabilizes.
 
-    With C the basis of s^{i-1} in algebra coordinates, the form lam(XY)
-    on s^{i-1} is M1 = C B C^T; l^i comes from the left kernel K1 of M1,
-    and s^i from the left kernel of M1 K1^T (the form against the spanning
-    set K1 of l^i)."""
+    M is the form lam(XY) on s^{i-1} over its echelon basis; on s^0 it is
+    the Gram matrix B.  l^i comes from the left kernel K_l of M, and s^i
+    from the left kernel K_s of M K_l^T (the form against the spanning set
+    K_l of l^i).  Both kernels are reduced echelon combinations of the
+    echelon rows of s^{i-1}, so their spans need no elimination
+    (`echelon_combinations`), and the rows of s^i are the rows of K_s
+    times those of s^{i-1}, in order; the next form is K_s M K_s^T."""
     if lam.algebra.span != algebra.span:
         raise ValueError("the functional lives on another algebra")
-    field = algebra.field
-    gram = gram_matrix(lam)
+    pattern, field = algebra.pattern, algebra.field
+    form = gram_matrix(lam)
     s_list = [algebra.span]
-    l_list = [Subspace.zero(algebra.pattern, field)]
+    l_list = [Subspace.zero(pattern, field)]
     for _ in range(algebra.dim + 1):
         s_prev = s_list[-1]
         rows = s_prev.row_dicts()
-        form = gram_block(algebra, gram, s_prev)
         l_combos = left_kernel(form, len(rows), field)
         l_cols = transpose(l_combos, len(rows))
         against_l = [combine_rows(m, l_cols, field) for m in form]
         s_combos = left_kernel(against_l, len(l_combos), field)
-        l_list.append(_span_of(algebra, l_combos, rows))
-        s_list.append(_span_of(algebra, s_combos, rows))
+        l_list.append(echelon_combinations(pattern, field, l_combos, rows))
+        s_list.append(echelon_combinations(pattern, field, s_combos, rows))
         if s_list[-1] == s_prev:
             break
+        form = restrict_form(form, s_combos, len(rows), field)
     else:
         raise VerificationFailed("chain failed to stabilize")
     result = ChainResult(algebra, lam, l_list, s_list, len(s_list) - 1)

@@ -2,7 +2,7 @@
 and emits deterministic JSON (sorted keys, exact rational strings).
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input,
-3 enumeration cap exceeded.
+3 enumeration cap exceeded or out of memory.
 """
 
 from __future__ import annotations
@@ -379,6 +379,10 @@ def main(argv=None):
         body, code = run(spec)
     except CapExceeded as err:
         print(f"error: {err}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        # the cap bounds |G|, not the |G|^2 tables some stages build
+        print("error: out of memory", file=sys.stderr)
         return 3
     except VerificationFailed as err:
         print(f"error: {err}", file=sys.stderr)

@@ -11,7 +11,7 @@ from math import gcd
 
 from .algebra import (DEFAULT_CAP, NilAlgebra, NilMatrix, Pattern,
                       Subspace, VerificationFailed, ideal_check,
-                      solution_space)
+                      products_vanish_at, solution_space)
 from .chain import (chain_compute, gram_block, gram_matrix,
                     quasimonomial_kernels)
 from .characters import (GroupTable, abelian_dual, exp_kirillov,
@@ -363,7 +363,9 @@ class AbelianQuotientSplit:
 def abelian_quotient_split(r, field, chain):
     """Split s_bar as a (+) h, with h a two-sided ideal and a a subalgebra
     isomorphic (as an algebra) to a_{r+1}(q), matching the corner
-    functional through the isomorphism."""
+    functional through the isomorphism.  s_bar must be closed under
+    products (exotic_report checks it first): the ideal test of h reads
+    only the positions that cut h out of s_bar."""
     algebra = chain.algebra
     pattern = algebra.pattern
     atlas = build_regions(r)
@@ -376,14 +378,17 @@ def abelian_quotient_split(r, field, chain):
         rows.append({index[p]: 1, index[atlas.mirror[p]]: field.neg(1)})
     a_span = solution_space(pattern, field, rows)
     # h: the part of s_bar vanishing on D and the corner
-    h_span = chain.s_bar.restrict_to_zero(
-        [index[p] for p in list(atlas.D) + [corner_pos]])
+    zero_on = list(atlas.D) + [corner_pos]
+    h_span = chain.s_bar.restrict_to_zero([index[p] for p in zero_on])
     checks = {}
     checks["direct_sum"] = (
         a_span.sum_with(h_span) == chain.s_bar
         and a_span.dim + h_span.dim == chain.s_bar.dim)
+    # s_bar is closed, so h is a two-sided ideal iff the products of s_bar
+    # and h vanish where h is cut out
     checks["h_two_sided_ideal"] = (
-        ideal_check(h_span, chain.s_bar) == "two-sided-ideal")
+        products_vanish_at(chain.s_bar, h_span, zero_on)
+        and products_vanish_at(h_span, chain.s_bar, zero_on))
     checks["a_subalgebra"] = ideal_check(a_span, chain.s_bar) in (
         "subalgebra", "right-ideal", "two-sided-ideal")
     corner = Functional.from_entries(algebra, {corner_pos: 1})
@@ -617,13 +622,14 @@ def exotic_report(r, field, n=None, cap=DEFAULT_CAP):
     tech, ch, atlas = verify_chain_closed_forms(r, field)
     if not tech.ok:
         raise VerificationFailed("closed-form chain verification failed")
+    # abelian_quotient_split's ideal test assumes that s_bar is closed
+    _require(NilAlgebra.from_subspace(ch.s_bar, field, check=False)
+             .is_closed_under_products(),
+             "s_bar is not closed under products")
     split = abelian_quotient_split(r, field, ch)
     if not split.ok:
         raise VerificationFailed(f"quotient split failed: {split.checks}")
     algebra = ch.algebra
-    _require(NilAlgebra.from_subspace(ch.s_bar, field, check=False)
-             .is_closed_under_products(),
-             "s_bar is not closed under products")
     # (g nu)(X) = nu(X) + nu(h X) and (nu g)(X) = nu(X) + nu(X h) with
     # h = g^-1 - 1, which runs over all of s_bar as g runs over 1 + s_bar;
     # so 1 + s_bar fixes nu on s_bar from either side iff

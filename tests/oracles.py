@@ -8,7 +8,8 @@ from fractions import Fraction
 from math import lcm
 
 from utchar.algebra import (DEFAULT_CAP, GroupElement, NilAlgebra, NilMatrix,
-                            Pattern, Subspace, VerificationFailed)
+                            Pattern, Subspace, VerificationFailed,
+                            combine_rows, left_kernel, null_space)
 from utchar.characters import ClassFunction, GroupTable, theta_lambda
 from utchar.duals import Functional, act_coadjoint, act_left, act_right
 from utchar.exotic import constant_diagonal_algebra
@@ -53,6 +54,33 @@ def dense_left_kernel(matrix, field):
         if not any(row[:ncols]):
             kernel.append(row[ncols:])
     return dense_rref(kernel, field)
+
+
+def two_elimination_span(pattern, field, combos, rows):
+    """The span of the combinations sum_a k[a] * rows[a], reduced once more
+    by rref, as the chain built its subspaces before kernels came back in
+    echelon form."""
+    return Subspace.from_vectors(
+        pattern, field, [combine_rows(k, rows, field) for k in combos])
+
+
+def two_elimination_solution_space(pattern, field, constraint_rows):
+    """algebra.solution_space with its kernel reduced once more by rref."""
+    return Subspace.from_vectors(
+        pattern, field, null_space(constraint_rows, len(pattern.order), field))
+
+
+def two_elimination_restrict_to_zero(space, coords):
+    """Subspace.restrict_to_zero with the combinations of its rows reduced
+    once more by rref."""
+    cols = sorted(set(coords))
+    col_pos = {c: k for k, c in enumerate(cols)}
+    basis_rows = space.row_dicts()
+    mrows = [{col_pos[c]: v for c, v in row.items() if c in col_pos}
+             for row in basis_rows]
+    combos = left_kernel(mrows, len(cols), space.field)
+    return two_elimination_span(space.pattern, space.field, combos,
+                                basis_rows)
 
 
 def pivot_scan_rref(rows, field):

@@ -1,11 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from utchar import algebra
 from utchar.algebra import (CapExceeded, GroupElement, NilAlgebra, NilMatrix,
-                            Pattern, Subspace, apply_columns, ideal_check,
-                            left_kernel, nonzero_products, quotient_project,
-                            rref, solution_space, sparse_column, trunc_exp,
-                            trunc_log)
+                            Pattern, Subspace, apply_columns,
+                            echelon_combinations, ideal_check, left_kernel,
+                            nonzero_products, products_vanish_at,
+                            quotient_project, rref, solution_space,
+                            sparse_column, trunc_exp, trunc_log)
 from utchar.scalars import field_make
 
 from oracles import (all_pairs_closed, all_pairs_commutative,
@@ -15,6 +17,8 @@ from oracles import (all_pairs_closed, all_pairs_commutative,
                      generator_test_algebras, pair_scan_is_closed,
                      pivot_scan_rref, random_closed_pattern, random_element,
                      random_subalgebra, subspace_dense_rows,
+                     two_elimination_restrict_to_zero,
+                     two_elimination_solution_space, two_elimination_span,
                      u4_and_subalgebra)
 
 F2 = field_make(2)
@@ -362,8 +366,58 @@ def test_left_kernel_matches_dense_oracle(p, e, rng):
         sparse = [{c: v for c, v in enumerate(row) if v} for row in dense]
         kernel = left_kernel(sparse, width, field)
         as_dense = [[vec.get(a, 0) for a in range(nrows)] for vec in kernel]
-        assert len(dense_rref(as_dense, field)) == len(kernel)
-        assert dense_rref(as_dense, field) == dense_left_kernel(dense, field)
+        # the kernel comes back in reduced echelon form, rows in pivot order
+        assert as_dense == dense_left_kernel(dense, field)
+
+
+def random_sparse_rows(rng, field, count, width):
+    density = rng.random()
+    return [{c: rng.randrange(1, field.q) for c in range(width)
+             if rng.random() < density} for _ in range(count)]
+
+
+ECHELON_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1)]
+
+
+@pytest.mark.parametrize("p,e", ECHELON_FIELDS)
+def test_echelon_kernels_need_no_second_elimination(p, e, rng):
+    # solution_space, restrict_to_zero and the chain's spans build their
+    # subspaces from echelon kernels without reducing them again; the
+    # oracles reduce them again with rref
+    field = field_make(p, e)
+    for _ in range(30):
+        pattern = Pattern.full(rng.randrange(2, 6))
+        width = len(pattern.order)
+        constraints = random_sparse_rows(
+            rng, field, rng.randrange(0, width + 2), width)
+        assert solution_space(pattern, field, constraints) == \
+            two_elimination_solution_space(pattern, field, constraints)
+        space = Subspace.from_vectors(pattern, field, random_sparse_rows(
+            rng, field, rng.randrange(0, width + 1), width))
+        coords = rng.sample(range(width), rng.randrange(0, width + 1))
+        assert space.restrict_to_zero(coords) == \
+            two_elimination_restrict_to_zero(space, coords)
+        rows = space.row_dicts()
+        form = random_sparse_rows(rng, field, len(rows), len(rows))
+        for combos in (left_kernel(form, len(rows), field),
+                       rref(random_sparse_rows(rng, field, len(rows),
+                                               len(rows)), field)):
+            assert echelon_combinations(pattern, field, combos, rows) == \
+                two_elimination_span(pattern, field, combos, rows)
+
+
+def test_each_subspace_costs_one_elimination(monkeypatch, rng):
+    calls = []
+    real_rref = algebra.rref
+    monkeypatch.setattr(algebra, "rref",
+                        lambda rows, field: calls.append(1)
+                        or real_rref(rows, field))
+    pattern = Pattern.full(5)
+    width = len(pattern.order)
+    space = solution_space(pattern, F3,
+                           random_sparse_rows(rng, F3, 4, width))
+    space.restrict_to_zero(rng.sample(range(width), 3))
+    assert len(calls) == 2
 
 
 SMALL_AMBIENTS = [(Pattern.full(4), F2), (Pattern.full(4), F3),
@@ -632,3 +686,70 @@ def test_apply_columns_matches_dense_mat_vec(p, e, rng):
                  for b, column in enumerate(dense) if any(column)]
         rng.shuffle(pairs)
         assert apply_columns(field, pairs, vec, tuple(start)) == tuple(want)
+
+
+@pytest.mark.parametrize("p,e", ECHELON_FIELDS)
+def test_products_vanish_at_matches_basis_products(p, e, rng, monkeypatch):
+    # right is a random subspace, or the solution space of
+    # (u v)[i, k] = 0 for the u in some of left's basis, so that the test
+    # holds, or fails only through the other u
+    field = field_make(p, e)
+    cases = []
+    for _ in range(60):
+        pattern = Pattern.full(rng.randrange(3, 7))
+        width, index = len(pattern.order), pattern.index
+        left = Subspace.from_vectors(pattern, field, random_sparse_rows(
+            rng, field, rng.randrange(0, width + 1), width))
+        positions = rng.sample(pattern.order, rng.randrange(0, 4))
+        basis = left.basis_matrices()
+        if rng.random() < 0.3:
+            right = Subspace.from_vectors(pattern, field, random_sparse_rows(
+                rng, field, rng.randrange(0, 4), width))
+        else:
+            some = rng.sample(basis, rng.randrange(len(basis) + 1))
+            right = solution_space(pattern, field, [
+                {index[(j, k)]: c for j, c in u.rows().get(i, ())
+                 if (j, k) in index}
+                for u in some for i, k in positions])
+        want = all((u @ v).coeff(i, k) == 0
+                   for u in basis for v in right.basis_matrices()
+                   for i, k in positions)
+        cases.append((left, right, positions, want))
+    assert {want for *_, want in cases} == {True, False}
+
+    def no_product(*args):
+        raise AssertionError("a NilMatrix product was formed")
+
+    monkeypatch.setattr(NilMatrix, "__matmul__", no_product)
+    for left, right, positions, want in cases:
+        assert products_vanish_at(left, right, positions) == want
+
+
+def h_is_ideal(space, positions):
+    """The ideal test of exotic.abelian_quotient_split: h, the part of the
+    closed subspace vanishing on the positions, against ideal_check."""
+    index = space.pattern.index
+    h = space.restrict_to_zero([index[pos] for pos in positions])
+    fast = (products_vanish_at(space, h, positions)
+            and products_vanish_at(h, space, positions))
+    return fast, ideal_check(h, space) == "two-sided-ideal"
+
+
+@pytest.mark.parametrize("p,e", ECHELON_FIELDS)
+def test_h_ideal_test_matches_ideal_check(p, e, rng):
+    field = field_make(p, e)
+    outcomes = set()
+    for alg in generator_test_algebras(rng, field):
+        order = alg.pattern.order
+        for _ in range(4):
+            positions = rng.sample(order, rng.randrange(0, len(order) + 1))
+            fast, oracle = h_is_ideal(alg.span, positions)
+            assert fast == oracle
+            outcomes.add(oracle)
+    assert outcomes == {True, False}
+    # planted non-ideal: e12 and e23 vanish at (1, 3), their product e13
+    # does not
+    u4, _ = u4_and_subalgebra(field)
+    assert h_is_ideal(u4.span, [(1, 3)]) == (False, False)
+    # vanishing on the superdiagonal cuts out the ideal u_4(q)^2
+    assert h_is_ideal(u4.span, [(1, 2), (2, 3), (3, 4)]) == (True, True)

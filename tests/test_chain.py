@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+from utchar import algebra as algebra_module
 from utchar import chain as chain_module
 from utchar.algebra import (NilAlgebra, Pattern, Subspace, VerificationFailed,
                             null_space)
@@ -179,6 +180,32 @@ def test_chain_matches_dense_oracle_on_closed_patterns(rng):
         ds.append(assert_matches_dense_chain(alg, lam).d)
         hits += 1
     assert {1, 2, 3, 4} <= set(ds)
+
+
+def test_chain_steps_restrict_the_last_form(monkeypatch, rng):
+    # no step reads the Gram block of s^(i-1): each restricts the form of
+    # the step before, and runs one elimination per kernel, so the spans
+    # of l^i and s^i are not reduced again
+    def no_gram_block(*args):
+        raise AssertionError("chain_compute called gram_block")
+
+    calls = []
+    real_rref = algebra_module.rref
+    monkeypatch.setattr(chain_module, "gram_block", no_gram_block)
+    monkeypatch.setattr(algebra_module, "rref",
+                        lambda rows, field: calls.append(1)
+                        or real_rref(rows, field))
+    ds = set()
+    for k in range(12):
+        alg = NilAlgebra.pattern_algebra(Pattern.full(rng.randrange(5, 8)),
+                                         FIELDS[k % 4])
+        lam = perturbed_staircase(rng, alg)
+        calls.clear()
+        d = chain_compute(alg, lam).d
+        assert len(calls) == 2 * d
+        assert_matches_dense_chain(alg, lam)
+        ds.add(d)
+    assert max(ds) >= 3
 
 
 def random_subspace_algebra(rng, field):

@@ -11,7 +11,9 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from utchar import characters, cli, exotic
-from utchar.algebra import GroupElement, NilAlgebra, Pattern
+from utchar.algebra import (GroupElement, NilAlgebra, Pattern,
+                            VerificationFailed)
+from utchar.characters import GroupTable
 from utchar.cli import JobSpec, build_parser, main, render, run, spec_from_args
 from utchar.scalars import field_make
 
@@ -269,14 +271,47 @@ def test_s_bar_closure_failure_exits_1(monkeypatch, capsys):
         s_bars.append(ch.s_bar)
         return tech, ch, atlas
 
+    def split(*args):
+        raise VerificationFailed("the split ran before the closure check")
+
     monkeypatch.setattr(exotic, "verify_chain_closed_forms", verify)
     monkeypatch.setattr(
         NilAlgebra, "is_closed_under_products",
         lambda alg: alg.span not in s_bars and real_closed(alg))
+    # the split's ideal test of h assumes a closed s_bar, so the closure
+    # check must come first
+    monkeypatch.setattr(exotic, "abelian_quotient_split", split)
     assert main(["exotic", "--r", "2", "--q", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "s_bar is not closed under products" in captured.err
+
+
+def test_false_h_ideal_verdict_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(exotic, "products_vanish_at", lambda *args: False)
+    assert main(["exotic", "--r", "2", "--q", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'h_two_sided_ideal': False" in captured.err
+
+
+@pytest.mark.parametrize("module,name,argv", [
+    (cli, "exotic_report", ["exotic", "--r", "9", "--q", "3"]),
+    (cli, "corner_character_analysis", ["kappa", "--n", "17", "--q", "2"]),
+    (GroupTable, "from_algebra", ["table", "--n", "3", "--q", "2",
+                                  "--lambda", "[[1,3,1]]", "--which",
+                                  "theta"])])
+def test_out_of_memory_exits_3(module, name, argv, monkeypatch, capsys):
+    # the stage raises at once, so the test allocates nothing; a run that
+    # passes --cap can still build |G|^2 tables and exhaust memory, which
+    # is not a verification mismatch
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(module, name, exhausted)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: out of memory\n"
 
 
 CORNER_VERDICTS = ["chi_formula_matches", "constituents_distinct",
