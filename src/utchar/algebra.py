@@ -404,7 +404,8 @@ class Subspace:
     """An F_q-subspace of a pattern coordinate space in canonical reduced
     row-echelon form."""
 
-    __slots__ = ("pattern", "field", "rows", "pivots", "_mats", "_tails")
+    __slots__ = ("pattern", "field", "rows", "pivots", "_mats", "_tails",
+                 "_pivot_index")
 
     def __init__(self, pattern, field, rows):
         self.pattern = pattern
@@ -413,6 +414,7 @@ class Subspace:
         self.pivots = tuple(r[0][0] for r in self.rows)
         self._mats = None
         self._tails = None
+        self._pivot_index = None
 
     @classmethod
     def from_vectors(cls, pattern, field, vectors):
@@ -445,6 +447,13 @@ class Subspace:
         if self._tails is None:
             self._tails = {r[0][0]: dict(r[1:]) for r in self.rows}
         return self._tails
+
+    def pivot_index(self):
+        """{pivot column: the number of its row}, built once; callers must
+        not mutate it."""
+        if self._pivot_index is None:
+            self._pivot_index = {c: a for a, c in enumerate(self.pivots)}
+        return self._pivot_index
 
     def basis_matrices(self):
         if self._mats is None:

@@ -5,9 +5,10 @@ functionals on pattern algebras.
 Every step of the chain reads the form lam(XY) on the current s^i, in
 the coordinates of its echelon basis.  On s^0, the algebra itself, that
 is the Gram matrix B[a][b] = lam(e_a e_b), built once per chain from the
-structurally nonzero basis products; each step restricts the last form
-to the next s^i, so the chain runs sparse F_q linear algebra with no
-further matrix products, and each subspace costs one elimination."""
+basis products that meet lam's support (`gram_matrix`); each step
+restricts the last form to the next s^i, so the chain runs sparse F_q
+linear algebra with no further matrix products, and each subspace costs
+one elimination."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 from .algebra import (Subspace, VerificationFailed, combine_rows,
                       echelon_combinations, ideal_check, left_kernel,
-                      nonzero_products, transpose)
+                      transpose)
 from .duals import Functional, is_quasi_monomial
 
 
@@ -86,14 +87,45 @@ class ChainResult:
 
 
 def gram_matrix(lam):
-    """B[a][b] = lam(e_a e_b) on the algebra basis, as sparse rows.  Only
-    the structurally nonzero products are formed (`nonzero_products`)."""
-    basis = lam.algebra.basis()
-    gram = [{} for _ in basis]
-    for a, b, uv in nonzero_products(basis, basis):
-        v = lam.evaluate(uv)
+    """B[a][b] = lam(e_a e_b) on the algebra basis, as sparse rows.
+
+    On a member M of the algebra, lam(M) is the sum of lam_k M[p_k] over
+    the positions p_k = pattern.order[pivot_k], because a member's
+    coordinates are its pivot entries (on a pattern algebra p_k is the
+    k-th position).  So lam(e_a e_b) can be nonzero only if e_a[i, j] and
+    e_b[j, k] are nonzero for some j and some (i, k) in the support
+    {p_k : lam_k != 0}, and only those products are formed and evaluated;
+    every other entry is 0.  The left factors are read by their entries
+    in the support's rows, the right ones through an index of the basis
+    by entry position (j, k) for the support's columns k, and the pairs
+    come in order of a, then of b.
+
+    Skipped pairs never pass through evaluate's membership check, so a
+    subspace algebra is assumed closed under products, which
+    NilAlgebra.from_subspace checks by default.  A body that contracts
+    the slices without forming products waits for ROADMAP item 0."""
+    algebra = lam.algebra
+    basis = algebra.basis()
+    order = algebra.pattern.order
+    support = {}  # row i -> the columns k with (i, k) in the support
+    for p, v in zip(algebra.span.pivots, lam.values):
         if v:
-            gram[a][b] = v
+            i, k = order[p]
+            support.setdefault(i, []).append(k)
+    columns = {k for ks in support.values() for k in ks}
+    at = {}  # (j, k) with k a support column -> the b with e_b[j, k] != 0
+    for b, w in enumerate(basis):
+        for pos in w.entries:
+            if pos[1] in columns:
+                at.setdefault(pos, []).append(b)
+    gram = [{} for _ in basis]
+    for a, u in enumerate(basis):
+        partners = {b for (i, j) in u.entries for k in support.get(i, ())
+                    for b in at.get((j, k), ())}
+        for b in sorted(partners):
+            v = lam.evaluate(u @ basis[b])
+            if v:
+                gram[a][b] = v
     return gram
 
 
@@ -103,7 +135,7 @@ def gram_block(algebra, gram, space):
     in algebra coordinates (its rows read at the pivots of the algebra's
     span).  Entry [a][b] is the form on the a-th and b-th echelon rows."""
     field = algebra.field
-    pivot_pos = {c: a for a, c in enumerate(algebra.span.pivots)}
+    pivot_pos = algebra.span.pivot_index()
     coords = [{pivot_pos[c]: v for c, v in row if c in pivot_pos}
               for row in space.rows]
     return restrict_form(gram, coords, algebra.dim, field)

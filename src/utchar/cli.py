@@ -47,11 +47,23 @@ class JobSpec:
 
     def validate(self):
         """Raise ValueError for inputs no command accepts: an enumeration
-        cap below 1, or kappa with n < 2 (A_n(q) then has no corner)."""
+        cap below 1, chain, orbit or table with n < 1, kappa with n < 2
+        (A_n(q) then has no corner), or a lambda that is not a list of
+        [i, j, c] triples of integers; a float, bool or string entry is
+        rejected rather than coerced."""
         if self.cap < 1:
             raise ValueError(f"cap {self.cap} is not a positive integer")
+        if self.command in ("chain", "orbit", "table") and self.n < 1:
+            raise ValueError(f"{self.command} needs n >= 1, got n = {self.n}")
         if self.command == "kappa" and self.n < 2:
             raise ValueError(f"kappa needs n >= 2, got n = {self.n}")
+        if not isinstance(self.lam, (list, tuple)):
+            raise ValueError("lambda must be a JSON list of [i, j, c] triples")
+        for entry in self.lam:
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 3
+                    and all(type(x) is int for x in entry)):
+                raise ValueError(f"bad lambda entry {entry!r}: expected "
+                                 "[i, j, c] with integer i, j and c")
 
 
 def field_for(q, modulus=None):
@@ -75,18 +87,6 @@ def _functional_for(spec, algebra):
         seen.add((i, j))
     return Functional.from_entries(algebra,
                                    {(i, j): c for i, j, c in spec.lam})
-
-
-def _parse_lambda(text):
-    entries = json.loads(text)
-    if not isinstance(entries, list):
-        raise ValueError("lambda must be a JSON list of [i, j, c] triples")
-    out = []
-    for item in entries:
-        if not (isinstance(item, list) and len(item) == 3):
-            raise ValueError(f"bad lambda entry {item!r}")
-        out.append([int(item[0]), int(item[1]), int(item[2])])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +355,7 @@ def spec_from_args(args):
         modulus=modulus,
         n=getattr(args, "n", 0) or 0,
         r=getattr(args, "r", 0) or 0,
-        lam=_parse_lambda(getattr(args, "lam", "[]") or "[]"),
+        lam=json.loads(getattr(args, "lam", "[]") or "[]"),
         which=getattr(args, "which", "") or "",
         cap=args.cap,
         out=args.out,

@@ -10,6 +10,7 @@ from math import lcm
 from utchar.algebra import (DEFAULT_CAP, GroupElement, NilAlgebra, NilMatrix,
                             Pattern, Subspace, VerificationFailed,
                             combine_rows, left_kernel, null_space)
+from utchar.chain import chain_compute
 from utchar.characters import ClassFunction, GroupTable, theta_lambda
 from utchar.duals import Functional, act_coadjoint, act_left, act_right
 from utchar.exotic import constant_diagonal_algebra
@@ -536,6 +537,13 @@ def random_functional(rng, algebra):
                        for _ in range(algebra.dim)])
 
 
+def random_subspace_algebra(rng, field):
+    """The subalgebra s^1 of a random functional on u_n(q), 4 <= n <= 6."""
+    u = NilAlgebra.pattern_algebra(Pattern.full(rng.randrange(4, 7)), field)
+    s1 = chain_compute(u, random_functional(rng, u)).s_list[1]
+    return NilAlgebra.from_subspace(s1, field)
+
+
 def u4_and_subalgebra(field):
     """u_4(q) and the non-commutative subalgebra spanned by e12 + e34, e13,
     e14 and e24, which is not spanned by pattern positions."""
@@ -660,3 +668,21 @@ def all_pairs_commutative(algebra):
     """algebra.is_commutative, both products of every basis pair."""
     basis = algebra.basis()
     return all((u @ v) == (v @ u) for u in basis for v in basis)
+
+
+def coordinate_evaluate(lam, mat):
+    """lam(mat) as the dot product of lam's values with mat's coordinates
+    over the algebra basis; ValueError if mat lies outside the algebra."""
+    field = lam.algebra.field
+    acc = 0
+    for v, c in zip(lam.values, lam.algebra.coordinates(mat)):
+        acc = field.add(acc, field.mul(v, c))
+    return acc
+
+
+def all_pairs_gram(lam):
+    """chain.gram_matrix with one NilMatrix product and one coordinate
+    evaluation per basis pair, in order of a, then of b."""
+    basis = lam.algebra.basis()
+    return [{b: v for b, w in enumerate(basis)
+             if (v := coordinate_evaluate(lam, u @ w))} for u in basis]

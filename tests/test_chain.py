@@ -4,17 +4,19 @@ import pytest
 
 from utchar import algebra as algebra_module
 from utchar import chain as chain_module
-from utchar.algebra import (NilAlgebra, Pattern, Subspace, VerificationFailed,
-                            null_space)
+from utchar.algebra import (NilAlgebra, NilMatrix, Pattern, Subspace,
+                            VerificationFailed, null_space)
 from utchar.chain import (chain_compute, gram_block, gram_matrix,
                           quasimonomial_irreducible, quasimonomial_kernels)
 from utchar.duals import Functional, is_quasi_monomial, orbit
 from utchar.exotic import constant_diagonal_algebra
 from utchar.scalars import field_make
 
-from oracles import (brute_force_first_kernels, dense_chain, products_vanish,
+from oracles import (all_pairs_gram, brute_force_first_kernels, dense_chain,
+                     generator_test_algebras, products_vanish,
                      random_closed_pattern, random_functional,
-                     random_quasimonomial, subspace_dense_rows)
+                     random_quasimonomial, random_subspace_algebra,
+                     subspace_dense_rows)
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -208,13 +210,6 @@ def test_chain_steps_restrict_the_last_form(monkeypatch, rng):
     assert max(ds) >= 3
 
 
-def random_subspace_algebra(rng, field):
-    """The subalgebra s^1 of a random functional on u_n(q)."""
-    u = NilAlgebra.pattern_algebra(Pattern.full(rng.randrange(4, 7)), field)
-    s1 = chain_compute(u, random_functional(rng, u)).s_list[1]
-    return NilAlgebra.from_subspace(s1, field)
-
-
 def test_chain_matches_dense_oracle_on_subspace_algebras(rng):
     for k in range(16):
         alg = random_subspace_algebra(rng, FIELDS[k % 4])
@@ -229,14 +224,74 @@ def test_chain_matches_dense_oracle_on_subspace_algebras(rng):
             assert ch.l_bar.dim == 1
 
 
+def oracle_functionals(rng, alg):
+    """Dense, sparse, single-entry, corner and zero functionals on alg; the
+    corner is e*_(1,n), or the last position of a pattern without (1, n),
+    restricted to the basis."""
+    q, dim = alg.field.q, alg.dim
+    sparse = [0] * dim
+    for k in rng.sample(range(dim), min(dim, 2)):
+        sparse[k] = rng.randrange(1, q)
+    single = [0] * dim
+    single[rng.randrange(dim)] = rng.randrange(1, q)
+    n = alg.pattern.n
+    corner = (1, n) if (1, n) in alg.pattern else alg.pattern.order[-1]
+    return [random_functional(rng, alg), Functional(alg, sparse),
+            Functional(alg, single), Functional.from_entries(alg, {corner: 1}),
+            Functional.zero(alg)]
+
+
 def test_gram_matrix_skips_only_zero_products(rng):
-    for k in range(12):
-        alg = random_subspace_algebra(rng, FIELDS[k % 4])
-        lam = random_functional(rng, alg)
-        basis = alg.basis()
-        full = [{b: v for b, w in enumerate(basis)
-                 if (v := lam.evaluate(u @ w))} for u in basis]
-        assert gram_matrix(lam) == full
+    # only the products that meet lam's support are formed; every other
+    # entry must be zero, and the rows must come in the same order as the
+    # oracle's, which forms every basis product
+    fields = FIELDS + (field_make(3, 2),)
+    algebras = [NilAlgebra.pattern_algebra(Pattern.full(n), F2)
+                for n in range(2, 8)]
+    algebras += [NilAlgebra.pattern_algebra(Pattern.full(4), f)
+                 for f in fields[1:]]
+    for field in fields:
+        pattern = random_closed_pattern(rng, 6)
+        while pattern == Pattern.full(6):
+            pattern = random_closed_pattern(rng, 6)
+        algebras.append(NilAlgebra.pattern_algebra(pattern, field))
+        algebras += [random_subspace_algebra(rng, field) for _ in range(3)]
+        algebras += generator_test_algebras(rng, field)
+        algebras += [constant_diagonal_algebra(n, field) for n in (3, 5)]
+    kinds = {"pattern": 0, "subspace": 0}
+    for alg in algebras:
+        if not alg.dim:
+            continue
+        for lam in oracle_functionals(rng, alg):
+            gram = gram_matrix(lam)
+            oracle = all_pairs_gram(lam)
+            assert [list(row.items()) for row in gram] == \
+                [list(row.items()) for row in oracle]
+        kinds["pattern" if alg.is_pattern else "subspace"] += 1
+    assert min(kinds.values()) >= 20
+
+
+def test_gram_matrix_forms_only_products_on_the_support(monkeypatch):
+    # on u_n, e*_(1,n)(e_a e_b) is nonzero only for e_1j e_jn, 1 < j < n
+    count = [0]
+    real_matmul = NilMatrix.__matmul__
+
+    def counting(u, v):
+        count[0] += 1
+        return real_matmul(u, v)
+
+    monkeypatch.setattr(NilMatrix, "__matmul__", counting)
+    for n in range(2, 9):
+        for field in (F2, F3):
+            alg = NilAlgebra.pattern_algebra(Pattern.full(n), field)
+            alg.basis()
+            count[0] = 0
+            gram = gram_matrix(Functional.from_entries(alg, {(1, n): 1}))
+            assert count[0] == n - 2
+            assert sum(len(row) for row in gram) == n - 2
+            count[0] = 0
+            assert not any(gram_matrix(Functional.zero(alg)))
+            assert count[0] == 0
 
 
 def annihilating_functional(rng, alg, space):

@@ -379,6 +379,48 @@ def test_l_bar_closure_failure_exits_1(module, argv, monkeypatch, capsys):
     assert l_bars
 
 
+def test_non_integer_lambda_entries_exit_2(capsys):
+    # [[1,3,2.7]] used to run as lambda_13 = 2, and the others as other
+    # functionals; int() no longer coerces them
+    bad = ("[[1,3,2.7]]", "[[1.5,3,1]]", "[[1,3,true]]", '[[1,3,"1"]]',
+           "[[1,3,1.0]]", "[[1,3,null]]", "[[1,3]]", "[1,3,1]", '{"1":3}')
+    for lam in bad:
+        assert main(["chain", "--q", "3", "--n", "4", "--lambda", lam]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: " in captured.err
+        assert "lambda" in captured.err
+    for entry in ([1, 3, 2.7], [1.5, 3, 1], [1, 3, True], [1, 3, "1"],
+                  [1, 3, 1.0]):
+        spec = JobSpec.from_json(JobSpec(command="chain", q=3, n=4,
+                                         lam=[entry]).to_json())
+        with pytest.raises(ValueError, match="bad lambda entry") as exc:
+            run(spec)
+        assert repr(entry) in str(exc.value)
+    spec = JobSpec.from_json(JobSpec(command="chain", q=3, n=4,
+                                     lam=[[1, 3, 2]]).to_json())
+    assert run(spec)[0]["lambda"] == [[1, 3, 2]]
+
+
+def test_n_below_1_exits_2(capsys):
+    # each of these used to exit 0 and print its n; the schemas say n >= 1
+    for argv in (["chain", "--q", "2", "--n", "-3"],
+                 ["orbit", "--q", "2", "--n", "-2", "--which", "left"],
+                 ["table", "--q", "2", "--n", "0", "--which", "theta"],
+                 ["chain", "--q", "3", "--n", "0", "--lambda", "[]"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "n >= 1" in captured.err
+    for command in ("chain", "orbit", "table"):
+        with pytest.raises(ValueError, match="n >= 1"):
+            run(JobSpec.from_json(JobSpec(command=command, q=2, n=0,
+                                          which="left").to_json()))
+    for argv in (["chain", "--q", "2", "--n", "1"],
+                 ["orbit", "--q", "2", "--n", "1", "--which", "left"],
+                 ["table", "--q", "2", "--n", "1", "--which", "theta"]):
+        assert main(argv) == 0, argv
+        assert json.loads(capsys.readouterr().out)["n"] == 1
+
+
 def test_invalid_exotic_and_verify_sizes_exit_2(capsys):
     for argv, message in (
             (["exotic", "--r", "1", "--q", "2"], "r must be >= 2"),

@@ -13,8 +13,10 @@ from utchar.duals import (Functional, SetPartition, act_coadjoint, act_left,
                           shape, torus_act, torus_orbit)
 from utchar.scalars import field_make
 
-from oracles import (full_group_orbit, generator_test_algebras,
-                     random_element, random_functional, u4_and_subalgebra)
+from oracles import (coordinate_evaluate, full_group_orbit,
+                     generator_test_algebras, random_element,
+                     random_functional, random_subspace_algebra,
+                     u4_and_subalgebra)
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -263,3 +265,29 @@ def test_functional_on_subspace_algebra_roundtrip():
     assert kappa.evaluate(u @ u) == 0
     assert kappa.evaluate(u @ u @ u) == 1
     assert kappa.values == (0, 0, 1)
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_evaluate_on_subspace_algebras_matches_coordinates(p, e, rng):
+    # evaluate sums lam_k times the k-th pivot entry; the oracle reads the
+    # whole coordinate vector, and both reject a matrix off the algebra
+    field = field_make(p, e)
+    off = 0
+    for _ in range(6):
+        alg = random_subspace_algebra(rng, field)
+        lam = random_functional(rng, alg)
+        for _ in range(8):
+            mat = random_element(rng, alg).body
+            assert lam.evaluate(mat) == coordinate_evaluate(lam, mat)
+        ambient = NilAlgebra.pattern_algebra(alg.pattern, field)
+        for _ in range(8):
+            mat = random_element(rng, ambient).body
+            if alg.span.contains(mat):
+                assert lam.evaluate(mat) == coordinate_evaluate(lam, mat)
+                continue
+            off += 1
+            with pytest.raises(ValueError, match="outside the algebra"):
+                lam.evaluate(mat)
+            with pytest.raises(ValueError, match="outside the algebra"):
+                coordinate_evaluate(lam, mat)
+    assert off
