@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .scalars import FieldElement, VerificationFailed
+from .scalars import VerificationFailed
 
 DEFAULT_CAP = 1 << 22
 
@@ -79,7 +79,7 @@ class NilMatrix:
         for pos, c in entries.items():
             if pos not in pattern.positions:
                 raise ValueError(f"entry at {pos} outside the pattern")
-            c = c.rep if isinstance(c, FieldElement) else int(c)
+            c = int(c)
             if c:
                 clean[pos] = c
         self.pattern = pattern
@@ -130,7 +130,7 @@ class NilMatrix:
         return self + (-other)
 
     def scale(self, c):
-        c = c.rep if isinstance(c, FieldElement) else int(c)
+        c = int(c)
         f = self.field
         return NilMatrix(self.pattern, self.field,
                          {pos: f.mul(c, v) for pos, v in self.entries.items()})
@@ -708,19 +708,6 @@ def trunc_exp(mat):
         fact = (fact * k) % p
         acc = acc + term.scale(field.inv(field.from_int(fact)))
     return GroupElement(acc)
-
-
-def trunc_log(g):
-    """Exact inverse of trunc_exp by fixed-point iteration."""
-    y = g.body
-    x = y
-    for _ in range(g.body.pattern.n + 1):
-        correction = trunc_exp(x).body - x  # Exp(x) - 1 - x
-        x_next = y - correction
-        if x_next == x:
-            break
-        x = x_next
-    return x
 
 
 # ---------------------------------------------------------------------------

@@ -238,13 +238,3 @@ def quasimonomial_kernels(algebra, lam):
         base=lam,
         right_orbit_positions=perp_l,
     )
-
-
-def quasimonomial_irreducible(algebra, lam, validate=False):
-    """Verify l_bar = s_bar for a quasi-monomial functional; returns the
-    chain together with the verdict (expected True on closed patterns)."""
-    fast = quasimonomial_kernels(algebra, lam)
-    chain = chain_compute(algebra, lam, validate=validate)
-    if chain.l_list[1] != fast.l1 or chain.s_list[1] != fast.s1:
-        raise VerificationFailed("fast path disagrees with the kernel chain")
-    return chain.l_bar == chain.s_bar, chain

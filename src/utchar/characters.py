@@ -1,7 +1,7 @@
 """Exact class-function machinery on enumerated algebra groups: the basis
 functions theta_lambda, Kirillov functions, supercharacters, the induced
-characters xi_lambda, Frobenius induction/restriction, inner products,
-duals of abelian groups, and field-of-values analysis."""
+characters xi_lambda, Frobenius induction, inner products, and duals of
+abelian groups."""
 
 from __future__ import annotations
 
@@ -17,8 +17,7 @@ from .algebra import (DEFAULT_CAP, CapExceeded, NilAlgebra,
                       trunc_exp)
 from .chain import ChainResult, chain_compute
 from .duals import orbit
-from .scalars import (AdditiveCharacter, CyclotomicNumber, in_subfield,
-                      prime_power_split, root_of_unity_order)
+from .scalars import AdditiveCharacter, CyclotomicNumber, root_of_unity_order
 
 
 class GroupTable:
@@ -504,10 +503,6 @@ def induce(f, group):
     return ClassFunction(group, values)
 
 
-def restrict(f, subgroup):
-    return ClassFunction(subgroup, [f(g) for g in subgroup.elements])
-
-
 # ---------------------------------------------------------------------------
 # duals of abelian algebra groups
 
@@ -641,7 +636,7 @@ def constituents_of_induced_linear(dual, subgroup, f_on_subgroup):
 
 
 # ---------------------------------------------------------------------------
-# linearity tests and fields of values
+# linearity tests
 
 
 def _value_exponents(f):
@@ -714,58 +709,3 @@ def homomorphism_defect(f):
             if values[row[j]] != fg * values[j]:
                 return group.elements[i], group.elements[j]
     return None
-
-
-def is_character_linear(f):
-    """A degree-one class function on an abelian group is a character iff
-    it is multiplicative."""
-    if not f.group.is_abelian():
-        raise ValueError("linearity test requires an abelian group")
-    if f.degree != CyclotomicNumber.one():
-        return False
-    return homomorphism_defect(f) is None
-
-
-@dataclass(frozen=True)
-class FieldOfValues:
-    """conductor = lcm of the multiplicative orders of the values;
-    min_level = least i with all values inside Q(zeta_{p^i})."""
-
-    p: int
-    conductor: int
-    min_level: int
-
-
-def field_of_values(f):
-    """Analyze the value field of a function whose values are roots of
-    unity with prime-power conductor."""
-    orders = []
-    max_m = 1
-    for v in f.values:
-        d = root_of_unity_order(v)
-        if d is None:
-            raise ValueError("value is not a root of unity")
-        orders.append(d)
-        max_m = lcm(max_m, v.m)
-    conductor = 1
-    for d in orders:
-        conductor = lcm(conductor, d)
-    if conductor == 1:
-        return FieldOfValues(p=0, conductor=1, min_level=0)
-    p, k = prime_power_split(conductor)
-    level = 0
-    while level <= k:
-        if all(_in_level(v, p, level) for v in f.values):
-            break
-        level += 1
-    return FieldOfValues(p=p, conductor=conductor, min_level=level)
-
-
-def _in_level(value, p, level):
-    if value.is_rational():
-        return True
-    if level == 0:
-        return False
-    if (p**level) % value.m == 0:
-        return True
-    return in_subfield(value, level)

@@ -46,11 +46,29 @@ class JobSpec:
         return cls(**json.loads(text))
 
     def validate(self):
-        """Raise ValueError for inputs no command accepts: an enumeration
-        cap below 1, chain, orbit or table with n < 1, kappa with n < 2
-        (A_n(q) then has no corner), or a lambda that is not a list of
-        [i, j, c] triples of integers; a float, bool or string entry is
-        rejected rather than coerced."""
+        """Raise ValueError for inputs no command accepts: an unknown
+        command; q, n, r or cap that is not an integer, or a modulus that
+        is not null or a list of integers (a float, bool or string is
+        rejected rather than coerced); which or out that is not a string;
+        an enumeration cap below 1, chain, orbit or table with n < 1,
+        kappa with n < 2 (A_n(q) then has no corner), or a lambda that is
+        not a list of [i, j, c] triples of integers."""
+        if self.command not in COMMANDS:
+            raise ValueError(f"command must be one of {', '.join(COMMANDS)}, "
+                             f"got {self.command!r}")
+        for name in ("q", "n", "r", "cap"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got "
+                                 f"{getattr(self, name)!r}")
+        if self.modulus is not None and not (
+                isinstance(self.modulus, list)
+                and all(type(c) is int for c in self.modulus)):
+            raise ValueError("modulus must be null or a list of integers, "
+                             f"got {self.modulus!r}")
+        for name in ("which", "out"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got "
+                                 f"{getattr(self, name)!r}")
         if self.cap < 1:
             raise ValueError(f"cap {self.cap} is not a positive integer")
         if self.command in ("chain", "orbit", "table") and self.n < 1:

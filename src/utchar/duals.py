@@ -9,7 +9,6 @@ from collections import deque
 
 from .algebra import (DEFAULT_CAP, CapExceeded, VerificationFailed,
                       apply_columns, sparse_column)
-from .scalars import FieldElement
 
 
 class Functional:
@@ -36,7 +35,7 @@ class Functional:
         field = algebra.field
 
         def norm(c):
-            c = c.rep if isinstance(c, FieldElement) else int(c)
+            c = int(c)
             return c if 0 <= c < field.q else field.from_int(c)
 
         entries = {pos: norm(c) for pos, c in entries.items()}
@@ -120,7 +119,7 @@ class Functional:
         return Functional(self.algebra, [f.neg(v) for v in self.values])
 
     def scale(self, c):
-        c = c.rep if isinstance(c, FieldElement) else int(c)
+        c = int(c)
         f = self.algebra.field
         return Functional(self.algebra, [f.mul(c, v) for v in self.values])
 
@@ -331,7 +330,7 @@ def torus_act(diag, lam):
     if not algebra.is_pattern:
         raise ValueError("torus action requires a pattern algebra")
     field = algebra.field
-    diag = [d.rep if isinstance(d, FieldElement) else int(d) for d in diag]
+    diag = [int(d) for d in diag]
     if field.e == 1:
         diag = [d % field.q for d in diag]
     if len(diag) != algebra.pattern.n:

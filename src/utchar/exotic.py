@@ -17,7 +17,7 @@ from .chain import (chain_compute, gram_block, gram_matrix,
 from .characters import (GroupTable, abelian_dual, exp_kirillov,
                          homomorphism_defect, induce, kirillov,
                          theta_lambda)
-from .duals import Functional, SetPartition, shape, torus_orbit
+from .duals import Functional, SetPartition, shape
 from .scalars import CyclotomicNumber
 
 
@@ -703,15 +703,3 @@ def exotic_report(r, field, n=None, cap=DEFAULT_CAP):
         provenance=provenance,
         notes=notes,
     )
-
-
-def torus_shape_transitivity(r, field, cap=DEFAULT_CAP):
-    """Diagonal conjugations act transitively on quasi-monomial functionals
-    of a fixed shape: the orbit of the defining quasi-monomial part has
-    size (q-1)^(n - parts)."""
-    lam = exotic_quasimonomial(r, field)
-    shp = shape(lam)
-    orb = torus_orbit(lam, cap)
-    expected = (field.q - 1) ** (lam.algebra.pattern.n - len(shp))
-    shapes_ok = all(shape(f) == shp for f in orb)
-    return len(orb) == expected and shapes_ok, len(orb), expected

@@ -112,30 +112,23 @@ def _poly_powmod(base, exp, modulus, p):
 
 
 def _is_irreducible(modulus, p):
+    """Rabin's test: f of degree e is irreducible over F_p iff
+    x^(p^e) = x mod f and gcd(x^(p^d) - x, f) = 1 for every proper divisor
+    d of e."""
     coeffs = _poly_trim(modulus)
     e = len(coeffs) - 1
-    if e < 1 or coeffs[-1] == 0:
+    if e < 1:
         return False
-    if e == 1:
-        return True
-    if e <= 3:
-        # a degree 2 or 3 polynomial is irreducible iff it has no root
-        return all(
-            sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p != 0
-            for x in range(p)
-        )
-    # x^(p^e) == x mod f, and no factor of degree dividing a maximal
-    # proper divisor of e
     x = [0, 1]
-    if _poly_trim(_poly_sub(_poly_powmod(x, p**e, coeffs, p), x, p)):
+
+    def frobenius_gap(d):  # x^(p^d) - x mod f
+        gap = _poly_sub(_poly_powmod(x, p**d, coeffs, p), x, p)
+        return _poly_divmod(gap, coeffs, p)[1]
+
+    if frobenius_gap(e):
         return False
-    for ell in {d for d in range(2, e + 1) if e % d == 0 and is_prime(d)}:
-        probe = _poly_powmod(x, p ** (e // ell), coeffs, p)
-        diff = _poly_sub(probe, x, p)
-        g = _poly_trim(_poly_gcd(diff, coeffs, p))
-        if len(g) - 1 != 0:
-            return False
-    return True
+    return all(len(_poly_gcd(frobenius_gap(d), coeffs, p)) == 1
+               for d in range(1, e) if e % d == 0)
 
 
 class Field:
@@ -286,23 +279,6 @@ class Field:
             self._trace_table = table
         return self._trace_table[a]
 
-    def element(self, rep):
-        return FieldElement(self, rep % self.q if self.e == 1 else rep)
-
-    def elements(self):
-        return [FieldElement(self, a) for a in range(self.q)]
-
-    def units(self):
-        return [FieldElement(self, a) for a in range(1, self.q)]
-
-    @property
-    def zero(self):
-        return FieldElement(self, 0)
-
-    @property
-    def one(self):
-        return FieldElement(self, 1)
-
     def prime_basis(self):
         """Encodings of the F_p-basis 1, x, ..., x^(e-1) of F_q."""
         return [self.p**i for i in range(self.e)]
@@ -327,60 +303,6 @@ def _cached_field(p, e, modulus):
 def field_make(p, e=1, modulus=None):
     """Construct (and cache) the field F_{p^e} with a verified modulus."""
     return _cached_field(p, e, tuple(modulus) if modulus is not None else None)
-
-
-class FieldElement:
-    """An element of a Field; thin wrapper over the integer encoding."""
-
-    __slots__ = ("field", "rep")
-
-    def __init__(self, field, rep):
-        if not 0 <= rep < field.q:
-            raise ValueError(f"encoding {rep} out of range for q={field.q}")
-        self.field = field
-        self.rep = rep
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement) or other.field != self.field:
-            raise TypeError("field mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.add(self.rep, other.rep))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.sub(self.rep, other.rep))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.mul(self.rep, other.rep))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.div(self.rep, other.rep))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.rep))
-
-    def __pow__(self, k):
-        return FieldElement(self.field, self.field.pow(self.rep, k))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.rep))
-
-    def __bool__(self):
-        return self.rep != 0
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElement)
-                and self.field == other.field and self.rep == other.rep)
-
-    def __hash__(self):
-        return hash((self.field, self.rep))
-
-    def __repr__(self):
-        return f"FieldElement({self.rep} in F_{self.field.q})"
 
 
 # ---------------------------------------------------------------------------
@@ -616,5 +538,4 @@ class AdditiveCharacter:
         self.conductor = p
 
     def __call__(self, x):
-        rep = x.rep if isinstance(x, FieldElement) else x
-        return self._powers[self.field.trace(rep)]
+        return self._powers[self.field.trace(x)]

@@ -7,14 +7,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from utchar import chain as chain_module
 from utchar.algebra import (DEFAULT_CAP, GroupElement, NilAlgebra, NilMatrix,
                             Pattern, Subspace, VerificationFailed,
-                            combine_rows, left_kernel, null_space)
+                            combine_rows, left_kernel, null_space, trunc_exp)
 from utchar.chain import chain_compute
-from utchar.characters import ClassFunction, GroupTable, theta_lambda
-from utchar.duals import Functional, act_coadjoint, act_left, act_right
-from utchar.exotic import constant_diagonal_algebra
-from utchar.scalars import CyclotomicNumber
+from utchar.characters import (ClassFunction, GroupTable, homomorphism_defect,
+                               theta_lambda)
+from utchar.duals import (Functional, act_coadjoint, act_left, act_right,
+                          shape, torus_orbit)
+from utchar.exotic import constant_diagonal_algebra, exotic_quasimonomial
+from utchar.scalars import (CyclotomicNumber, in_subfield, prime_power_split,
+                            root_of_unity_order)
 
 
 def dense_rref(matrix, field):
@@ -686,3 +690,105 @@ def all_pairs_gram(lam):
     basis = lam.algebra.basis()
     return [{b: v for b, w in enumerate(basis)
              if (v := coordinate_evaluate(lam, u @ w))} for u in basis]
+
+
+# ---------------------------------------------------------------------------
+# helpers with no caller in the library: the truncated logarithm, restriction
+# of class functions, the linearity and value-field tests, the chain's
+# verdict against the quasi-monomial fast path, and the torus check on the
+# defining functional's shape
+
+
+def trunc_log(g):
+    """Exact inverse of trunc_exp by fixed-point iteration."""
+    y = g.body
+    x = y
+    for _ in range(g.body.pattern.n + 1):
+        correction = trunc_exp(x).body - x  # Exp(x) - 1 - x
+        x_next = y - correction
+        if x_next == x:
+            break
+        x = x_next
+    return x
+
+
+def restrict(f, subgroup):
+    return ClassFunction(subgroup, [f(g) for g in subgroup.elements])
+
+
+def is_character_linear(f):
+    """A degree-one class function on an abelian group is a character iff
+    it is multiplicative."""
+    if not f.group.is_abelian():
+        raise ValueError("linearity test requires an abelian group")
+    if f.degree != CyclotomicNumber.one():
+        return False
+    return homomorphism_defect(f) is None
+
+
+@dataclass(frozen=True)
+class FieldOfValues:
+    """conductor = lcm of the multiplicative orders of the values;
+    min_level = least i with all values inside Q(zeta_{p^i})."""
+
+    p: int
+    conductor: int
+    min_level: int
+
+
+def field_of_values(f):
+    """Analyze the value field of a function whose values are roots of
+    unity with prime-power conductor."""
+    orders = []
+    max_m = 1
+    for v in f.values:
+        d = root_of_unity_order(v)
+        if d is None:
+            raise ValueError("value is not a root of unity")
+        orders.append(d)
+        max_m = lcm(max_m, v.m)
+    conductor = 1
+    for d in orders:
+        conductor = lcm(conductor, d)
+    if conductor == 1:
+        return FieldOfValues(p=0, conductor=1, min_level=0)
+    p, k = prime_power_split(conductor)
+    level = 0
+    while level <= k:
+        if all(_in_level(v, p, level) for v in f.values):
+            break
+        level += 1
+    return FieldOfValues(p=p, conductor=conductor, min_level=level)
+
+
+def _in_level(value, p, level):
+    if value.is_rational():
+        return True
+    if level == 0:
+        return False
+    if (p**level) % value.m == 0:
+        return True
+    return in_subfield(value, level)
+
+
+def quasimonomial_irreducible(algebra, lam, validate=False):
+    """Verify l_bar = s_bar for a quasi-monomial functional; returns the
+    chain together with the verdict (expected True on closed patterns)."""
+    # looked up on the module, so a test can monkeypatch the fast path
+    fast = chain_module.quasimonomial_kernels(algebra, lam)
+    chain = chain_compute(algebra, lam, validate=validate)
+    if chain.l_list[1] != fast.l1 or chain.s_list[1] != fast.s1:
+        raise VerificationFailed("fast path disagrees with the kernel chain")
+    return chain.l_bar == chain.s_bar, chain
+
+
+def torus_shape_transitivity(r, field, cap=DEFAULT_CAP):
+    """Diagonal conjugations act transitively on quasi-monomial functionals
+    of a fixed shape: the orbit of the defining quasi-monomial part has
+    size (q-1)^(n - parts)."""
+    lam = exotic_quasimonomial(r, field)
+    shp = shape(lam)
+    orb = torus_orbit(lam, cap)
+    expected = (field.q - 1) ** (lam.algebra.pattern.n - len(shp))
+    shapes_ok = all(shape(f) == shp for f in orb)
+    return len(orb) == expected and shapes_ok, len(orb), expected

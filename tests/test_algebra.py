@@ -7,7 +7,7 @@ from utchar.algebra import (CapExceeded, GroupElement, NilAlgebra, NilMatrix,
                             echelon_combinations, ideal_check, left_kernel,
                             nonzero_products, products_vanish_at,
                             quotient_project, rref, solution_space,
-                            sparse_column, trunc_exp, trunc_log)
+                            sparse_column, trunc_exp)
 from utchar.scalars import field_make
 
 from oracles import (all_pairs_closed, all_pairs_commutative,
@@ -16,7 +16,7 @@ from oracles import (all_pairs_closed, all_pairs_commutative,
                      elimination_coordinates, generated_group,
                      generator_test_algebras, pair_scan_is_closed,
                      pivot_scan_rref, random_closed_pattern, random_element,
-                     random_subalgebra, subspace_dense_rows,
+                     random_subalgebra, subspace_dense_rows, trunc_log,
                      two_elimination_restrict_to_zero,
                      two_elimination_solution_space, two_elimination_span,
                      u4_and_subalgebra)

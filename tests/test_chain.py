@@ -7,16 +7,16 @@ from utchar import chain as chain_module
 from utchar.algebra import (NilAlgebra, NilMatrix, Pattern, Subspace,
                             VerificationFailed, null_space)
 from utchar.chain import (chain_compute, gram_block, gram_matrix,
-                          quasimonomial_irreducible, quasimonomial_kernels)
+                          quasimonomial_kernels)
 from utchar.duals import Functional, is_quasi_monomial, orbit
 from utchar.exotic import constant_diagonal_algebra
 from utchar.scalars import field_make
 
 from oracles import (all_pairs_gram, brute_force_first_kernels, dense_chain,
                      generator_test_algebras, products_vanish,
-                     random_closed_pattern, random_functional,
-                     random_quasimonomial, random_subspace_algebra,
-                     subspace_dense_rows)
+                     quasimonomial_irreducible, random_closed_pattern,
+                     random_functional, random_quasimonomial,
+                     random_subspace_algebra, subspace_dense_rows)
 
 F2 = field_make(2)
 F3 = field_make(3)

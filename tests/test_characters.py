@@ -11,14 +11,14 @@ from utchar.algebra import (GroupElement, NilAlgebra, NilMatrix, Pattern,
 from utchar.chain import chain_compute
 from utchar.characters import (ClassFunction, GroupTable, abelian_dual,
                                constituents_of_induced_linear, exp_kirillov,
-                               field_of_values, homomorphism_defect, induce,
-                               is_character_linear, kirillov, restrict,
+                               homomorphism_defect, induce, kirillov,
                                supercharacter, theta_lambda, xi)
 from utchar.duals import Functional, orbit, orbit_keys
 from utchar.exotic import constant_diagonal_algebra, corner_functional
 from utchar.scalars import CyclotomicNumber, field_make
 
-from oracles import (dense_orbit_sum, key_index, random_functional,
+from oracles import (dense_orbit_sum, field_of_values, is_character_linear,
+                     key_index, random_functional, restrict,
                      u4_and_subalgebra, xi_set)
 
 F2 = field_make(2)

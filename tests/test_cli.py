@@ -401,6 +401,24 @@ def test_non_integer_lambda_entries_exit_2(capsys):
     assert run(spec)[0]["lambda"] == [[1, 3, 2]]
 
 
+def test_jobspec_rejects_mistyped_fields():
+    # each job used to raise TypeError or KeyError, or run with its value
+    # coerced ("n": true read as 1, a float modulus reduced mod p)
+    chain = {"command": "chain", "n": 4, "q": 2}
+    table = (
+        ({"n": "4"}, "n"), ({"n": 4.0}, "n"), ({"n": True}, "n"),
+        ({"q": 2.0}, "q"), ({"q": True}, "q"), ({"cap": "9"}, "cap"),
+        ({"cap": 9.0}, "cap"), ({"command": "verify", "r": 2.0}, "r"),
+        ({"command": "nope"}, "command"), ({"modulus": [0.5, 1]}, "modulus"),
+        ({"modulus": [1, True]}, "modulus"), ({"modulus": "1,1"}, "modulus"),
+        ({"which": 5}, "which"), ({"out": ["x"]}, "out"))
+    for change, name in table:
+        job = json.dumps({**chain, **change})
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            run(JobSpec.from_json(job))
+    assert run(JobSpec.from_json(json.dumps(chain)))[0]["n"] == 4
+
+
 def test_n_below_1_exits_2(capsys):
     # each of these used to exit 0 and print its n; the schemas say n >= 1
     for argv in (["chain", "--q", "2", "--n", "-3"],

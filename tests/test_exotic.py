@@ -13,11 +13,12 @@ from utchar.exotic import (abelian_quotient_split, build_regions,
                            corner_character_analysis, exotic_functional,
                            exotic_functional_parts, exotic_quasimonomial,
                            exotic_report, exotic_shape,
-                           torus_shape_transitivity,
                            verify_chain_closed_forms)
 from utchar.scalars import field_make
 
-from oracles import brute_force_corner_constituents, random_functional
+from oracles import (brute_force_abelian_dual, brute_force_corner_constituents,
+                     field_of_values, random_functional,
+                     torus_shape_transitivity)
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -205,6 +206,30 @@ def test_corner_analysis_matches_constituent_oracle(n, q, monkeypatch):
     monkeypatch.setattr(exotic, "_corner_constituents",
                         brute_force_corner_constituents)
     assert corner_character_analysis(n, field) == fast
+
+
+@pytest.mark.parametrize("n,q", [(n, q) for q in (2, 3, 4, 5)
+                                 for n in range(2, 8) if q ** (n - 1) <= 64])
+def test_corner_value_field_matches_galois_oracle(n, q):
+    # the report's conductor and level come from exponent gcds; the oracle
+    # finds the order of every value of every constituent, built from an
+    # independent dual, and tests each level by its Galois action
+    field = F4 if q == 4 else field_make(q)
+    report = corner_character_analysis(n, field)
+    algebra = constant_diagonal_algebra(n, field)
+    group = GroupTable.from_algebra(algebra)
+    kappa = corner_functional(algebra)
+    lgroup = GroupTable.from_subspace(
+        algebra, chain_compute(algebra, kappa).l_bar)
+    chi = induce(theta_lambda(lgroup, kappa), group)
+    dual = brute_force_abelian_dual(group)
+    cons_idx, sum_ok = brute_force_corner_constituents(
+        dual, lgroup, kappa, chi)
+    assert sum_ok and len(cons_idx) == report.constituent_count
+    fields = [field_of_values(dual.characters[i]) for i in cons_idx]
+    assert report.max_constituent_conductor == \
+        max(f.conductor for f in fields)
+    assert report.max_min_level == max(f.min_level for f in fields)
 
 
 @pytest.mark.parametrize("n,q", [(3, 2), (4, 2), (3, 3), (3, 4), (3, 5)])
