@@ -568,7 +568,8 @@ class NilAlgebra:
     echelon span for both kinds; for a pattern algebra the span is
     Subspace.full, whose basis is the e_ij in pattern order."""
 
-    __slots__ = ("pattern", "field", "span", "is_pattern", "_generators")
+    __slots__ = ("pattern", "field", "span", "is_pattern", "_generators",
+                 "_products")
 
     def __init__(self, pattern, field, span, is_pattern):
         self.pattern = pattern
@@ -576,6 +577,7 @@ class NilAlgebra:
         self.span = span
         self.is_pattern = is_pattern
         self._generators = None
+        self._products = None
 
     @classmethod
     def pattern_algebra(cls, pattern, field):
@@ -612,6 +614,19 @@ class NilAlgebra:
         basis = self.basis()
         return all(uv == basis[b] @ basis[a]
                    for a, b, uv in nonzero_products(basis, basis))
+
+    def basis_products(self):
+        """The nonzero products of basis() as (a, b, column) triples, column
+        the sparse coordinates (`sparse_column`) of u_a u_b, in the order of
+        `nonzero_products`; built once.  The coordinates of X Y are
+        sum x_a y_b column over the triples."""
+        if self._products is None:
+            basis = self.basis()
+            self._products = tuple(
+                (a, b, sparse_column(self.coordinates(uv)))
+                for a, b, uv in nonzero_products(basis, basis)
+                if not uv.is_zero())
+        return self._products
 
     def coordinates(self, mat):
         coords = self.span.coordinates(mat)

@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import isqrt, lcm
+from math import factorial, isqrt, lcm
 
 from .algebra import (DEFAULT_CAP, CapExceeded, NilAlgebra,
                       VerificationFailed, apply_columns, sparse_column,
@@ -21,8 +21,9 @@ from .scalars import AdditiveCharacter, CyclotomicNumber, root_of_unity_order
 
 
 class GroupTable:
-    """A fully enumerated algebra group with canonical element order,
-    cached inverses, and each element's coordinates over algebra.basis().
+    """An enumerated algebra group, known by each element's coordinate
+    tuple over algebra.basis(), in canonical order, with cached inverses;
+    the elements as GroupElements are built only when read.
 
     Group products are computed on coordinates: for x = 1 + a, both
     y -> x y and y -> x y x^{-1} are affine maps of the coordinates of
@@ -37,15 +38,18 @@ class GroupTable:
 
     def __init__(self, algebra, elements, coords=None):
         """coords, if given, lists each element's coordinates over
-        algebra.basis(), else they are computed; index maps them back."""
+        algebra.basis(), else they are computed; index maps them back.
+        elements None, with coords given, stands for the elements of
+        algebra.enumerate_group(), in the order of coords."""
         self.algebra = algebra
-        self.elements = list(elements)
+        if elements is not None:
+            self.elements = list(elements)
         if coords is None:
             coords = [tuple(algebra.coordinates(g.body))
                       for g in self.elements]
         self.coords = list(coords)
         self.index = {c: i for i, c in enumerate(self.coords)}
-        if len(self.index) != len(self.elements):
+        if len(self.index) != len(self.coords):
             raise ValueError("duplicate group elements")
         self._inverses = None
         self._generator_rows = None
@@ -56,11 +60,20 @@ class GroupTable:
 
     @classmethod
     def from_algebra(cls, algebra, cap=DEFAULT_CAP):
-        """The table of algebra.enumerate_group(cap), whose i-th element
-        has the i-th coordinate tuple of the same product order."""
-        return cls(algebra, algebra.enumerate_group(cap),
+        """The table of 1 + algebra, whose i-th element has the i-th
+        coordinate tuple of itertools.product(range(q), repeat=dim), as in
+        algebra.enumerate_group(); the elements are built when first read."""
+        if algebra.size > cap:
+            raise CapExceeded(f"group of size {algebra.size} exceeds cap {cap}")
+        return cls(algebra, None,
                    itertools.product(range(algebra.field.q),
                                      repeat=algebra.dim))
+
+    @cached_property
+    def elements(self):
+        """The elements as GroupElements, in table order; a table made by
+        from_algebra enumerates them here, on first read."""
+        return list(self.algebra.enumerate_group(self.size))
 
     @classmethod
     def from_subspace(cls, algebra, subspace, cap=DEFAULT_CAP):
@@ -74,7 +87,7 @@ class GroupTable:
 
     @property
     def size(self):
-        return len(self.elements)
+        return len(self.coords)
 
     def identity_index(self):
         return self.index[(0,) * self.algebra.dim]
@@ -332,10 +345,20 @@ class ClassFunction:
 
 
 def theta_lambda(group, lam):
-    """theta_lambda(g) = theta(lambda(g - 1)); a degree-one function."""
+    """theta_lambda(g) = theta(lambda(g - 1)); a degree-one function.
+    lambda(X) = sum_k lambda_k x_k over the coordinates x of X in lam's
+    algebra, read from group.coordinates_in."""
+    add, mul = lam.algebra.field.add, lam.algebra.field.mul
+    support = [(k, v) for k, v in enumerate(lam.values) if v]
     th = group.theta
-    return ClassFunction(group,
-                         [th(lam.evaluate_group(g)) for g in group.elements])
+    values = []
+    for x in group.coordinates_in(lam.algebra):
+        acc = 0
+        for k, v in support:
+            if x[k]:
+                acc = add(acc, mul(v, x[k]))
+        values.append(th(acc))
+    return ClassFunction(group, values)
 
 
 def _orbit_sum(group, functionals, scale):
@@ -422,14 +445,65 @@ def kirillov(group, lam, cap=DEFAULT_CAP):
 
 
 def exp_kirillov(group, lam, cap=DEFAULT_CAP):
-    """psi^Exp_lambda(Exp X) = psi_lambda(1 + X)."""
+    """psi^Exp_lambda(Exp X) = psi_lambda(1 + X).  Exp X is computed on
+    each element's coordinate tuple (_coordinate_exp) and looked up in
+    group.index."""
     psi = kirillov(group, lam, cap)
+    exp = _coordinate_exp(group.algebra)
     values = [None] * group.size
-    for g, value in zip(group.elements, psi.values):
-        values[group.index_of(trunc_exp(g.body))] = value
+    try:
+        for x, value in zip(group.coords, psi.values):
+            values[group.index[exp(x)]] = value
+    except KeyError:
+        raise VerificationFailed("Exp maps an element outside the group") \
+            from None
     if any(v is None for v in values):
         raise VerificationFailed("Exp does not map the group onto itself")
     return ClassFunction(group, values)
+
+
+def _coordinate_exp(algebra):
+    """The map x -> the coordinates of Exp(X) - 1, for X with coordinates x
+    over algebra.basis(): X + X^2/2! + ... + X^(p-1)/(p-1)!, with
+    X^k = X^(k-1) X read off the basis products u_a u_b
+    (NilAlgebra.basis_products).
+
+    trunc_exp is the definition: the map is compared with it at each
+    element of algebra.group_generators() and at u_a + u_b for each basis
+    product, so every product column is read, and a mismatch raises
+    VerificationFailed."""
+    field, dim = algebra.field, algebra.dim
+    add, mul = field.add, field.mul
+    # over p = 2, Exp X = 1 + X reads no products
+    products = algebra.basis_products() if field.p > 2 else ()
+    scales = [field.inv(factorial(k) % field.p) for k in range(2, field.p)]
+
+    def exp(x):
+        acc, term = list(x), x
+        for scale in scales:  # 1/k! for k = 2, ..., p - 1
+            power = [0] * dim
+            for a, b, column in products:
+                c = mul(term[a], x[b])
+                if c:
+                    for k, v in column:
+                        power[k] = add(power[k], mul(c, v))
+            if not any(power):
+                break
+            term = power
+            for k, v in enumerate(power):
+                if v:
+                    acc[k] = add(acc[k], mul(scale, v))
+        return tuple(acc)
+
+    basis = algebra.basis()
+    for mat in [s.body for s in algebra.group_generators()] + [
+            basis[a] + basis[b] for a, b, _ in products]:
+        want = algebra.span.coordinates(trunc_exp(mat).body)
+        if want is None or tuple(want) != exp(tuple(
+                algebra.coordinates(mat))):
+            raise VerificationFailed(
+                f"Exp on coordinates disagrees with trunc_exp at {mat}")
+    return exp
 
 
 def supercharacter(group, lam, cap=DEFAULT_CAP):

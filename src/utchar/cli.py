@@ -8,9 +8,10 @@ Exit codes: 0 success, 1 verification mismatch, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields
 
 from .algebra import (DEFAULT_CAP, CapExceeded, NilAlgebra, Pattern,
                       VerificationFailed)
@@ -43,7 +44,20 @@ class JobSpec:
 
     @classmethod
     def from_json(cls, text):
-        return cls(**json.loads(text))
+        """The job of a JSON object; ValueError naming the field for a
+        key that is not a field or a missing command, and for a top level
+        that is not an object."""
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"job must be a JSON object, got {data!r}")
+        names = [f.name for f in fields(cls)]
+        for key in data:
+            if key not in names:
+                raise ValueError(f"{key} is not a job field; the fields are "
+                                 f"{', '.join(names)}")
+        if "command" not in data:
+            raise ValueError("command is required")
+        return cls(**data)
 
     def validate(self):
         """Raise ValueError for inputs no command accepts: an unknown
@@ -291,6 +305,7 @@ def cmd_table(spec):
             raise CapExceeded("xi value table exceeds the enumeration cap")
     else:
         raise ValueError(f"unknown table kind {spec.which!r}")
+    order = algebra.pattern.order
     return {
         "command": "table",
         "n": spec.n,
@@ -298,9 +313,12 @@ def cmd_table(spec):
         "lambda": ser_functional(lam),
         "which": spec.which,
         "degree": ser_cyclotomic(fn.degree),
+        # u_n's coordinates are its entries in pattern order; literal
+        # [i, j, c] lists, since [*pos, c] over-allocates
         "values": [
-            {"g": ser_matrix_key(g.key()), "value": ser_cyclotomic(v)}
-            for g, v in zip(group.elements, fn.values)
+            {"g": [[i, j, c] for (i, j), c in zip(order, x) if c],
+             "value": ser_cyclotomic(v)}
+            for x, v in zip(group.coords, fn.values)
         ],
     }, 0
 
@@ -315,7 +333,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="utchar",
         description="Exact supercharacter / Kirillov computations on "

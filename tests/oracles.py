@@ -13,7 +13,7 @@ from utchar.algebra import (DEFAULT_CAP, GroupElement, NilAlgebra, NilMatrix,
                             combine_rows, left_kernel, null_space, trunc_exp)
 from utchar.chain import chain_compute
 from utchar.characters import (ClassFunction, GroupTable, homomorphism_defect,
-                               theta_lambda)
+                               kirillov, theta_lambda)
 from utchar.duals import (Functional, act_coadjoint, act_left, act_right,
                           shape, torus_orbit)
 from utchar.exotic import constant_diagonal_algebra, exotic_quasimonomial
@@ -300,6 +300,19 @@ def dense_orbit_sum(group, functionals, scale):
         for mu in functionals:
             total = total + th(mu.evaluate_group(g))
         values.append(total.scale(scale))
+    return ClassFunction(group, values)
+
+
+def trunc_exp_kirillov(group, lam, cap=DEFAULT_CAP):
+    """psi^Exp_lambda(Exp X) = psi_lambda(1 + X), with one trunc_exp power
+    series per element, found in the table through its span
+    coordinates."""
+    psi = kirillov(group, lam, cap)
+    values = [None] * group.size
+    for g, value in zip(group.elements, psi.values):
+        values[group.index_of(trunc_exp(g.body))] = value
+    if any(v is None for v in values):
+        raise VerificationFailed("Exp does not map the group onto itself")
     return ClassFunction(group, values)
 
 

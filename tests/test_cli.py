@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -417,6 +418,52 @@ def test_jobspec_rejects_mistyped_fields():
         with pytest.raises(ValueError, match=f"^{name} must be"):
             run(JobSpec.from_json(job))
     assert run(JobSpec.from_json(json.dumps(chain)))[0]["n"] == 4
+
+
+def test_jobspec_from_json_rejects_an_unknown_key():
+    # "lambda" is the output's key; the field is lam
+    with pytest.raises(ValueError, match="^lambda is not a job field"):
+        JobSpec.from_json('{"command":"chain","n":3,"lambda":[[1,3,1]]}')
+
+
+def test_jobspec_from_json_requires_a_command():
+    with pytest.raises(ValueError, match="^command is required"):
+        JobSpec.from_json('{"n":3}')
+
+
+def test_jobspec_from_json_requires_an_object():
+    for text in ("[1]", "3", "null", '"chain"'):
+        with pytest.raises(ValueError, match="^job must be a JSON object"):
+            JobSpec.from_json(text)
+
+
+def test_one_process_runs_commands_like_fresh_processes(capsys):
+    # build_parser is built once per process and shared by every main call
+    assert build_parser() is build_parser()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(
+            os.pathsep)))
+    table = ["table", "--n", "3", "--q", "3", "--lambda", "[[1,3,1]]",
+             "--which"]
+    for argv in (["chain", "--n", "4", "--q", "3", "--lambda", "[[1,4,1]]"],
+                 table + ["bogus"],
+                 ["orbit", "--n", "3", "--q", "2", "--lambda", "[[1,3,1]]",
+                  "--which", "coadjoint"],
+                 ["chain", "--n", "3", "--q", "6"],
+                 table + ["expkirillov"],
+                 ["kappa", "--n", "3", "--q", "2"],
+                 table + ["theta"]):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argument
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "utchar.cli", *argv],
+                               capture_output=True, text=True, env=env,
+                               timeout=120)
+        assert (code, captured.out, captured.err) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert code == (2 if "bogus" in argv or "6" in argv else 0)
 
 
 def test_n_below_1_exits_2(capsys):

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from utchar.algebra import (GroupElement, NilAlgebra, NilMatrix, Pattern,
-                            VerificationFailed)
+from utchar import characters
+from utchar.algebra import (CapExceeded, GroupElement, NilAlgebra, NilMatrix,
+                            Pattern, VerificationFailed, trunc_exp)
 from utchar.chain import chain_compute
 from utchar.characters import (ClassFunction, GroupTable, abelian_dual,
-                               homomorphism_defect, induce, theta_lambda, xi)
+                               exp_kirillov, homomorphism_defect, induce,
+                               theta_lambda, xi)
 from utchar.cli import main
 from utchar.duals import Functional
 from utchar.exotic import (constant_diagonal_algebra,
@@ -19,10 +21,12 @@ from utchar.scalars import CyclotomicNumber, field_make
 from oracles import (brute_force_abelian_dual, brute_force_classes,
                      brute_force_induce, brute_force_mul_table, dense_inverse,
                      generator_test_algebras, key_index, max_element_order,
-                     random_functional, random_subalgebra, u4_and_subalgebra)
+                     random_functional, random_subalgebra, trunc_exp_kirillov,
+                     u4_and_subalgebra)
 
 FIELDS = {q: field_make(p, e) for q, p, e in
-          ((2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1), (8, 2, 3), (9, 3, 2))}
+          ((2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1), (7, 7, 1), (8, 2, 3),
+           (9, 3, 2))}
 
 
 def unitriangular(n, q):
@@ -420,3 +424,106 @@ def test_group_generators_are_found_once():
         gens = algebra.group_generators()
         assert isinstance(gens, tuple)
         assert algebra.group_generators() is gens
+
+
+# ---------------------------------------------------------------------------
+# Exp on coordinates, and elements built only when read
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_coordinate_exp_matches_trunc_exp_on_generator_test_algebras(rng, q):
+    for algebra in generator_test_algebras(rng, FIELDS[q]):
+        exp = characters._coordinate_exp(algebra)
+        for g in algebra.enumerate_group():
+            assert exp(tuple(algebra.coordinates(g.body))) == tuple(
+                algebra.coordinates(trunc_exp(g.body).body))
+
+
+@pytest.mark.parametrize("make,size", [
+    (unitriangular, (3, q)) for q in (2, 3, 4, 5, 7, 8, 9)]
+    + [(unitriangular, (4, 3))]
+    + [(constant_diagonal, size) for size in CONSTANT_DIAGONAL])
+def test_exp_kirillov_matches_trunc_exp_oracle(rng, make, size):
+    group = make(*size)
+    functionals = [random_functional(rng, group.algebra) for _ in range(3)]
+    if make is constant_diagonal:
+        functionals.append(corner_functional(group.algebra))
+    for lam in functionals:
+        assert exact(exp_kirillov(group, lam)) == \
+            exact(trunc_exp_kirillov(group, lam))
+
+
+def test_exp_kirillov_on_a_partial_element_list_raises():
+    # Exp(1 + e12 + e23) = 1 + e12 + 2 e13 + e23 is not listed; the
+    # coordinates are (x12, x13, x23)
+    u3 = NilAlgebra.pattern_algebra(Pattern.full(3), FIELDS[3])
+    elements = GroupTable.from_algebra(u3).elements
+    part = GroupTable(u3, elements[:9] + [elements[10]])
+    assert part.coords[-1] == (1, 0, 1)
+    with pytest.raises(VerificationFailed, match="outside the group"):
+        exp_kirillov(part, Functional.from_entries(u3, {(1, 3): 1}))
+
+
+@pytest.mark.parametrize("which", [0, 1, 2, 3])
+def test_corrupted_basis_product_exits_1(monkeypatch, capsys, which):
+    # u_4(3) has four nonzero basis products; each is read by the check
+    real = NilAlgebra.basis_products
+
+    def corrupted(algebra):
+        products = list(real(algebra))
+        a, b, column = products[which]
+        products[which] = (a, b, [(k, 3 - v) for k, v in column])
+        return tuple(products)
+    monkeypatch.setattr(NilAlgebra, "basis_products", corrupted)
+    assert main(["table", "--n", "4", "--q", "3", "--lambda",
+                 "[[1,4,1],[2,3,2]]", "--which", "expkirillov"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "trunc_exp" in captured.err
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_from_algebra_elements_are_enumerated_in_order(q):
+    for group, _ in subgroup_tables(q):
+        assert "elements" not in vars(group)  # built on first read
+        assert group.elements == list(group.algebra.enumerate_group())
+
+
+def refuse_enumeration(algebra, cap=None):
+    raise AssertionError("the group was enumerated")
+
+
+def test_cap_is_checked_before_enumeration(monkeypatch):
+    u3 = NilAlgebra.pattern_algebra(Pattern.full(3), FIELDS[3])
+    monkeypatch.setattr(NilAlgebra, "enumerate_group", refuse_enumeration)
+    with pytest.raises(CapExceeded, match="size 27 exceeds cap 26"):
+        GroupTable.from_algebra(u3, cap=26)
+    assert GroupTable.from_algebra(u3, cap=27).size == 27
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 5), (3, 9), (4, 3), (4, 4)])
+def test_theta_lambda_on_l_bar_matches_evaluate_group(rng, n, q):
+    group = unitriangular(n, q)
+    algebra = group.algebra
+    for _ in range(3):
+        lam = random_functional(rng, algebra)
+        lgroup = GroupTable.from_subspace(
+            algebra, chain_compute(algebra, lam).l_bar)
+        for table in (group, lgroup):
+            want = [table.theta(lam.evaluate_group(h))
+                    for h in table.elements]
+            assert exact(theta_lambda(table, lam)) == \
+                [(v.m, v.coeffs) for v in want]
+
+
+def test_value_tables_do_not_enumerate_elements(monkeypatch, capsys):
+    argv = ["table", "--n", "4", "--q", "3", "--lambda", "[[1,4,1],[2,3,2]]",
+            "--which"]
+    kinds = ("theta", "kirillov", "expkirillov", "superchar")
+    want = {}
+    for which in kinds:
+        assert main(argv + [which]) == 0
+        want[which] = capsys.readouterr().out
+    monkeypatch.setattr(NilAlgebra, "enumerate_group", refuse_enumeration)
+    for which in kinds:
+        assert main(argv + [which]) == 0
+        assert capsys.readouterr().out == want[which]
