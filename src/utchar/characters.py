@@ -93,7 +93,8 @@ class GroupTable:
         return self.index[(0,) * self.algebra.dim]
 
     def inverses(self):
-        """Each element's inverse, in element order; built once on demand.
+        """The index of each element's inverse, in element order; built
+        once on demand.
 
         Along the search tree of generator_rows, an element y other than
         the identity is s x for a generator s and an element x reached
@@ -119,7 +120,7 @@ class GroupTable:
                 columns, start = maps[g]
                 inverse[rows[g][x]] = lookup[apply_columns(
                     algebra.field, columns, coords[inverse[x]], start)]
-            self._inverses = [self.elements[i] for i in inverse]
+            self._inverses = inverse
         return self._inverses
 
     def index_of(self, g):
@@ -368,9 +369,6 @@ def _orbit_sum(group, functionals, scale):
     theta_mu(g) = zeta_p^t with t = Tr mu(X) = sum_k Tr(mu_k x_k) mod p,
     where x are the coordinates of X = g - 1, so each value is
     sum_t c_t zeta_p^t for the counts c_t(X) of the mu with trace t.
-    Reduced modulo Phi_p, whose roots satisfy
-    zeta^(p-1) = -(1 + ... + zeta^(p-2)), its coefficients are
-    c_t - c_{p-1}.
 
     Because the trace is a sum over coordinates, the counts are a
     transform of the functionals taken one coordinate at a time.  After
@@ -384,7 +382,8 @@ def _orbit_sum(group, functionals, scale):
     sum_t c_t 2^(b t), with 2^b larger than the number of functionals so
     that no digit overflows: adding count vectors is adding integers, and
     rotating by r is rotating the bp-bit word by b r bits.  Each distinct
-    count vector becomes one cyclotomic number."""
+    count vector becomes one cyclotomic number, scaled and reduced mod
+    Phi_p once (CyclotomicNumber.from_powers)."""
     algebra = functionals[0].algebra
     field = algebra.field
     p, q = field.p, field.q
@@ -424,10 +423,8 @@ def _orbit_sum(group, functionals, scale):
         packed = level[x][()]
         value = cyclo.get(packed)
         if value is None:
-            counts = [(packed >> (bits * t)) & low for t in range(p)]
-            top = counts[-1]
-            value = cyclo[packed] = CyclotomicNumber(
-                p, [c - top for c in counts[:-1]]).scale(scale)
+            value = cyclo[packed] = CyclotomicNumber.from_powers(
+                p, [(packed >> (bits * t)) & low for t in range(p)], scale)
         values.append(value)
     return ClassFunction(group, values)
 
@@ -715,10 +712,12 @@ def constituents_of_induced_linear(dual, subgroup, f_on_subgroup):
 
 def _value_exponents(f):
     """Express every table value as zeta_M^t for a common M, or None.  Each
-    distinct value is analysed once."""
+    distinct value is analysed once, keyed by its canonical form, and its
+    exponent is looked up among the zeta_M powers, both at the conductor
+    lcm(M, m) for a value of conductor m."""
     orders = {}
     for v in f.values:
-        key = (v.m, v.coeffs)
+        key = (v.m, v.nums, v.den)
         if key not in orders:
             d = root_of_unity_order(v)
             if d is None:
@@ -727,16 +726,22 @@ def _value_exponents(f):
     modulus = 1
     for _, d in orders.values():
         modulus = lcm(modulus, d)
-    powers = [CyclotomicNumber.zeta(modulus, t) for t in range(modulus)]
+    tables = {}  # conductor -> {numerators of zeta_M^t there: t}
     exponent = {}
     for key, (v, _) in orders.items():
-        for t, w in enumerate(powers):
-            if v == w:
-                exponent[key] = t
-                break
-        else:
+        big = lcm(modulus, v.m)
+        powers = tables.get(big)
+        if powers is None:
+            step = big // modulus
+            powers = tables[big] = {
+                CyclotomicNumber.zeta(big, t * step).nums: t
+                for t in range(modulus)}
+        w = v.promote(big)
+        t = powers.get(w.nums) if w.den == 1 else None
+        if t is None:
             return None, None
-    return [exponent[(v.m, v.coeffs)] for v in f.values], modulus
+        exponent[key] = t
+    return [exponent[(v.m, v.nums, v.den)] for v in f.values], modulus
 
 
 def homomorphism_defect(f):

@@ -12,6 +12,7 @@ import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, field as dc_field, fields
+from math import gcd
 
 from .algebra import (DEFAULT_CAP, CapExceeded, NilAlgebra, Pattern,
                       VerificationFailed)
@@ -126,7 +127,16 @@ def _functional_for(spec, algebra):
 
 
 def ser_cyclotomic(c):
-    return {"m": c.m, "coeffs": [str(x) for x in c.coeffs]}
+    """Each coefficient nums[i] / den as str(Fraction) writes it: in lowest
+    terms, "n" or "n/d"."""
+    den = c.den
+    if den == 1:
+        return {"m": c.m, "coeffs": [str(x) for x in c.nums]}
+    coeffs = []
+    for x in c.nums:
+        g = gcd(x, den)
+        coeffs.append(f"{x // g}/{den // g}" if g != den else str(x // g))
+    return {"m": c.m, "coeffs": coeffs}
 
 
 def ser_functional(lam):

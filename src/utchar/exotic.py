@@ -535,7 +535,6 @@ def _corner_constituents(dual, lgroup, kappa, chi):
                 if all(exps[g] == t for g, t in on_l)]
     if not cons_idx:
         return cons_idx, False
-    zeta = [CyclotomicNumber.zeta(modulus, t) for t in range(modulus)]
     sums = {}
     for g, want in enumerate(chi.values):
         counts = [0] * modulus
@@ -544,11 +543,8 @@ def _corner_constituents(dual, lgroup, kappa, chi):
         counts = tuple(counts)
         total = sums.get(counts)
         if total is None:
-            total = CyclotomicNumber.zero(modulus)
-            for t, c in enumerate(counts):
-                if c:
-                    total = total + zeta[t].scale(c)
-            sums[counts] = total
+            total = sums[counts] = CyclotomicNumber.from_powers(modulus,
+                                                                counts)
         if total != want:
             return cons_idx, False
     return cons_idx, True

@@ -4,7 +4,8 @@ Field elements are encoded as integers in [0, q): the polynomial
 c_0 + c_1 x + ... + c_{e-1} x^{e-1} in the power basis of the modulus is
 stored as sum(c_i * p**i).  Cyclotomic numbers carry exact rational
 coefficients with respect to the basis 1, zeta, ..., zeta^(d-1) where d is
-the degree of the m-th cyclotomic polynomial.
+the degree of the m-th cyclotomic polynomial, stored as integer numerators
+over one denominator.
 """
 
 from __future__ import annotations
@@ -344,43 +345,95 @@ def _phi_degree(m):
     return len(cyclotomic_polynomial(m)) - 1
 
 
-def _reduce_mod_phi(m, raw):
-    """Reduce the coefficient list raw (powers of zeta_m) mod Phi_m."""
+@lru_cache(maxsize=None)
+def _phi_tail(m):
+    """The nonzero (i, c_i) of Phi_m below its leading term."""
     phi = cyclotomic_polynomial(m)
-    d = len(phi) - 1
-    raw = list(raw) + [Fraction(0)] * max(0, d - len(raw))
-    for k in range(len(raw) - 1, d - 1, -1):
+    return [(i, c) for i, c in enumerate(phi[:-1]) if c]
+
+
+def _reduce_mod_phi(m, raw):
+    """Reduce the integer coefficient list raw (powers of zeta_m) mod
+    Phi_m, first mod x^m - 1, which Phi_m divides.  Phi_m is monic over Z,
+    so the result is an integer tuple of length deg Phi_m."""
+    d = len(cyclotomic_polynomial(m)) - 1
+    if len(raw) <= d:
+        return tuple(raw) + (0,) * (d - len(raw))
+    raw = list(raw)
+    for k in range(len(raw) - 1, m - 1, -1):
+        raw[k - m] += raw[k]
+    tail = _phi_tail(m)
+    for k in range(min(len(raw), m) - 1, d - 1, -1):
         c = raw[k]
         if c:
-            raw[k] = Fraction(0)
-            for i in range(d):
-                raw[k - d + i] -= c * phi[i]
+            base = k - d
+            for i, f in tail:
+                raw[base + i] -= c * f
     return tuple(raw[:d])
 
 
-class CyclotomicNumber:
-    """An exact element of Q(zeta_m), reduced mod the m-th cyclotomic
-    polynomial; equality is coefficient-wise after conductor promotion."""
+def _ratio(value):
+    """(numerator, denominator) of a rational value."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator, value.denominator
 
-    __slots__ = ("m", "coeffs")
+
+def _make(m, nums, den):
+    """The CyclotomicNumber sum_i nums[i] zeta_m^i / den, for a tuple nums
+    already reduced mod Phi_m and den > 0, brought to lowest terms."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple([x // g for x in nums])
+            den //= g
+    c = object.__new__(CyclotomicNumber)
+    c.m, c.nums, c.den = m, nums, den
+    return c
+
+
+class CyclotomicNumber:
+    """An exact element of Q(zeta_m): integer numerators nums of its
+    coefficients over 1, zeta, ..., zeta^(d-1), d = deg Phi_m, over one
+    denominator den > 0 with gcd(den, *nums) == 1 (zero has den 1).  That
+    form is unique, so at one conductor equality is tuple equality; across
+    conductors both sides are promoted to the lcm first."""
+
+    __slots__ = ("m", "nums", "den")
 
     def __init__(self, m, coeffs):
-        self.m = m
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(self.coeffs) != _phi_degree(m):
+        """coeffs: the d rational coefficients over the power basis."""
+        ratios = [_ratio(c) for c in coeffs]
+        if len(ratios) != _phi_degree(m):
             raise ValueError("coefficient vector has wrong length")
+        den = lcm(*(d for _, d in ratios))
+        self.m = m
+        self.nums = tuple([n * (den // d) for n, d in ratios])
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """The coefficients as Fractions (a read-only view)."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     @classmethod
     def rational(cls, value, m=1):
-        raw = [Fraction(value)] + [Fraction(0)] * max(0, _phi_degree(m) - 1)
-        return cls(m, _reduce_mod_phi(m, raw))
+        n, d = _ratio(value)
+        return _make(m, (n,) + (0,) * (_phi_degree(m) - 1), d)
 
     @classmethod
     def zeta(cls, m, k=1):
         k %= m
-        raw = [Fraction(0)] * (k + 1)
-        raw[k] = Fraction(1)
-        return cls(m, _reduce_mod_phi(m, raw))
+        return _make(m, _reduce_mod_phi(m, [0] * k + [1]), 1)
+
+    @classmethod
+    def from_powers(cls, m, counts, scale=1):
+        """scale * sum_t counts[t] zeta_m^t, for integer counts: one
+        reduction mod Phi_m."""
+        n, d = _ratio(scale)
+        return _make(m, _reduce_mod_phi(m, [c * n for c in counts]), d)
 
     @classmethod
     def zero(cls, m=1):
@@ -396,48 +449,57 @@ class CyclotomicNumber:
         if big_m % self.m != 0:
             raise ValueError("can only promote to a multiple conductor")
         step = big_m // self.m
-        raw = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            raw[i * step] = c
-        return CyclotomicNumber(big_m, _reduce_mod_phi(big_m, raw))
+        raw = [0] * ((len(self.nums) - 1) * step + 1)
+        raw[::step] = self.nums
+        return _make(big_m, _reduce_mod_phi(big_m, raw), self.den)
 
     def _pair(self, other):
         if not isinstance(other, CyclotomicNumber):
             other = CyclotomicNumber.rational(other)
+        if self.m == other.m:
+            return self, other
         m = lcm(self.m, other.m)
         return self.promote(m), other.promote(m)
 
     def __add__(self, other):
         a, b = self._pair(other)
-        return CyclotomicNumber(a.m, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        if a.den == b.den:
+            return _make(a.m, tuple(map(int.__add__, a.nums, b.nums)), a.den)
+        da, db = a.den, b.den
+        return _make(a.m, tuple([x * db + y * da
+                                 for x, y in zip(a.nums, b.nums)]), da * db)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         a, b = self._pair(other)
-        return CyclotomicNumber(a.m, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        if a.den == b.den:
+            return _make(a.m, tuple(map(int.__sub__, a.nums, b.nums)), a.den)
+        da, db = a.den, b.den
+        return _make(a.m, tuple([x * db - y * da
+                                 for x, y in zip(a.nums, b.nums)]), da * db)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return CyclotomicNumber(self.m, [-x for x in self.coeffs])
+        return _make(self.m, tuple([-x for x in self.nums]), self.den)
 
     def __mul__(self, other):
         a, b = self._pair(other)
-        raw = [Fraction(0)] * (2 * len(a.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
+        raw = [0] * (2 * len(a.nums) - 1)
+        for i, x in enumerate(a.nums):
             if x:
-                for j, y in enumerate(b.coeffs):
+                for j, y in enumerate(b.nums, i):
                     if y:
-                        raw[i + j] += x * y
-        return CyclotomicNumber(a.m, _reduce_mod_phi(a.m, raw))
+                        raw[j] += x * y
+        return _make(a.m, _reduce_mod_phi(a.m, raw), a.den * b.den)
 
     __rmul__ = __mul__
 
     def scale(self, rational):
-        f = Fraction(rational)
-        return CyclotomicNumber(self.m, [c * f for c in self.coeffs])
+        n, d = _ratio(rational)
+        return _make(self.m, tuple([x * n for x in self.nums]), self.den * d)
 
     def __pow__(self, k):
         result = CyclotomicNumber.one(self.m)
@@ -450,10 +512,10 @@ class CyclotomicNumber:
         """Image under zeta_m -> zeta_m**t; t must be coprime to m."""
         if gcd(t, self.m) != 1:
             raise ValueError(f"t = {t} is not coprime to m = {self.m}")
-        raw = [Fraction(0)] * self.m
-        for i, c in enumerate(self.coeffs):
+        raw = [0] * self.m
+        for i, c in enumerate(self.nums):
             raw[(i * t) % self.m] += c
-        return CyclotomicNumber(self.m, _reduce_mod_phi(self.m, raw))
+        return _make(self.m, _reduce_mod_phi(self.m, raw), self.den)
 
     def conjugate(self):
         if self.m <= 2:
@@ -461,22 +523,26 @@ class CyclotomicNumber:
         return self.galois(self.m - 1)
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self):
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self):
         if not self.is_rational():
             raise ValueError("not a rational number")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def __eq__(self, other):
-        try:
-            a, b = self._pair(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return a.coeffs == b.coeffs
+        if not isinstance(other, CyclotomicNumber):
+            try:
+                n, d = _ratio(other)
+            except (TypeError, ValueError):
+                return NotImplemented
+            return (self.den == d and self.nums[0] == n
+                    and not any(self.nums[1:]))
+        a, b = self._pair(other)
+        return a.nums == b.nums and a.den == b.den
 
     __hash__ = None
 

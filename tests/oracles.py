@@ -5,7 +5,7 @@ orbits, and combinatorial shortcuts."""
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from utchar import chain as chain_module
 from utchar.algebra import (DEFAULT_CAP, GroupElement, NilAlgebra, NilMatrix,
@@ -17,8 +17,9 @@ from utchar.characters import (ClassFunction, GroupTable, homomorphism_defect,
 from utchar.duals import (Functional, act_coadjoint, act_left, act_right,
                           shape, torus_orbit)
 from utchar.exotic import constant_diagonal_algebra, exotic_quasimonomial
-from utchar.scalars import (CyclotomicNumber, in_subfield, prime_power_split,
-                            root_of_unity_order)
+from utchar.scalars import (CyclotomicNumber, _phi_degree,
+                            cyclotomic_polynomial, in_subfield,
+                            prime_power_split, root_of_unity_order)
 
 
 def dense_rref(matrix, field):
@@ -805,3 +806,149 @@ def torus_shape_transitivity(r, field, cap=DEFAULT_CAP):
     expected = (field.q - 1) ** (lam.algebra.pattern.n - len(shp))
     shapes_ok = all(shape(f) == shp for f in orb)
     return len(orb) == expected and shapes_ok, len(orb), expected
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic numbers with one Fraction per coefficient: the representation
+# that scalars.CyclotomicNumber replaced by integer numerators over one
+# denominator, kept as the differential oracle
+
+
+def _reduce_mod_phi(m, raw):
+    """Reduce the coefficient list raw (powers of zeta_m) mod Phi_m."""
+    phi = cyclotomic_polynomial(m)
+    d = len(phi) - 1
+    raw = list(raw) + [Fraction(0)] * max(0, d - len(raw))
+    for k in range(len(raw) - 1, d - 1, -1):
+        c = raw[k]
+        if c:
+            raw[k] = Fraction(0)
+            for i in range(d):
+                raw[k - d + i] -= c * phi[i]
+    return tuple(raw[:d])
+
+
+class FractionCyclotomic:
+    """An exact element of Q(zeta_m), reduced mod the m-th cyclotomic
+    polynomial; equality is coefficient-wise after conductor promotion."""
+
+    __slots__ = ("m", "coeffs")
+
+    def __init__(self, m, coeffs):
+        self.m = m
+        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        if len(self.coeffs) != _phi_degree(m):
+            raise ValueError("coefficient vector has wrong length")
+
+    @classmethod
+    def rational(cls, value, m=1):
+        raw = [Fraction(value)] + [Fraction(0)] * max(0, _phi_degree(m) - 1)
+        return cls(m, _reduce_mod_phi(m, raw))
+
+    @classmethod
+    def zeta(cls, m, k=1):
+        k %= m
+        raw = [Fraction(0)] * (k + 1)
+        raw[k] = Fraction(1)
+        return cls(m, _reduce_mod_phi(m, raw))
+
+    @classmethod
+    def zero(cls, m=1):
+        return cls.rational(0, m)
+
+    @classmethod
+    def one(cls, m=1):
+        return cls.rational(1, m)
+
+    def promote(self, big_m):
+        if big_m == self.m:
+            return self
+        if big_m % self.m != 0:
+            raise ValueError("can only promote to a multiple conductor")
+        step = big_m // self.m
+        raw = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
+        for i, c in enumerate(self.coeffs):
+            raw[i * step] = c
+        return FractionCyclotomic(big_m, _reduce_mod_phi(big_m, raw))
+
+    def _pair(self, other):
+        if not isinstance(other, FractionCyclotomic):
+            other = FractionCyclotomic.rational(other)
+        m = lcm(self.m, other.m)
+        return self.promote(m), other.promote(m)
+
+    def __add__(self, other):
+        a, b = self._pair(other)
+        return FractionCyclotomic(a.m, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        a, b = self._pair(other)
+        return FractionCyclotomic(a.m, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return FractionCyclotomic(self.m, [-x for x in self.coeffs])
+
+    def __mul__(self, other):
+        a, b = self._pair(other)
+        raw = [Fraction(0)] * (2 * len(a.coeffs) - 1)
+        for i, x in enumerate(a.coeffs):
+            if x:
+                for j, y in enumerate(b.coeffs):
+                    if y:
+                        raw[i + j] += x * y
+        return FractionCyclotomic(a.m, _reduce_mod_phi(a.m, raw))
+
+    __rmul__ = __mul__
+
+    def scale(self, rational):
+        f = Fraction(rational)
+        return FractionCyclotomic(self.m, [c * f for c in self.coeffs])
+
+    def __pow__(self, k):
+        result = FractionCyclotomic.one(self.m)
+        base = self
+        for _ in range(int(k)):
+            result = result * base
+        return result
+
+    def galois(self, t):
+        """Image under zeta_m -> zeta_m**t; t must be coprime to m."""
+        if gcd(t, self.m) != 1:
+            raise ValueError(f"t = {t} is not coprime to m = {self.m}")
+        raw = [Fraction(0)] * self.m
+        for i, c in enumerate(self.coeffs):
+            raw[(i * t) % self.m] += c
+        return FractionCyclotomic(self.m, _reduce_mod_phi(self.m, raw))
+
+    def conjugate(self):
+        if self.m <= 2:
+            return self
+        return self.galois(self.m - 1)
+
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    def is_rational(self):
+        return not any(self.coeffs[1:])
+
+    def rational_value(self):
+        if not self.is_rational():
+            raise ValueError("not a rational number")
+        return self.coeffs[0]
+
+    def __eq__(self, other):
+        try:
+            a, b = self._pair(other)
+        except (TypeError, ValueError):
+            return NotImplemented
+        return a.coeffs == b.coeffs
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"FractionCyclotomic(m={self.m}, coeffs={list(self.coeffs)})"

@@ -6,6 +6,8 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from jsonschema import Draft202012Validator
@@ -15,8 +17,9 @@ from utchar import characters, cli, exotic
 from utchar.algebra import (GroupElement, NilAlgebra, Pattern,
                             VerificationFailed)
 from utchar.characters import GroupTable
-from utchar.cli import JobSpec, build_parser, main, render, run, spec_from_args
-from utchar.scalars import field_make
+from utchar.cli import (JobSpec, build_parser, main, render, run,
+                        ser_cyclotomic, spec_from_args)
+from utchar.scalars import CyclotomicNumber, field_make
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCHEMA_DIR = ROOT / "schemas"
@@ -113,6 +116,30 @@ def test_table_command():
     nonzero = [v for v in body["values"] if v["value"]["coeffs"] != ["0"]]
     assert len(nonzero) == 2
     load_validator("table.schema.json").validate(body)
+
+
+@pytest.mark.parametrize("nums,den", [
+    ((2, -4), 6), ((3, 2), 6), ((0, 0), 1), ((0, 5), 5), ((-7, 0), 1),
+    ((6, -9, 0, 12), 3), ((1, -1, 0, 3), 105), ((-250, 125), 1000)])
+def test_ser_cyclotomic_writes_each_coefficient_like_fraction(nums, den):
+    # ser_cyclotomic reads only m, nums and den, so a numerator tuple that
+    # is not in lowest terms overall is rendered per coefficient too
+    number = SimpleNamespace(m=5, nums=nums, den=den)
+    assert ser_cyclotomic(number) == {
+        "m": 5, "coeffs": [str(Fraction(n, den)) for n in nums]}
+
+
+def test_ser_cyclotomic_matches_fraction_coefficients():
+    values = [CyclotomicNumber(3, [Fraction(1, 2), Fraction(1, 3)]),
+              CyclotomicNumber(4, [Fraction(-2, 4), 0]),
+              CyclotomicNumber.rational(Fraction(-9, 6), 5),
+              CyclotomicNumber.zero(8), CyclotomicNumber.zeta(9, 4),
+              CyclotomicNumber.zeta(5, 4).scale(Fraction(-3, 10))]
+    for c in values:
+        assert ser_cyclotomic(c) == {"m": c.m,
+                                     "coeffs": [str(x) for x in c.coeffs]}
+    assert ser_cyclotomic(values[0])["coeffs"] == ["1/2", "1/3"]
+    assert ser_cyclotomic(values[2])["coeffs"] == ["-3/2", "0", "0", "0"]
 
 
 def test_output_is_deterministic():

@@ -334,7 +334,7 @@ def assert_inverses_match(group):
     oracle, element by element."""
     pattern, field = group.algebra.pattern, group.algebra.field
     width = len(pattern.order)
-    inverses = group.inverses()
+    inverses = [group.elements[i] for i in group.inverses()]
     assert inverses == [g.inverse() for g in group.elements]
     for g, inv in zip(group.elements, inverses):
         vec = g.body.vector()
@@ -518,7 +518,7 @@ def test_theta_lambda_on_l_bar_matches_evaluate_group(rng, n, q):
 def test_value_tables_do_not_enumerate_elements(monkeypatch, capsys):
     argv = ["table", "--n", "4", "--q", "3", "--lambda", "[[1,4,1],[2,3,2]]",
             "--which"]
-    kinds = ("theta", "kirillov", "expkirillov", "superchar")
+    kinds = ("theta", "kirillov", "expkirillov", "superchar", "xi")
     want = {}
     for which in kinds:
         assert main(argv + [which]) == 0

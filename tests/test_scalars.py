@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,8 @@ from utchar.scalars import (STANDARD_MODULI, AdditiveCharacter,
                             _is_irreducible, _zpoly_exact_div,
                             cyclotomic_polynomial, field_make, in_subfield,
                             prime_power_split, root_of_unity_order)
+
+from oracles import FractionCyclotomic
 
 
 def test_field_make_prime_field():
@@ -200,6 +203,139 @@ def test_equality_is_canonical():
     # same value at different declared conductors
     assert CyclotomicNumber.one(4) == CyclotomicNumber.one(2)
     assert CyclotomicNumber.zeta(8, 2) == CyclotomicNumber.zeta(4)
+
+
+# ---------------------------------------------------------------------------
+# differential test against the Fraction-coefficient oracle
+
+CONDUCTORS = [1, 2, 3, 4, 5, 8, 9, 12, 15, 25, 27, 105]
+PRIME_POWER_CONDUCTORS = [1, 2, 3, 4, 5, 8, 9, 25, 27]
+# p-power denominators and others; 105 makes lcm denominators large
+DENOMINATORS = [1, 1, 1, 2, 3, 4, 5, 8, 9, 25, 27, 6, 7, 10, 12, 105]
+
+
+def assert_canonical(x):
+    assert len(x.nums) == len(cyclotomic_polynomial(x.m)) - 1
+    assert all(type(n) is int for n in x.nums) and type(x.den) is int
+    assert x.den > 0 and gcd(x.den, *x.nums) == 1
+    if not any(x.nums):
+        assert x.den == 1
+
+
+def assert_same(x, want):
+    """x (a CyclotomicNumber) equals want (a FractionCyclotomic) at the
+    same conductor, coefficient by coefficient, and is canonical."""
+    assert isinstance(x, CyclotomicNumber)
+    assert_canonical(x)
+    assert (x.m, x.coeffs) == (want.m, want.coeffs), (x, want)
+
+
+def random_rational(rng):
+    if rng.random() < 0.3:
+        return Fraction(0)
+    return Fraction(rng.randint(-30, 30), rng.choice(DENOMINATORS))
+
+
+def random_pair(rng, m):
+    """The same random element of Q(zeta_m) in both representations: a
+    general element, a signed root of unity, a rational, or zero."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        want = FractionCyclotomic(
+            m, [random_rational(rng) for _ in range(len(
+                cyclotomic_polynomial(m)) - 1)])
+    elif kind == 1:
+        want = FractionCyclotomic.zeta(m, rng.randrange(-m, 2 * m))
+        if rng.random() < 0.5:
+            want = -want
+    elif kind == 2:
+        want = FractionCyclotomic.rational(random_rational(rng), m)
+    else:
+        want = FractionCyclotomic.zero(m)
+    got = CyclotomicNumber(m, want.coeffs)
+    assert_same(got, want)
+    return got, want
+
+
+def test_integer_numerators_match_fraction_oracle(rng):
+    for m in CONDUCTORS:
+        units = [t for t in range(1, 2 * m + 2) if gcd(t, m) == 1]
+        for _ in range(12):
+            (a, fa), (b, fb) = random_pair(rng, m), random_pair(rng, m)
+            assert_same(a + b, fa + fb)
+            assert_same(a - b, fa - fb)
+            assert_same(-a, -fa)
+            assert_same(a * b, fa * fb)
+            r = random_rational(rng) * rng.choice([1, -1])
+            assert_same(a.scale(r), fa.scale(r))
+            assert_same(a.scale(int(r)), fa.scale(int(r)))
+            big = m * rng.choice([1, 2, 3, 5])
+            assert_same(a.promote(big), fa.promote(big))
+            t = rng.choice(units)
+            assert_same(a.galois(t), fa.galois(t))
+            assert_same(a.conjugate(), fa.conjugate())
+            assert a.is_zero() == fa.is_zero()
+            assert a.is_rational() == fa.is_rational()
+            if fa.is_rational():
+                value = a.rational_value()
+                assert type(value) is Fraction
+                assert value == fa.rational_value()
+                assert a == value
+            else:
+                with pytest.raises(ValueError):
+                    a.rational_value()
+            assert (a == b) == (fa == fb)
+            # equality across conductors, and with plain rationals
+            other = rng.choice(CONDUCTORS)
+            c, fc = random_pair(rng, other)
+            assert_same(a + c, fa + fc)
+            assert_same(a * c, fa * fc)
+            assert (a == c) == (fa == fc)
+            assert a == a.promote(lcm(m, other))
+            assert (a == 1) == (fa == 1) and (a == 0) == (fa == 0)
+            assert (a == Fraction(1, 2)) == (fa == Fraction(1, 2))
+            assert (a != b) == (fa != fb)
+        for _ in range(3 if m < 100 else 1):
+            x = CyclotomicNumber.zeta(m, rng.randrange(m))
+            x = x.scale(rng.choice([1, -1]))
+            fx = FractionCyclotomic(m, x.coeffs)
+            assert root_of_unity_order(x) == root_of_unity_order(fx)
+            a, fa = random_pair(rng, m)
+            assert root_of_unity_order(a) == root_of_unity_order(fa)
+
+
+def test_in_subfield_matches_fraction_oracle(rng):
+    for m in PRIME_POWER_CONDUCTORS:
+        top = 0 if m == 1 else prime_power_split(m)[1]
+        for _ in range(8):
+            a, fa = random_pair(rng, m)
+            # also elements of the smaller fields, promoted to m
+            if m > 1 and rng.random() < 0.5:
+                p = prime_power_split(m)[0]
+                small = p ** rng.randrange(top + 1)
+                b, fb = random_pair(rng, small)
+                a, fa = b.promote(m), fb.promote(m)
+                assert_same(a, fa)
+            for i in range(top + 1):
+                assert in_subfield(a, i) == in_subfield(fa, i)
+
+
+def test_canonical_form_of_constructed_numbers():
+    assert CyclotomicNumber(3, [Fraction(2, 6), Fraction(-4, 6)]).nums \
+        == (1, -2)
+    x = CyclotomicNumber(3, [Fraction(1, 2), Fraction(1, 3)])
+    assert (x.nums, x.den) == ((3, 2), 6)
+    zero = CyclotomicNumber.rational(Fraction(0, 7), 5)
+    assert (zero.nums, zero.den) == ((0, 0, 0, 0), 1)
+    half = CyclotomicNumber.rational(Fraction(1, 2), 4)
+    assert ((half + half).nums, (half + half).den) == ((1, 0), 1)
+    assert (half - half).den == 1 and (half.scale(0)).den == 1
+    assert CyclotomicNumber.from_powers(5, [1] * 5).is_zero()
+    assert CyclotomicNumber.from_powers(3, [2, 0, 1], Fraction(1, 2)) == \
+        CyclotomicNumber.one() + \
+        CyclotomicNumber.zeta(3, 2).scale(Fraction(1, 2))
+    with pytest.raises(AttributeError):
+        x.coeffs = (Fraction(1),) * 2
 
 
 # ---------------------------------------------------------------------------
