@@ -150,7 +150,7 @@ def restrict_form(form, combos, width, field):
             for k in combos]
 
 
-def chain_compute(algebra, lam, validate=False):
+def chain_compute(algebra, lam):
     """Run the inductive kernel chain for lam on the algebra until the
     descending side stabilizes.
 
@@ -181,10 +181,7 @@ def chain_compute(algebra, lam, validate=False):
         form = restrict_form(form, s_combos, len(rows), field)
     else:
         raise VerificationFailed("chain failed to stabilize")
-    result = ChainResult(algebra, lam, l_list, s_list, len(s_list) - 1)
-    if validate:
-        result.validate()
-    return result
+    return ChainResult(algebra, lam, l_list, s_list, len(s_list) - 1)
 
 
 # ---------------------------------------------------------------------------

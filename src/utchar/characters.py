@@ -25,16 +25,16 @@ class GroupTable:
     tuple over algebra.basis(), in canonical order, with cached inverses;
     the elements as GroupElements are built only when read.
 
-    Group products are computed on coordinates: for x = 1 + a, both
-    y -> x y and y -> x y x^{-1} are affine maps of the coordinates of
-    y - 1, so each x costs one set of basis products and then one sparse
-    mat-vec per element.  Only the generators x of
-    algebra.group_generators() pay for that: their rows y -> x y
-    (generator_rows) cost |gens| * |G| mat-vecs, every other row of the
-    multiplication table is composed from them by list lookups, the
-    inverses follow the generators' search tree at one mat-vec per
+    Group products are computed on coordinates: for x = 1 + a, y -> x y
+    is an affine map of the coordinates of y - 1, so each x costs one set
+    of basis products and then one sparse mat-vec per element.  Only the
+    generators x of algebra.group_generators() pay for that: their rows
+    y -> x y (generator_rows) cost |gens| * |G| mat-vecs, every other row
+    of the multiplication table is composed from them by list lookups,
+    the inverses follow the generators' search tree at one mat-vec per
     element, and the conjugacy classes are the components of the
-    generators' conjugation maps."""
+    generators' conjugation maps, read from their rows and the
+    inverses by list lookups."""
 
     def __init__(self, algebra, elements, coords=None):
         """coords, if given, lists each element's coordinates over
@@ -224,24 +224,13 @@ class GroupTable:
         their least index; built once on demand.
 
         The classes are the connected components of the graph
-        g -> x g x^{-1} for x in algebra.group_generators(), since those
-        generate the group.  For x = 1 + a, y -> x y x^{-1} is linear on
-        the coordinates of y - 1, and it moves y by the combination of
-        the columns x u_b x^{-1} - u_b, of which only the nonzero ones are
-        kept.  A generator whose map is the identity (every generator of
-        an abelian group) has none, adds no edge and is skipped."""
+        y -> x y x^{-1} for x in algebra.group_generators(), since those
+        generate the group.  x y x^{-1} = (x (x y)^{-1})^{-1}, so each
+        edge is four list lookups in the generator row of x and in
+        inverses()."""
         if self._classes is None:
-            coords, lookup = self.coords, self.index
-            algebra = self.algebra
-            basis = algebra.basis()
-            maps = []
-            for x in algebra.group_generators():
-                a, ainv = x.body, x.inverse().body
-                left = [u + a @ u for u in basis]  # (1 + a) u_b
-                columns = _columns(algebra, [m + m @ ainv - u
-                                             for m, u in zip(left, basis)])
-                if columns:
-                    maps.append(columns)
+            rows = self.generator_rows()
+            inverse = self.inverses()
             found = [False] * self.size
             classes = []
             for start in range(self.size):
@@ -249,16 +238,9 @@ class GroupTable:
                     continue
                 found[start] = True
                 members = [start]
-                for i in members:  # grows as the search finds conjugates
-                    y = coords[i]
-                    for columns in maps:
-                        try:
-                            j = lookup[apply_columns(algebra.field, columns,
-                                                     y, y)]
-                        except KeyError:
-                            raise VerificationFailed(
-                                "group table is incomplete: a conjugate "
-                                "falls outside the element list") from None
+                for y in members:  # grows as the search finds conjugates
+                    for row in rows:
+                        j = inverse[row[inverse[row[y]]]]
                         if not found[j]:
                             found[j] = True
                             members.append(j)
@@ -558,7 +540,6 @@ def induce(f, group):
     elements to H's indices.  A class that misses H gets the conductor-1
     zero."""
     sub = f.group
-    group.inverses()  # unused; perfbench's traced gate needs it reached
     in_sub = {c: i for i, c in enumerate(sub.coordinates_in(group.algebra))}
     coords = group.coords
     values = [None] * group.size
@@ -624,7 +605,7 @@ def abelian_dual(group):
     The ClassFunctions are built from those tables only when
     AbelianDual.characters is first read."""
     if not group.is_abelian():
-        raise ValueError("group is not abelian")
+        raise VerificationFailed("group is not abelian")
     rows = group.generator_rows()
     mul = group.mul_table()
     identity = group.identity_index()

@@ -23,17 +23,6 @@ class VerificationFailed(AssertionError):
 # finite fields
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 # standard irreducible moduli (coefficients low degree first) for q <= 64;
 # prime fields always use the modulus x.
 STANDARD_MODULI = {
@@ -137,7 +126,11 @@ class Field:
     integer encodings."""
 
     def __init__(self, p, e=1, modulus=None):
-        if not is_prime(p):
+        try:
+            prime = prime_power_split(p) == (p, 1)
+        except ValueError:
+            prime = False
+        if not prime:
             raise ValueError(f"p = {p} is not prime")
         if e < 1:
             raise ValueError("e must be >= 1")

@@ -785,12 +785,12 @@ def _in_level(value, p, level):
     return in_subfield(value, level)
 
 
-def quasimonomial_irreducible(algebra, lam, validate=False):
+def quasimonomial_irreducible(algebra, lam):
     """Verify l_bar = s_bar for a quasi-monomial functional; returns the
     chain together with the verdict (expected True on closed patterns)."""
     # looked up on the module, so a test can monkeypatch the fast path
     fast = chain_module.quasimonomial_kernels(algebra, lam)
-    chain = chain_compute(algebra, lam, validate=validate)
+    chain = chain_compute(algebra, lam)
     if chain.l_list[1] != fast.l1 or chain.s_list[1] != fast.s1:
         raise VerificationFailed("fast path disagrees with the kernel chain")
     return chain.l_bar == chain.s_bar, chain

@@ -36,7 +36,8 @@ def test_staircase_functional_on_u6(q):
     u6 = NilAlgebra.pattern_algebra(Pattern.full(6), field)
     lam = Functional.from_entries(
         u6, {(1, 3): 1, (2, 4): 1, (3, 5): 1, (4, 6): 1})
-    ch = chain_compute(u6, lam, validate=True)
+    ch = chain_compute(u6, lam)
+    ch.validate()
     assert ch.d == 3
     assert ch.l_list[1] == constraint_space(u6, [(1, 2), (2, 3), (3, 4), (4, 5)])
     assert ch.s_list[1] == constraint_space(u6, [(4, 5)])
@@ -60,7 +61,8 @@ def test_corner_functional_on_u3():
     for field in (F2, F3):
         u3 = NilAlgebra.pattern_algebra(Pattern.full(3), field)
         lam = Functional.from_entries(u3, {(1, 3): 1})
-        ch = chain_compute(u3, lam, validate=True)
+        ch = chain_compute(u3, lam)
+        ch.validate()
         assert ch.l_list[1] == constraint_space(u3, [(1, 2)])
         assert ch.s_list[1] == ch.l_list[1]
         assert ch.degree_exponent == 1
@@ -88,7 +90,8 @@ def test_fast_path_matches_chain_on_random_instances(rng):
             continue
         alg = NilAlgebra.pattern_algebra(pattern, rng.choice([F2, F3]))
         lam = random_quasimonomial(rng, alg)
-        irreducible, ch = quasimonomial_irreducible(alg, lam, validate=True)
+        irreducible, ch = quasimonomial_irreducible(alg, lam)
+        ch.validate()
         assert irreducible
         hits += 1
 

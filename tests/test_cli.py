@@ -315,6 +315,16 @@ def test_s_bar_closure_failure_exits_1(monkeypatch, capsys):
     assert "s_bar is not closed under products" in captured.err
 
 
+def test_nonabelian_corner_group_exits_1(monkeypatch, capsys):
+    # the corner group of kappa must be abelian for its dual; a group that
+    # fails that check is a verification mismatch, not invalid input
+    monkeypatch.setattr(NilAlgebra, "is_commutative", lambda alg: False)
+    assert main(["kappa", "--n", "3", "--q", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "group is not abelian" in captured.err
+
+
 def test_false_h_ideal_verdict_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(exotic, "products_vanish_at", lambda *args: False)
     assert main(["exotic", "--r", "2", "--q", "2"]) == 1

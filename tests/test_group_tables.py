@@ -109,6 +109,26 @@ def test_classes_match_oracle(make, size):
         assert all(len(c) == 1 for c in classes)
 
 
+@pytest.mark.parametrize("make,size", [(unitriangular, (4, 2)),
+                                       (noncommutative, (3,))])
+def test_classes_make_no_mat_vec_after_rows_and_inverses(monkeypatch, make,
+                                                         size):
+    group = make(*size)
+    group.generator_rows()
+    group.inverses()
+    calls = []
+    real = characters.apply_columns
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(characters, "apply_columns", counting)
+    classes = group.classes()
+    assert calls == []
+    assert {frozenset(c) for c in classes} == brute_force_classes(group)
+
+
 def test_incomplete_classes_raise():
     group = unitriangular(3, 2)
     partial = GroupTable(group.algebra, group.elements[:5])

@@ -43,6 +43,15 @@ def test_field_make_rejects_bad_input():
         field_make(2, 7)  # q = 128 > 64: no built-in modulus
 
 
+def test_field_accepts_exactly_the_primes():
+    for p in range(-2, 60):
+        if p >= 2 and all(p % d for d in range(2, p)):
+            assert field_make(p, 1).q == p
+        else:
+            with pytest.raises(ValueError, match=f"p = {p} is not prime"):
+                field_make(p, 1)
+
+
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4), (5, 1)])
 def test_field_axioms_spot(p, e, rng):
     f = field_make(p, e)
