@@ -39,15 +39,13 @@ class Pattern:
         return cls(n, [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)])
 
     def is_closed(self):
-        """(i, j), (j, k) in P imply (i, k) in P.  The positions are indexed
-        by row, so each (i, j) meets only the (j, k): O(n^3) membership
-        tests, not O(|P|^2)."""
-        pos = self.positions
-        by_row = {}
+        """(i, j), (j, k) in P imply (i, k) in P: for each (i, j) in P, the
+        columns of row j lie among those of row i.  One set inclusion per
+        position, not O(|P|^2) pairs."""
+        by_row, empty = {}, frozenset()
         for i, j in self.order:
-            by_row.setdefault(i, []).append(j)
-        return all((i, k) in pos
-                   for i, j in self.order for k in by_row.get(j, ()))
+            by_row.setdefault(i, set()).add(j)
+        return all(by_row.get(j, empty) <= by_row[i] for i, j in self.order)
 
     def __contains__(self, pos):
         return pos in self.positions

@@ -191,15 +191,13 @@ def chain_compute(algebra, lam):
 @dataclass(frozen=True)
 class QuasimonomialKernels:
     """First chain step computed combinatorially: the obstructed position
-    sets, the cut-out subspaces, and the affine description of the right
-    orbit."""
+    sets and the cut-out subspaces.  perp_l also describes the right
+    orbit: lam G = lam + span{e*_pos : pos in perp_l}."""
 
     perp_l: frozenset
     perp_s: frozenset
     l1: Subspace
     s1: Subspace
-    base: Functional
-    right_orbit_positions: frozenset  # lam G = lam + span{e*_pos}
 
 
 def quasimonomial_kernels(algebra, lam):
@@ -211,7 +209,8 @@ def quasimonomial_kernels(algebra, lam):
         raise ValueError("fast path requires a pattern algebra")
     if not is_quasi_monomial(lam):
         raise ValueError("functional is not quasi-monomial")
-    pos = algebra.pattern.positions
+    pattern, field = algebra.pattern, algebra.field
+    pos = pattern.positions
     row_entry = {i: k for (i, k) in lam.entries()}
     perp_l = frozenset(
         (i, j) for (i, j) in pos
@@ -219,19 +218,16 @@ def quasimonomial_kernels(algebra, lam):
     perp_s = frozenset(
         (i, j) for (i, j) in perp_l
         if (j, row_entry[i]) not in perp_l)
-    field = algebra.field
-    index = algebra.pattern.index
 
     def cut(excluded):
-        vecs = [{index[p]: 1} for p in algebra.pattern.order
-                if p not in excluded]
-        return Subspace.from_vectors(algebra.pattern, field, vecs)
+        # unit rows in pattern order are already in reduced echelon form
+        return Subspace(pattern, field,
+                        [{k: 1} for k, p in enumerate(pattern.order)
+                         if p not in excluded])
 
     return QuasimonomialKernels(
         perp_l=perp_l,
         perp_s=perp_s,
         l1=cut(perp_l),
         s1=cut(perp_s),
-        base=lam,
-        right_orbit_positions=perp_l,
     )

@@ -598,7 +598,8 @@ def abelian_dual(group):
     exponent) do not depend on the generators at all.
 
     The normal form lists the elements s_1^k_1 ... s_j^k_j, k_1 varying
-    fastest, and each layer s^k H is read from the multiplication table.
+    fastest, and each layer s^k H is the generator row of s read at the
+    layer s^(k-1) H before it.
     A character is chosen by solving z^m = chi(s^m) at each generator,
     and its exponent table is built layer by layer:
     table[s^k h] = table[h] + k t_s mod M, one addition per element.
@@ -607,7 +608,6 @@ def abelian_dual(group):
     if not group.is_abelian():
         raise VerificationFailed("group is not abelian")
     rows = group.generator_rows()
-    mul = group.mul_table()
     identity = group.identity_index()
     gens = [row[identity] for row in rows]
     position = [None] * group.size  # element index -> place in normal form
@@ -633,13 +633,11 @@ def abelian_dual(group):
         for earlier in rel_orders:
             rest, digit = divmod(rest, earlier)
             word.append(digit)
-        layer = normal
-        normal = list(layer)
-        power = identity
+        below, layer = len(normal), normal
         for _ in range(1, m):
-            power = row[power]
-            normal.extend([mul[power][x] for x in layer])
-        for i in range(len(layer), len(normal)):
+            layer = [row[x] for x in layer]
+            normal.extend(layer)
+        for i in range(below, len(normal)):
             position[normal[i]] = i
         order = m  # h = s^m
         while h != identity:

@@ -139,8 +139,15 @@ def ser_cyclotomic(c):
     return {"m": c.m, "coeffs": coeffs}
 
 
+def ser_entries(order, x):
+    """The nonzero coordinates x over the positions order as [i, j, c]
+    lists; literal lists, since [*pos, c] over-allocates."""
+    return [[i, j, c] for (i, j), c in zip(order, x) if c]
+
+
 def ser_functional(lam):
-    return [[i, j, c] for (i, j), c in sorted(lam.entries().items())]
+    # pattern order is row-major sorted, so the entries come out sorted
+    return ser_entries(lam.algebra.pattern.order, lam.values)
 
 
 def ser_matrix_key(key):
@@ -323,11 +330,9 @@ def cmd_table(spec):
         "lambda": ser_functional(lam),
         "which": spec.which,
         "degree": ser_cyclotomic(fn.degree),
-        # u_n's coordinates are its entries in pattern order; literal
-        # [i, j, c] lists, since [*pos, c] over-allocates
+        # u_n's coordinates are its entries in pattern order
         "values": [
-            {"g": [[i, j, c] for (i, j), c in zip(order, x) if c],
-             "value": ser_cyclotomic(v)}
+            {"g": ser_entries(order, x), "value": ser_cyclotomic(v)}
             for x, v in zip(group.coords, fn.values)
         ],
     }, 0

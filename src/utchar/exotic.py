@@ -288,9 +288,9 @@ class TechnicalReport:
 def verify_chain_closed_forms(r, field):
     """Compare the computed kernel chain of the defining functional with
     the closed-form subspaces from the atlas, check the first-step kernels
-    of the quasi-monomial part, and check that the corner-corrected
-    functional nu kills all products in s_bar: the Gram block of
-    nu(XY) on the echelon basis of s_bar must vanish."""
+    and the shape of the quasi-monomial part, and check that the
+    corner-corrected functional nu kills all products in s_bar: the Gram
+    block of nu(XY) on the echelon basis of s_bar must vanish."""
     atlas = build_regions(r)
     plus, minus = exotic_functional_parts(r, field)
     lam = plus - minus
@@ -309,6 +309,8 @@ def verify_chain_closed_forms(r, field):
     qk = quasimonomial_kernels(algebra, plus)
     perp_l_ok = qk.perp_l == (atlas.lettered | atlas.Z | atlas.Zp)
     perp_s_ok = qk.perp_s == atlas.Z
+    _require(shape(plus) == exotic_shape(r),
+             "closed-form shape differs from the computed shape")
     corner = Functional.from_entries(
         algebra, {(1, 2 * r + 1): 1})
     nu_block = gram_block(algebra, gram_matrix(lam - corner), ch.s_bar)
@@ -360,23 +362,22 @@ class AbelianQuotientSplit:
         return all(self.checks.values())
 
 
-def abelian_quotient_split(r, field, chain):
+def abelian_quotient_split(atlas, field, chain):
     """Split s_bar as a (+) h, with h a two-sided ideal and a a subalgebra
     isomorphic (as an algebra) to a_{r+1}(q), matching the corner
-    functional through the isomorphism.  s_bar must be closed under
-    products (exotic_report checks it first): the ideal test of h reads
-    only the positions that cut h out of s_bar."""
+    functional through the isomorphism.  The atlas is the one the chain
+    was verified against.  s_bar must be closed under products
+    (exotic_report checks it first): the ideal test of h reads only the
+    positions that cut h out of s_bar."""
     algebra = chain.algebra
     pattern = algebra.pattern
-    atlas = build_regions(r)
+    r = atlas.r
     corner_pos = (1, 2 * r + 1)
     index = pattern.index
     # a: supported on D with mirror identifications, plus the corner
-    rows = [{index[p]: 1} for p in pattern.order
-            if p not in atlas.D and p != corner_pos]
-    for p in atlas.D:
-        rows.append({index[p]: 1, index[atlas.mirror[p]]: field.neg(1)})
-    a_span = solution_space(pattern, field, rows)
+    a_span = _constrained_subspace(
+        algebra, [p for p in pattern.order
+                  if p not in atlas.D and p != corner_pos], atlas.D, atlas)
     # h: the part of s_bar vanishing on D and the corner
     zero_on = list(atlas.D) + [corner_pos]
     h_span = chain.s_bar.restrict_to_zero([index[p] for p in zero_on])
@@ -622,7 +623,7 @@ def exotic_report(r, field, n=None, cap=DEFAULT_CAP):
     _require(NilAlgebra.from_subspace(ch.s_bar, field, check=False)
              .is_closed_under_products(),
              "s_bar is not closed under products")
-    split = abelian_quotient_split(r, field, ch)
+    split = abelian_quotient_split(atlas, field, ch)
     if not split.ok:
         raise VerificationFailed(f"quotient split failed: {split.checks}")
     algebra = ch.algebra
@@ -641,10 +642,6 @@ def exotic_report(r, field, n=None, cap=DEFAULT_CAP):
     notes = []
     expected_parts = n - 4 * r - 1
     shp = exotic_shape(r, n)
-    shp_direct = shape(exotic_quasimonomial(r, field))
-    if n == 6 * r + 1:
-        _require(shp == shp_direct,
-                 "closed-form shape differs from the computed shape")
     _require(len(shp) == expected_parts,
              "shape does not have n - 4r - 1 parts")
     notes.append(

@@ -334,11 +334,6 @@ def _zpoly_exact_div(a, b):
 
 
 @lru_cache(maxsize=None)
-def _phi_degree(m):
-    return len(cyclotomic_polynomial(m)) - 1
-
-
-@lru_cache(maxsize=None)
 def _phi_tail(m):
     """The nonzero (i, c_i) of Phi_m below its leading term."""
     phi = cyclotomic_polynomial(m)
@@ -399,7 +394,7 @@ class CyclotomicNumber:
     def __init__(self, m, coeffs):
         """coeffs: the d rational coefficients over the power basis."""
         ratios = [_ratio(c) for c in coeffs]
-        if len(ratios) != _phi_degree(m):
+        if len(ratios) != len(cyclotomic_polynomial(m)) - 1:
             raise ValueError("coefficient vector has wrong length")
         den = lcm(*(d for _, d in ratios))
         self.m = m
@@ -414,7 +409,8 @@ class CyclotomicNumber:
     @classmethod
     def rational(cls, value, m=1):
         n, d = _ratio(value)
-        return _make(m, (n,) + (0,) * (_phi_degree(m) - 1), d)
+        zeros = (0,) * (len(cyclotomic_polynomial(m)) - 2)
+        return _make(m, (n,) + zeros, d)
 
     @classmethod
     def zeta(cls, m, k=1):

@@ -17,9 +17,9 @@ from utchar.characters import (ClassFunction, GroupTable, homomorphism_defect,
 from utchar.duals import (Functional, act_coadjoint, act_left, act_right,
                           shape, torus_orbit)
 from utchar.exotic import constant_diagonal_algebra, exotic_quasimonomial
-from utchar.scalars import (CyclotomicNumber, _phi_degree,
-                            cyclotomic_polynomial, in_subfield,
-                            prime_power_split, root_of_unity_order)
+from utchar.scalars import (CyclotomicNumber, cyclotomic_polynomial,
+                            in_subfield, prime_power_split,
+                            root_of_unity_order)
 
 
 def dense_rref(matrix, field):
@@ -812,6 +812,10 @@ def torus_shape_transitivity(r, field, cap=DEFAULT_CAP):
 # cyclotomic numbers with one Fraction per coefficient: the representation
 # that scalars.CyclotomicNumber replaced by integer numerators over one
 # denominator, kept as the differential oracle
+
+
+def _phi_degree(m):
+    return len(cyclotomic_polynomial(m)) - 1
 
 
 def _reduce_mod_phi(m, raw):

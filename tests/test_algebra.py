@@ -35,6 +35,17 @@ def test_pattern_closure():
         Pattern(3, [(1, 4)])
 
 
+def test_pattern_closure_at_n_200():
+    # (1, j), (j, 200) in P but (1, 200) not: the only failing pairs; the
+    # pair-scan oracle is O(|P|^2), too slow at this size
+    full = Pattern.full(200)
+    assert full.is_closed()
+    holed = Pattern(200, full.positions - {(1, 200)})
+    assert not holed.is_closed()
+    with pytest.raises(ValueError, match="not closed"):
+        NilAlgebra.pattern_algebra(holed, F2)
+
+
 def test_group_multiplication_example():
     p3 = Pattern.full(3)
     e12 = NilMatrix.elementary(p3, F2, 1, 2)

@@ -105,6 +105,20 @@ def test_fast_path_on_full_pattern_corner():
         assert qk.perp_s == qk.perp_l
 
 
+def test_fast_path_kernels_need_no_elimination(monkeypatch):
+    # unit rows in pattern order are already reduced echelon rows
+    alg = NilAlgebra.pattern_algebra(Pattern.full(6), F3)
+    lam = Functional.from_entries(alg, {(1, 4): 1, (2, 5): 2, (3, 6): 1})
+    ch = chain_compute(alg, lam)
+
+    def refuse(rows, field):
+        raise AssertionError("the fast path ran an elimination")
+
+    monkeypatch.setattr(algebra_module, "rref", refuse)
+    qk = quasimonomial_kernels(alg, lam)
+    assert (qk.l1, qk.s1) == (ch.l_list[1], ch.s_list[1])
+
+
 def test_perp_l_minus_perp_s_on_full_pattern():
     # on the full pattern the difference picks out crossings i<j<k<l with
     # entries at (i,k) and (j,l)

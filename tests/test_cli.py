@@ -19,6 +19,7 @@ from utchar.algebra import (GroupElement, NilAlgebra, Pattern,
 from utchar.characters import GroupTable
 from utchar.cli import (JobSpec, build_parser, main, render, run,
                         ser_cyclotomic, spec_from_args)
+from utchar.duals import SetPartition
 from utchar.scalars import CyclotomicNumber, field_make
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -228,6 +229,37 @@ def test_failed_verification_exits_1(monkeypatch, capsys):
                         _failing_closed_forms(cli.verify_chain_closed_forms))
     assert main(["verify", "--r", "2", "--q", "2"]) == 1
     assert json.loads(capsys.readouterr().out)["pass"] is False
+
+
+def test_shape_mismatch_fails_verify(monkeypatch, capsys):
+    # verify compares the closed-form shape with the computed shape of the
+    # quasi-monomial part
+    monkeypatch.setattr(exotic, "exotic_shape",
+                        lambda r, n=None: SetPartition.singletons(6 * r + 1))
+    assert main(["verify", "--r", "2", "--q", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "closed-form shape differs" in captured.err
+
+
+def test_exotic_builds_the_algebra_and_atlas_once(monkeypatch, capsys):
+    counts = {"pattern_algebra": 0, "build_regions": 0}
+    real_algebra = NilAlgebra.pattern_algebra.__func__
+    real_regions = exotic.build_regions
+
+    def pattern_algebra(cls, pattern, field):
+        counts["pattern_algebra"] += 1
+        return real_algebra(cls, pattern, field)
+
+    def build_regions(r):
+        counts["build_regions"] += 1
+        return real_regions(r)
+
+    monkeypatch.setattr(NilAlgebra, "pattern_algebra",
+                        classmethod(pattern_algebra))
+    monkeypatch.setattr(exotic, "build_regions", build_regions)
+    assert main(["exotic", "--r", "2", "--q", "2"]) == 0
+    assert counts == {"pattern_algebra": 1, "build_regions": 1}
 
 
 def test_failed_character_checks_exit_1(monkeypatch, capsys):

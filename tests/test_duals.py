@@ -203,7 +203,7 @@ def test_right_orbit_of_quasimonomial_is_affine():
     for entries in ({(1, 4): 1, (2, 5): 1}, {(1, 6): 1}, {(2, 3): 1}):
         lam = Functional.from_entries(u62, entries)
         qk = quasimonomial_kernels(u62, lam)
-        span_pos = sorted(qk.right_orbit_positions)
+        span_pos = sorted(qk.perp_l)
         affine = set()
         for coeffs in itertools.product(range(2), repeat=len(span_pos)):
             mu = lam

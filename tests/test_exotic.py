@@ -58,7 +58,7 @@ def test_functional_lies_in_right_orbit_of_quasimonomial_part():
         alg = lam.algebra
         qk = quasimonomial_kernels(alg, lamp)
         diff = (lam - lamp).entries()
-        assert set(diff) <= qk.right_orbit_positions
+        assert set(diff) <= qk.perp_l
 
 
 def test_regions_r2_frozen():
@@ -142,16 +142,16 @@ def test_chain_matches_dense_oracle_at_r2():
 
 def test_quotient_split_r2():
     for field in (F2, F3):
-        _, ch, _ = verify_chain_closed_forms(2, field)
-        split = abelian_quotient_split(2, field, ch)
+        _, ch, atlas = verify_chain_closed_forms(2, field)
+        split = abelian_quotient_split(atlas, field, ch)
         assert split.ok
         assert split.a_span.dim == 2  # isomorphic image has dimension r
         assert split.h_span.dim == ch.s_bar.dim - 2
 
 
 def test_quotient_split_r3():
-    _, ch, _ = verify_chain_closed_forms(3, F2)
-    split = abelian_quotient_split(3, F2, ch)
+    _, ch, atlas = verify_chain_closed_forms(3, F2)
+    split = abelian_quotient_split(atlas, F2, ch)
     assert split.ok
     assert split.a_span.dim == 3
 

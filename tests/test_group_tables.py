@@ -211,6 +211,18 @@ def test_abelian_dual_matches_oracle_on_constant_diagonal(n, q):
     assert_dual_matches_oracle(constant_diagonal(n, q))
 
 
+def test_abelian_dual_reads_no_multiplication_table(monkeypatch):
+    # the layers s^k H come from the generator rows alone
+    groups = [constant_diagonal(n, q) for n, q in CONSTANT_DIAGONAL]
+
+    def refuse(group):
+        raise AssertionError("abelian_dual read the multiplication table")
+
+    monkeypatch.setattr(GroupTable, "mul_table", refuse)
+    for group in groups:
+        assert_dual_matches_oracle(group)
+
+
 @pytest.mark.parametrize("n,q", [(3, 2), (5, 2), (7, 2), (4, 3), (5, 3),
                                  (3, 4), (4, 4), (4, 5), (3, 9)])
 def test_abelian_dual_matches_oracle_on_corner_subgroups(n, q):
