@@ -17,7 +17,6 @@ from .characters import (AbelianDual, ClassFunction, GroupTable,
 from .exotic import (ExoticReport, RegionAtlas, abelian_quotient_split,
                      build_regions, constant_diagonal_algebra,
                      corner_character_analysis, corner_functional,
-                     exotic_functional, exotic_quasimonomial, exotic_report,
-                     exotic_shape, verify_chain_closed_forms)
+                     exotic_report, exotic_shape, verify_chain_closed_forms)
 
 __version__ = "0.1.0"

@@ -41,7 +41,7 @@ class JobSpec:
     out: str = ""
 
     def to_json(self):
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        return _encode(asdict(self))
 
     @classmethod
     def from_json(cls, text):
@@ -105,25 +105,21 @@ def field_for(q, modulus=None):
     return field_make(*prime_power_split(q), modulus)
 
 
-def _functional_for(spec, algebra):
-    """The JobSpec's lambda on the algebra.  Each coefficient must be a
-    field-element encoding in [0, q), and each position must occur once;
-    Functional.from_entries would otherwise silently reduce the one and
-    keep only the last value of the other."""
-    seen = set()
-    for i, j, c in spec.lam:
-        if not 0 <= c < spec.q:
-            raise ValueError(f"lambda coefficient {c} at ({i}, {j}) is not "
-                             f"an encoding in [0, {spec.q})")
-        if (i, j) in seen:
-            raise ValueError(f"lambda position ({i}, {j}) is repeated")
-        seen.add((i, j))
-    return Functional.from_entries(algebra,
-                                   {(i, j): c for i, j, c in spec.lam})
-
-
 # ---------------------------------------------------------------------------
 # serialization
+
+
+class Raw:
+    """JSON text, which render copies as it is."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        self.text = text
+
+
+# the one JSON encoder: sorted keys, no spaces
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def ser_cyclotomic(c):
@@ -139,58 +135,83 @@ def ser_cyclotomic(c):
     return {"m": c.m, "coeffs": coeffs}
 
 
-def ser_entries(order, x):
-    """The nonzero coordinates x over the positions order as [i, j, c]
-    lists; literal lists, since [*pos, c] over-allocates."""
-    return [[i, j, c] for (i, j), c in zip(order, x) if c]
+def _array(texts):
+    return f"[{','.join(texts)}]"
 
 
-def ser_functional(lam):
-    # pattern order is row-major sorted, so the entries come out sorted
-    return ser_entries(lam.algebra.pattern.order, lam.values)
+class _Position(dict):
+    """The text [i,j,c] of one position by value c, made on first read."""
+
+    def __init__(self, i, j):
+        self.prefix = f"[{i},{j},"
+
+    def __missing__(self, c):
+        text = self[c] = f"{self.prefix}{c}]"
+        return text
 
 
-def ser_matrix_key(key):
-    return [[i, j, c] for (i, j), c in key]
+def _entries(pieces, x):
+    """[i,j,c] of each nonzero coordinate of x, sorted as pattern order is."""
+    return _array([p[c] for p, c in zip(pieces, x) if c])
 
 
-def ser_subspace(space):
-    order = space.pattern.order
-    basis = []
-    for row in space.rows:
-        basis.append([[order[k][0], order[k][1], v] for k, v in row])
-    return {
-        "dim": space.dim,
-        "pivot_positions": [[order[k][0], order[k][1]] for k in space.pivots],
-        "basis": basis,
-    }
+def _subspace(pieces, space):
+    basis = _array([_array([pieces[k][v] for k, v in row])
+                    for row in space.rows])
+    pivots = _encode([space.pattern.order[k] for k in space.pivots])
+    return (f'{{"basis":{basis},"dim":{space.dim},'
+            f'"pivot_positions":{pivots}}}')
 
 
-def ser_partition(partition):
-    return partition.sorted_parts()
+def _table(pieces, coords, values):
+    """Each value's text is encoded once per distinct (m, nums, den)."""
+    keys = [(v.m, v.nums, v.den) for v in values]
+    texts = {key: _encode(ser_cyclotomic(v))
+             for key, v in dict(zip(keys, values)).items()}
+    return _array([f'{{"g":{_entries(pieces, x)},"value":{texts[key]}}}'
+                   for x, key in zip(coords, keys)])
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_chain(spec):
+def _u_n_job(spec):
+    """u_n(q), the job's lambda on it, the text pieces of its positions and
+    the fields that open a chain, orbit or table body.  Each coefficient
+    must be a field-element encoding in [0, q), and each position must
+    occur once; Functional.from_entries would otherwise silently reduce the
+    one and keep only the last value of the other."""
     field = field_for(spec.q, spec.modulus)
     algebra = NilAlgebra.pattern_algebra(Pattern.full(spec.n), field)
-    lam = _functional_for(spec, algebra)
+    seen = set()
+    for i, j, c in spec.lam:
+        if not 0 <= c < spec.q:
+            raise ValueError(f"lambda coefficient {c} at ({i}, {j}) is not "
+                             f"an encoding in [0, {spec.q})")
+        if (i, j) in seen:
+            raise ValueError(f"lambda position ({i}, {j}) is repeated")
+        seen.add((i, j))
+    lam = Functional.from_entries(algebra,
+                                  {(i, j): c for i, j, c in spec.lam})
+    pieces = [_Position(i, j) for i, j in algebra.pattern.order]
+    return algebra, lam, pieces, {
+        "command": spec.command, "n": spec.n, "q": spec.q,
+        "lambda": Raw(_entries(pieces, lam.values))}
+
+
+def cmd_chain(spec):
+    algebra, lam, pieces, head = _u_n_job(spec)
     ch = chain_compute(algebra, lam)
     return {
-        "command": "chain",
-        "n": spec.n,
-        "q": spec.q,
-        "lambda": ser_functional(lam),
+        **head,
         "d": ch.d,
         "dims_l": [s.dim for s in ch.l_list],
         "dims_s": [s.dim for s in ch.s_list],
-        "l": [ser_subspace(s) for s in ch.l_list[1:]],
-        "s": [ser_subspace(s) for s in ch.s_list[1:]],
-        "l_bar": ser_subspace(ch.l_bar),
-        "s_bar": ser_subspace(ch.s_bar),
+        "l": Raw(_array([_subspace(pieces, s) for s in ch.l_list[1:]])),
+        "s": Raw(_array([_subspace(pieces, s) for s in ch.s_list[1:]])),
+        "l_bar": Raw(_subspace(pieces, ch.l_bar)),
+        "s_bar": Raw(_subspace(pieces, ch.s_bar)),
         "xi_degree_exponent": ch.degree_exponent,
         "xi_norm_exponent": ch.norm_exponent,
         "chi_degree_exponent": ch.chi_degree_exponent,
@@ -221,7 +242,7 @@ def cmd_exotic(spec):
         "value_field_min_level": rep.value_field_min_level,
         "kirillov_is_character": rep.kirillov_is_character,
         "exp_kirillov_is_character": rep.exp_kirillov_is_character,
-        "shape": ser_partition(rep.shape),
+        "shape": rep.shape.sorted_parts(),
         "checks": {
             "chain_closed_forms": rep.technical.matches,
             "final_bilinear": rep.technical.final_bilinear_ok,
@@ -284,30 +305,23 @@ def cmd_kappa(spec):
 def _ser_witness(witness):
     if witness is None:
         return None
-    return [ser_matrix_key(k) for k in witness]
+    return [[[i, j, c] for (i, j), c in key] for key in witness]
 
 
 def cmd_orbit(spec):
-    field = field_for(spec.q, spec.modulus)
-    algebra = NilAlgebra.pattern_algebra(Pattern.full(spec.n), field)
-    lam = _functional_for(spec, algebra)
+    algebra, lam, pieces, head = _u_n_job(spec)
     orb = orbit(lam, spec.which, spec.cap)
     return {
-        "command": "orbit",
-        "n": spec.n,
-        "q": spec.q,
-        "lambda": ser_functional(lam),
+        **head,
         "which": spec.which,
         "size": len(orb),
-        "orbit": [ser_functional(f) for f in orb],
+        "orbit": Raw(_array([_entries(pieces, f.values) for f in orb])),
     }, 0
 
 
 def cmd_table(spec):
-    field = field_for(spec.q, spec.modulus)
-    algebra = NilAlgebra.pattern_algebra(Pattern.full(spec.n), field)
+    algebra, lam, pieces, head = _u_n_job(spec)
     group = GroupTable.from_algebra(algebra, spec.cap)
-    lam = _functional_for(spec, algebra)
     if spec.which == "theta":
         fn = theta_lambda(group, lam)
     elif spec.which == "kirillov":
@@ -322,19 +336,12 @@ def cmd_table(spec):
             raise CapExceeded("xi value table exceeds the enumeration cap")
     else:
         raise ValueError(f"unknown table kind {spec.which!r}")
-    order = algebra.pattern.order
     return {
-        "command": "table",
-        "n": spec.n,
-        "q": spec.q,
-        "lambda": ser_functional(lam),
+        **head,
         "which": spec.which,
         "degree": ser_cyclotomic(fn.degree),
         # u_n's coordinates are its entries in pattern order
-        "values": [
-            {"g": ser_entries(order, x), "value": ser_cyclotomic(v)}
-            for x, v in zip(group.coords, fn.values)
-        ],
+        "values": Raw(_table(pieces, group.coords, fn.values)),
     }, 0
 
 
@@ -421,7 +428,11 @@ def run(spec):
 
 
 def render(body):
-    return json.dumps(body, sort_keys=True, separators=(",", ":")) + "\n"
+    """body as one line of JSON with sorted keys, each Raw value's text
+    copied as it is: what json.dumps writes for those values as lists."""
+    return "{%s}\n" % ",".join(
+        [f"{_encode(k)}:{v.text if type(v) is Raw else _encode(v)}"
+         for k, v in sorted(body.items())])
 
 
 def main(argv=None):

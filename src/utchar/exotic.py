@@ -49,16 +49,6 @@ def exotic_functional_parts(r, field):
             Functional.from_entries(algebra, minus))
 
 
-def exotic_quasimonomial(r, field):
-    return exotic_functional_parts(r, field)[0]
-
-
-def exotic_functional(r, field):
-    """Entries +-1 on six diagonal runs; 6r+1 nonzero values in total."""
-    plus, minus = exotic_functional_parts(r, field)
-    return plus - minus
-
-
 def exotic_shape(r, n=None):
     """Shape of the quasi-monomial part, padded with singletons above
     6r+1; it has n - 4r - 1 parts."""

@@ -8,15 +8,17 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from utchar import chain as chain_module
+from utchar import cli
 from utchar.algebra import (DEFAULT_CAP, GroupElement, NilAlgebra, NilMatrix,
                             Pattern, Subspace, VerificationFailed,
                             combine_rows, left_kernel, null_space, trunc_exp)
 from utchar.chain import chain_compute
-from utchar.characters import (ClassFunction, GroupTable, homomorphism_defect,
-                               kirillov, theta_lambda)
+from utchar.characters import (ClassFunction, GroupTable, exp_kirillov,
+                               homomorphism_defect, kirillov, supercharacter,
+                               theta_lambda, xi)
 from utchar.duals import (Functional, act_coadjoint, act_left, act_right,
-                          shape, torus_orbit)
-from utchar.exotic import constant_diagonal_algebra, exotic_quasimonomial
+                          orbit, shape, torus_orbit)
+from utchar.exotic import constant_diagonal_algebra, exotic_functional_parts
 from utchar.scalars import (CyclotomicNumber, cyclotomic_polynomial,
                             in_subfield, prime_power_split,
                             root_of_unity_order)
@@ -796,6 +798,17 @@ def quasimonomial_irreducible(algebra, lam):
     return chain.l_bar == chain.s_bar, chain
 
 
+def exotic_quasimonomial(r, field):
+    """The quasi-monomial part of the defining functional on u_{6r+1}(q)."""
+    return exotic_functional_parts(r, field)[0]
+
+
+def exotic_functional(r, field):
+    """Entries +-1 on six diagonal runs; 6r+1 nonzero values in total."""
+    plus, minus = exotic_functional_parts(r, field)
+    return plus - minus
+
+
 def torus_shape_transitivity(r, field, cap=DEFAULT_CAP):
     """Diagonal conjugations act transitively on quasi-monomial functionals
     of a fixed shape: the orbit of the defining quasi-monomial part has
@@ -806,6 +819,68 @@ def torus_shape_transitivity(r, field, cap=DEFAULT_CAP):
     expected = (field.q - 1) ** (lam.algebra.pattern.n - len(shp))
     shapes_ok = all(shape(f) == shp for f in orb)
     return len(orb) == expected and shapes_ok, len(orb), expected
+
+
+# ---------------------------------------------------------------------------
+# the CLI bodies with every array as Python lists, one list per [i, j, c]
+# entry: json.dumps of such a body is the text cli.render must write
+
+
+def ser_entries(order, x):
+    return [[i, j, c] for (i, j), c in zip(order, x) if c]
+
+
+def ser_functional(lam):
+    return ser_entries(lam.algebra.pattern.order, lam.values)
+
+
+def ser_subspace(space):
+    order = space.pattern.order
+    return {
+        "dim": space.dim,
+        "pivot_positions": [list(order[k]) for k in space.pivots],
+        "basis": [[[*order[k], v] for k, v in row] for row in space.rows],
+    }
+
+
+TABLE_FUNCTIONS = {
+    "theta": lambda algebra, group, lam, cap: theta_lambda(group, lam),
+    "kirillov": lambda algebra, group, lam, cap: kirillov(group, lam, cap),
+    "expkirillov": lambda algebra, group, lam, cap:
+        exp_kirillov(group, lam, cap),
+    "superchar": lambda algebra, group, lam, cap:
+        supercharacter(group, lam, cap),
+    "xi": lambda algebra, group, lam, cap: xi(algebra, lam, group, cap).table,
+}
+
+
+def structured_body(spec):
+    """The body cli.run gives for a chain, orbit or table job, with its
+    lambda and its large arrays recomputed from the job and written as
+    lists."""
+    body, _ = cli.run(spec)
+    field = cli.field_for(spec.q, spec.modulus)
+    algebra = NilAlgebra.pattern_algebra(Pattern.full(spec.n), field)
+    lam = Functional.from_entries(algebra,
+                                  {(i, j): c for i, j, c in spec.lam})
+    body = {**body, "lambda": ser_functional(lam)}
+    if spec.command == "chain":
+        ch = chain_compute(algebra, lam)
+        body.update(l=[ser_subspace(s) for s in ch.l_list[1:]],
+                    s=[ser_subspace(s) for s in ch.s_list[1:]],
+                    l_bar=ser_subspace(ch.l_bar),
+                    s_bar=ser_subspace(ch.s_bar))
+    elif spec.command == "orbit":
+        body["orbit"] = [ser_functional(f)
+                         for f in orbit(lam, spec.which, spec.cap)]
+    else:
+        group = GroupTable.from_algebra(algebra, spec.cap)
+        fn = TABLE_FUNCTIONS[spec.which](algebra, group, lam, spec.cap)
+        order = algebra.pattern.order
+        body["values"] = [{"g": ser_entries(order, x),
+                           "value": cli.ser_cyclotomic(v)}
+                          for x, v in zip(group.coords, fn.values)]
+    return body
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,14 @@ from referencing import Registry, Resource
 from utchar import characters, cli, exotic
 from utchar.algebra import (GroupElement, NilAlgebra, Pattern,
                             VerificationFailed)
-from utchar.characters import GroupTable
+from utchar.characters import ClassFunction, GroupTable
 from utchar.cli import (JobSpec, build_parser, main, render, run,
                         ser_cyclotomic, spec_from_args)
 from utchar.duals import SetPartition
 from utchar.scalars import CyclotomicNumber, field_make
+
+import oracles
+from oracles import structured_body
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCHEMA_DIR = ROOT / "schemas"
@@ -36,10 +39,9 @@ def load_validator(name):
 
 
 def run_cli(argv):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    spec = spec_from_args(args)
-    return run(spec)
+    """The parsed JSON the command writes, and its exit code."""
+    body, code = run(spec_from_args(build_parser().parse_args(argv)))
+    return json.loads(render(body)), code
 
 
 def test_jobspec_roundtrip():
@@ -144,13 +146,71 @@ def test_ser_cyclotomic_matches_fraction_coefficients():
 
 
 def test_output_is_deterministic():
-    args = ["table", "--n", "3", "--q", "3",
-            "--lambda", "[[1,3,2]]", "--which", "superchar"]
-    body1, _ = run_cli(args)
-    body2, _ = run_cli(args)
+    spec = spec_from_args(build_parser().parse_args([
+        "table", "--n", "3", "--q", "3", "--lambda", "[[1,3,2]]",
+        "--which", "superchar"]))
+    body1, _ = run(spec)
+    body2, _ = run(spec)
     assert render(body1) == render(body2)
-    parsed = json.loads(render(body1))
-    assert parsed == body1
+    assert json.loads(render(body1)) == structured_body(spec)
+
+
+def _jobs(command, cells, kinds):
+    return [JobSpec(command=command, n=n, q=q, lam=lam, which=which)
+            for n, q, lam in cells for which in kinds]
+
+
+# two-digit encodings (F_11, F_16), empty arrays (n = 1, 2 and a zero
+# lambda) and every table and orbit kind
+ORACLE_JOBS = (
+    _jobs("table", [(3, 5, [[1, 3, 4], [2, 3, 1]]),
+                    (4, 3, [[1, 4, 1], [2, 3, 2]]),
+                    (3, 4, [[1, 2, 3], [1, 3, 2]]),
+                    (3, 11, [[1, 3, 10], [2, 3, 7]]),
+                    (1, 2, []), (2, 3, []), (2, 5, [[1, 2, 4]])],
+          ["theta", "kirillov", "expkirillov", "superchar", "xi"])
+    + _jobs("orbit", [(4, 2, [[1, 4, 1], [2, 3, 1]]),
+                      (3, 9, [[1, 3, 5], [1, 2, 8]]),
+                      (3, 11, [[1, 3, 10], [2, 3, 7]]),
+                      (1, 3, []), (2, 2, []), (2, 11, [[1, 2, 10]])],
+            ["left", "right", "two-sided", "coadjoint"])
+    + _jobs("chain", [(6, 2, [[1, 3, 1], [2, 4, 1], [3, 5, 1], [4, 6, 1]]),
+                      (5, 3, [[1, 5, 2], [1, 3, 1], [2, 4, 2], [3, 5, 1]]),
+                      (5, 4, [[1, 4, 3], [2, 5, 2], [2, 3, 1]]),
+                      (5, 16, [[1, 5, 13], [1, 3, 15], [2, 4, 11]]),
+                      (4, 16, []), (1, 2, []), (2, 16, [[1, 2, 12]])],
+            [""]))
+
+
+@pytest.mark.parametrize("spec", ORACLE_JOBS, ids=lambda spec: (
+    f"{spec.command}-{spec.which}-n{spec.n}-q{spec.q}-{len(spec.lam)}"))
+def test_render_writes_the_bytes_of_the_structured_body(spec):
+    body, code = run(spec)
+    assert code == 0
+    assert render(body) == json.dumps(structured_body(spec), sort_keys=True,
+                                      separators=(",", ":")) + "\n"
+
+
+def test_render_tells_values_apart_by_their_denominator(monkeypatch):
+    # character values are algebraic integers, so the tables above have
+    # denominator 1 throughout; halving every other value puts a/1 and a/2,
+    # with the same numerators, in one table
+    tables = []
+
+    def halved(group, lam):
+        values = characters.theta_lambda(group, lam).values
+        tables.append(ClassFunction(group, [
+            v.scale(Fraction(1, 1 + k % 2)) for k, v in enumerate(values)]))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "theta_lambda", halved)
+    monkeypatch.setattr(oracles, "theta_lambda", halved)
+    spec = JobSpec(command="table", n=3, q=3, lam=[[1, 3, 1]], which="theta")
+    body, _ = run(spec)
+    assert render(body) == json.dumps(structured_body(spec), sort_keys=True,
+                                      separators=(",", ":")) + "\n"
+    keys = {(v.m, v.nums, v.den) for v in tables[0].values}
+    assert any((m, nums, 1) in keys for m, nums, den in keys if den == 2)
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -468,7 +528,7 @@ def test_non_integer_lambda_entries_exit_2(capsys):
         assert repr(entry) in str(exc.value)
     spec = JobSpec.from_json(JobSpec(command="chain", q=3, n=4,
                                      lam=[[1, 3, 2]]).to_json())
-    assert run(spec)[0]["lambda"] == [[1, 3, 2]]
+    assert json.loads(render(run(spec)[0]))["lambda"] == [[1, 3, 2]]
 
 
 def test_jobspec_rejects_mistyped_fields():

@@ -10,13 +10,13 @@ from utchar.characters import GroupTable, abelian_dual, induce, theta_lambda
 from utchar.duals import is_quasi_monomial, orbit_keys, orbit, shape
 from utchar.exotic import (abelian_quotient_split, build_regions,
                            constant_diagonal_algebra, corner_functional,
-                           corner_character_analysis, exotic_functional,
-                           exotic_functional_parts, exotic_quasimonomial,
+                           corner_character_analysis, exotic_functional_parts,
                            exotic_report, exotic_shape,
                            verify_chain_closed_forms)
 from utchar.scalars import field_make
 
 from oracles import (brute_force_abelian_dual, brute_force_corner_constituents,
+                     exotic_functional, exotic_quasimonomial,
                      field_of_values, random_functional,
                      torus_shape_transitivity)
 
