@@ -28,8 +28,9 @@ from dataclasses import dataclass
 sys.path.insert(0, "src")
 
 from utchar.cli import field_for  # noqa: E402
-from utchar.exotic import (corner_character_analysis,  # noqa: E402
-                           exotic_report, verify_chain_closed_forms)
+from utchar.exotic import (constant_diagonal_algebra,  # noqa: E402
+                           corner_character_analysis, exotic_report,
+                           verify_chain_closed_forms)
 
 
 def verify_row(r, q, tech, sec):
@@ -51,7 +52,8 @@ def exotic_row(r, q, rep, sec):
 def kappa_run(n, field, cap):
     if field.q ** (n - 1) > cap:
         return None  # A_n(q) has q^(n-1) elements
-    return corner_character_analysis(n, field, cap)
+    return corner_character_analysis(constant_diagonal_algebra(n, field),
+                                     cap)
 
 
 def kappa_row(n, q, rep, sec):

@@ -243,9 +243,6 @@ class GroupElement:
             k += 1
         return k
 
-    def is_identity(self):
-        return self.body.is_zero()
-
     def key(self):
         return self.body.key()
 
@@ -674,8 +671,8 @@ class NilAlgebra:
         if self._generators is not None:
             return self._generators
         basis = self.basis()
-        # kept: on u_n this fork gives n - 1 units, the echelon powers would
-        # give all n(n - 1)/2, and orbit BFS cost grows with the unit count
+        # kept: n - 1 units on u_n, not the n(n - 1)/2 of the echelon powers;
+        # the coadjoint BFS and generator_rows cost grows with the unit count
         if self.is_pattern:
             pos = self.pattern.positions
             units = [u for (i, j), u in zip(self.pattern.order, basis)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .algebra import (Subspace, VerificationFailed, combine_rows,
                       echelon_combinations, ideal_check, left_kernel,
                       transpose)
-from .duals import Functional, is_quasi_monomial
+from .duals import Functional, gram_matrix, is_quasi_monomial
 
 
 @dataclass
@@ -84,49 +84,6 @@ class ChainResult:
                     "two-sided-ideal",
                     f"l^{i} is a two-sided ideal of s^{i}")
         return True
-
-
-def gram_matrix(lam):
-    """B[a][b] = lam(e_a e_b) on the algebra basis, as sparse rows.
-
-    On a member M of the algebra, lam(M) is the sum of lam_k M[p_k] over
-    the positions p_k = pattern.order[pivot_k], because a member's
-    coordinates are its pivot entries (on a pattern algebra p_k is the
-    k-th position).  So lam(e_a e_b) can be nonzero only if e_a[i, j] and
-    e_b[j, k] are nonzero for some j and some (i, k) in the support
-    {p_k : lam_k != 0}, and only those products are formed and evaluated;
-    every other entry is 0.  The left factors are read by their entries
-    in the support's rows, the right ones through an index of the basis
-    by entry position (j, k) for the support's columns k, and the pairs
-    come in order of a, then of b.
-
-    Skipped pairs never pass through evaluate's membership check, so a
-    subspace algebra is assumed closed under products, which
-    NilAlgebra.from_subspace checks by default.  A body that contracts
-    the slices without forming products waits for ROADMAP item 0."""
-    algebra = lam.algebra
-    basis = algebra.basis()
-    order = algebra.pattern.order
-    support = {}  # row i -> the columns k with (i, k) in the support
-    for p, v in zip(algebra.span.pivots, lam.values):
-        if v:
-            i, k = order[p]
-            support.setdefault(i, []).append(k)
-    columns = {k for ks in support.values() for k in ks}
-    at = {}  # (j, k) with k a support column -> the b with e_b[j, k] != 0
-    for b, w in enumerate(basis):
-        for pos in w.entries:
-            if pos[1] in columns:
-                at.setdefault(pos, []).append(b)
-    gram = [{} for _ in basis]
-    for a, u in enumerate(basis):
-        partners = {b for (i, j) in u.entries for k in support.get(i, ())
-                    for b in at.get((j, k), ())}
-        for b in sorted(partners):
-            v = lam.evaluate(u @ basis[b])
-            if v:
-                gram[a][b] = v
-    return gram
 
 
 def gram_block(algebra, gram, space):

@@ -503,10 +503,6 @@ class XiData:
     norm_exponent: int
     table: object = None  # ClassFunction | None
 
-    @property
-    def is_irreducible(self):
-        return self.norm_exponent == 0
-
 
 def xi(algebra, lam, group=None, cap=DEFAULT_CAP):
     """Structural report (always) and exact table (when group is given and

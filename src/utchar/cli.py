@@ -20,9 +20,13 @@ from .characters import (GroupTable, exp_kirillov, kirillov, supercharacter,
                          theta_lambda, xi)
 from .chain import chain_compute
 from .duals import Functional, orbit
-from .exotic import (corner_character_analysis, exotic_report,
-                     verify_chain_closed_forms)
+from .exotic import (constant_diagonal_algebra, corner_character_analysis,
+                     exotic_report, verify_chain_closed_forms)
 from .scalars import field_make, prime_power_split
+
+
+KINDS = {"orbit": ("left", "right", "two-sided", "coadjoint"),
+         "table": ("theta", "kirillov", "expkirillov", "superchar", "xi")}
 
 
 @dataclass
@@ -66,8 +70,9 @@ class JobSpec:
         is not null or a list of integers (a float, bool or string is
         rejected rather than coerced); which or out that is not a string;
         an enumeration cap below 1, chain, orbit or table with n < 1,
-        kappa with n < 2 (A_n(q) then has no corner), or a lambda that is
-        not a list of [i, j, c] triples of integers."""
+        kappa with n < 2 (A_n(q) then has no corner), a which outside
+        KINDS, or a lambda that is not a list of integer [i, j, c]
+        triples."""
         if self.command not in COMMANDS:
             raise ValueError(f"command must be one of {', '.join(COMMANDS)}, "
                              f"got {self.command!r}")
@@ -90,6 +95,9 @@ class JobSpec:
             raise ValueError(f"{self.command} needs n >= 1, got n = {self.n}")
         if self.command == "kappa" and self.n < 2:
             raise ValueError(f"kappa needs n >= 2, got n = {self.n}")
+        if self.command in KINDS and self.which not in KINDS[self.command]:
+            raise ValueError(f"unknown {self.command} kind {self.which!r}: "
+                             f"expected {', '.join(KINDS[self.command])}")
         if not isinstance(self.lam, (list, tuple)):
             raise ValueError("lambda must be a JSON list of [i, j, c] triples")
         for entry in self.lam:
@@ -279,7 +287,8 @@ def cmd_verify(spec):
 
 def cmd_kappa(spec):
     field = field_for(spec.q, spec.modulus)
-    rep = corner_character_analysis(spec.n, field, spec.cap)
+    rep = corner_character_analysis(
+        constant_diagonal_algebra(spec.n, field), spec.cap)
     body = {
         "command": "kappa",
         "n": rep.n,
@@ -330,12 +339,10 @@ def cmd_table(spec):
         fn = exp_kirillov(group, lam, spec.cap)
     elif spec.which == "superchar":
         fn = supercharacter(group, lam, spec.cap)
-    elif spec.which == "xi":
+    else:  # xi; validate rejects every other kind
         fn = xi(algebra, lam, group, spec.cap).table
         if fn is None:
             raise CapExceeded("xi value table exceeds the enumeration cap")
-    else:
-        raise ValueError(f"unknown table kind {spec.which!r}")
     return {
         **head,
         "which": spec.which,
@@ -397,11 +404,9 @@ def build_parser():
                           help="corner supercharacter analysis on the "
                                "constant-diagonal group"), n=True)
     common(sub.add_parser("orbit", help="orbit of a functional"),
-           n=True, lam=True,
-           which=["left", "right", "two-sided", "coadjoint"])
+           n=True, lam=True, which=KINDS["orbit"])
     common(sub.add_parser("table", help="full value table of a function"),
-           n=True, lam=True,
-           which=["theta", "kirillov", "expkirillov", "superchar", "xi"])
+           n=True, lam=True, which=KINDS["table"])
     return parser
 
 

@@ -1,6 +1,6 @@
-"""Dual functionals on a nilpotent algebra, the left/right/coadjoint group
-actions, orbit enumeration, quasi-monomial structure, shapes, and the
-diagonal torus action."""
+"""Dual functionals on a nilpotent algebra, their Gram matrices, the
+left/right/coadjoint group actions, orbit enumeration, quasi-monomial
+structure, shapes, and the diagonal torus action."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import itertools
 from collections import deque
 
 from .algebra import (DEFAULT_CAP, CapExceeded, VerificationFailed,
-                      apply_columns, sparse_column)
+                      apply_columns, rref, sparse_column, transpose)
 
 
 class Functional:
@@ -64,12 +64,6 @@ class Functional:
         order = self.algebra.pattern.order
         return {order[k]: v for k, v in enumerate(self.values) if v}
 
-    def coeff(self, pos):
-        if not self.algebra.is_pattern:
-            raise ValueError("coeff() requires a pattern algebra")
-        idx = self.algebra.pattern.index.get(pos)
-        return 0 if idx is None else self.values[idx]
-
     def evaluate(self, mat):
         """lam(mat): the sum of lam_k times mat's entry at the k-th pivot of
         the algebra's span, since a member's coordinates are its pivot
@@ -123,9 +117,6 @@ class Functional:
         f = self.algebra.field
         return Functional(self.algebra, [f.mul(c, v) for v in self.values])
 
-    def is_zero(self):
-        return not any(self.values)
-
     def key(self):
         return self.values
 
@@ -143,22 +134,80 @@ class Functional:
         return f"Functional(values={self.values})"
 
 
+def _covector(lam):
+    """lam as an ambient covector Lam = {k-th pivot position: lam_k}, so
+    lam(M) = sum Lam[pos] M[pos]: a member's coordinates are its pivots."""
+    algebra = lam.algebra
+    order = algebra.pattern.order
+    return {order[p]: v for p, v in zip(algebra.span.pivots, lam.values)
+            if v}
+
+
+def gram_matrix(lam):
+    """B[a][b] = lam(e_a e_b) on the algebra basis, as sparse rows.
+
+    lam(M) = sum Lam[pos] M[pos] (`_covector`), so only the products with
+    e_a[i, j] e_b[j, k] != 0 for some (i, k) in supp Lam are formed, in
+    order of a, then of b, the e_b found by entry position (j, k).  The
+    algebra is assumed closed under products, as NilAlgebra.from_subspace
+    checks by default.  Contracting slices without products waits for
+    ROADMAP item 0."""
+    algebra = lam.algebra
+    basis = algebra.basis()
+    support = {}  # row i -> the columns k with (i, k) in the support
+    for i, k in _covector(lam):
+        support.setdefault(i, []).append(k)
+    columns = {k for ks in support.values() for k in ks}
+    at = {}  # (j, k) with k a support column -> the b with e_b[j, k] != 0
+    for b, w in enumerate(basis):
+        for pos in w.entries:
+            if pos[1] in columns:
+                at.setdefault(pos, []).append(b)
+    gram = [{} for _ in basis]
+    for a, u in enumerate(basis):
+        partners = {b for (i, j) in u.entries for k in support.get(i, ())
+                    for b in at.get((j, k), ())}
+        for b in sorted(partners):
+            v = lam.evaluate(u @ basis[b])
+            if v:
+                gram[a][b] = v
+    return gram
+
+
 # ---------------------------------------------------------------------------
 # group actions on functionals
 
 
+def _contract(lam, g, left):
+    """lam read through X -> X + h X (left) or X + X h (right), h = g^-1 - 1:
+    the covector Lam + h^T Lam or Lam + Lam h^T, one sparse contraction,
+    read back on the basis (a position off a pattern meets no member).  As
+    in gram_matrix, the algebra is assumed closed under products."""
+    algebra, field = lam.algebra, lam.algebra.field
+    cov = _covector(lam)
+    out = dict(cov)
+    by = {}  # left: row i of Lam -> its (k, v); right: column k -> (i, v)
+    for (i, k), v in cov.items():
+        by.setdefault(i if left else k, []).append((k if left else i, v))
+    # (h^T Lam)[j, k] = sum_i h[i, j] Lam[i, k]; (Lam h^T)[k, i] likewise
+    for (i, j), a in g.inverse().body.entries.items():
+        for k, v in by.get(i if left else j, ()):
+            pos = (j, k) if left else (k, i)
+            out[pos] = field.add(out.get(pos, 0), field.mul(a, v))
+    if algebra.is_pattern:
+        return Functional(algebra, [out.get(p, 0)
+                                    for p in algebra.pattern.order])
+    return Functional.from_entries(algebra, out)
+
+
 def act_left(g, lam):
     """(g lam)(X) = lam(g^{-1} X)."""
-    h = g.inverse().body  # g^{-1} - 1
-    return Functional(lam.algebra, [lam.evaluate(u + h @ u)
-                                    for u in lam.algebra.basis()])
+    return _contract(lam, g, True)
 
 
 def act_right(lam, g):
     """(lam g)(X) = lam(X g^{-1})."""
-    h = g.inverse().body
-    return Functional(lam.algebra, [lam.evaluate(u + u @ h)
-                                    for u in lam.algebra.basis()])
+    return _contract(lam, g, False)
 
 
 def act_coadjoint(lam, g):
@@ -172,78 +221,75 @@ def act_coadjoint(lam, g):
 
 def orbit(lam, which, cap=DEFAULT_CAP):
     """The left, right, two-sided, or coadjoint orbit of lam, as a list of
-    functionals sorted by key.
+    functionals sorted by key; more than cap raise CapExceeded.
 
-    A BFS from lam applies the generators of the group,
-    `lam.algebra.group_generators()` (the 1 + t u over the echelon bases of
-    the algebra's powers), on each side that the kind of orbit acts on;
-    orbits of a group are the closures under its generators, so no other
-    group element is applied.
+    Left and right orbits are affine (`_affine_orbit`).  The left orbits
+    partition G lam G, and G(lam k) meets lam G at lam k, so the
+    two-sided orbit is the union of the left orbits of the mu in lam G
+    that no earlier one covers.
 
-    Every action is F_q-linear in the functional, so the move by a
-    generator is f -> f + sum_k f_k c_k, with the column
-    c_k = act(delta_k) - delta_k for the unit functional delta_k.  Column k
-    of a move is computed, by one action, the first time a functional with
-    f_k != 0 is moved, so an orbit costs at most one action per move and
-    coordinate that its functionals use.  Each move keeps only its nonzero
-    columns, as (k, c_k) pairs, so moving f touches only the coordinates
-    that the move changes.  The BFS runs on value tuples.  More than cap
-    functionals raise CapExceeded."""
+    The coadjoint orbit is a BFS over `lam.algebra.group_generators()`:
+    a generator moves f to f + sum_k f_k c_k, c_k = act(delta_k) - delta_k
+    for the unit functional delta_k, computed by one action when a
+    functional with f_k != 0 is first moved; only nonzero c_k are kept."""
     if which not in ("left", "right", "two-sided", "coadjoint"):
         raise ValueError(f"unknown orbit kind {which!r}")
-    algebra = lam.algebra
-    field = algebra.field
-    gens = algebra.group_generators()
-    if which == "left":
-        acts = [lambda f, g=g: act_left(g, f) for g in gens]
-    elif which == "right":
-        acts = [lambda f, g=g: act_right(f, g) for g in gens]
-    elif which == "coadjoint":
-        acts = [lambda f, g=g: act_coadjoint(f, g) for g in gens]
+    algebra, field = lam.algebra, lam.algebra.field
+    if which in ("left", "right"):
+        seen = _affine_orbit(lam, which, cap)
+    elif which == "two-sided":
+        seen = set()
+        for mu in _affine_orbit(lam, "right", cap):
+            if mu not in seen:
+                seen.update(_affine_orbit(Functional(algebra, mu), "left",
+                                          cap - len(seen)))
     else:
-        acts = [lambda f, g=g: act_left(g, f) for g in gens] + \
-               [lambda f, g=g: act_right(f, g) for g in gens]
-    computed = [False] * algebra.dim
-    moves = [[] for _ in acts]
-    seen = {lam.values}
-    frontier = deque(seen)
-    while frontier:
-        f = frontier.popleft()
-        for k, c in enumerate(f):
-            if c and not computed[k]:
-                computed[k] = True
-                unit = [0] * algebra.dim
-                unit[k] = 1
-                delta = Functional(algebra, unit)
-                for act, cols in zip(acts, moves):
-                    moved = list(act(delta).values)
-                    moved[k] = field.sub(moved[k], 1)
-                    column = sparse_column(moved)
-                    if column:
-                        cols.append((k, column))
-        for cols in moves:
-            nxt = apply_columns(field, cols, f, f)
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded(f"orbit exceeds cap {cap}")
-                seen.add(nxt)
-                frontier.append(nxt)
-    out = [Functional(algebra, values) for values in sorted(seen)]
-    if which == "coadjoint":
-        size = len(out)
-        q = lam.algebra.field.q
-        exp = 0
-        while size % q == 0:
-            size //= q
-            exp += 1
-        if size != 1 or exp % 2 != 0:
-            raise VerificationFailed(
-                f"coadjoint orbit size {len(out)} is not an even power of q")
-    return out
+        gens, dim = algebra.group_generators(), algebra.dim
+        computed = [False] * dim
+        moves = [[] for _ in gens]
+        seen = {lam.values}
+        frontier = deque(seen)
+        while frontier:
+            f = frontier.popleft()
+            for k, c in enumerate(f):
+                if c and not computed[k]:
+                    computed[k] = True
+                    delta = Functional(algebra, [int(i == k)
+                                                 for i in range(dim)])
+                    for g, cols in zip(gens, moves):
+                        moved = list(act_coadjoint(delta, g).values)
+                        moved[k] = field.sub(moved[k], 1)
+                        if column := sparse_column(moved):
+                            cols.append((k, column))
+            for cols in moves:
+                nxt = apply_columns(field, cols, f, f)
+                if nxt not in seen:
+                    if len(seen) >= cap:
+                        raise CapExceeded(f"orbit exceeds cap {cap}")
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        if len(seen) not in [field.q ** k for k in range(0, dim + 1, 2)]:
+            raise VerificationFailed(f"coadjoint orbit size {len(seen)} "
+                                     "is not an even power of q")
+    return [Functional(algebra, values) for values in sorted(seen)]
 
 
-def orbit_keys(functionals):
-    return {f.key() for f in functionals}
+def _affine_orbit(lam, side, cap):
+    """The value tuples of G lam (side "left") or lam G ("right").
+    (g lam)(X) = lam(X) + lam(h X) with h = g^{-1} - 1 running over the
+    algebra, so G lam = lam + rowspace(B) and lam G = lam + colspace(B)
+    for B = gram_matrix(lam): q^rank points, built over the rref basis
+    once they are known to fit in cap."""
+    field, gram = lam.algebra.field, gram_matrix(lam)
+    rows = rref(gram if side == "left" else transpose(gram, len(gram)), field)
+    if field.q ** len(rows) > cap:
+        raise CapExceeded(f"orbit exceeds cap {cap}")
+    points = [lam.values]
+    for row in rows:
+        column = [(0, list(row.items()))]
+        points += [apply_columns(field, column, (t,), f)
+                   for t in range(1, field.q) for f in points]
+    return points
 
 
 # ---------------------------------------------------------------------------

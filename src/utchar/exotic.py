@@ -12,12 +12,11 @@ from math import gcd
 from .algebra import (DEFAULT_CAP, NilAlgebra, NilMatrix, Pattern,
                       Subspace, VerificationFailed, ideal_check,
                       products_vanish_at, solution_space)
-from .chain import (chain_compute, gram_block, gram_matrix,
-                    quasimonomial_kernels)
+from .chain import chain_compute, gram_block, quasimonomial_kernels
 from .characters import (GroupTable, abelian_dual, exp_kirillov,
                          homomorphism_defect, induce, kirillov,
                          theta_lambda)
-from .duals import Functional, SetPartition, shape
+from .duals import Functional, SetPartition, gram_matrix, shape
 from .scalars import CyclotomicNumber
 
 
@@ -448,11 +447,11 @@ class CornerReport:
                 and self.constituents_sum_matches)
 
 
-def corner_character_analysis(n, field, cap=DEFAULT_CAP):
-    """Decompose the corner supercharacter of the abelian group A_n(q) into
-    linear constituents and test the Kirillov functions for being
-    characters."""
-    algebra = constant_diagonal_algebra(n, field)
+def corner_character_analysis(algebra, cap=DEFAULT_CAP):
+    """Decompose the corner supercharacter of the abelian group A_n(q), for
+    algebra = constant_diagonal_algebra(n, field), into linear constituents
+    and test the Kirillov functions for being characters."""
+    n, field = algebra.pattern.n, algebra.field
     group = GroupTable.from_algebra(algebra, cap)
     kappa = corner_functional(algebra)
     ch = chain_compute(algebra, kappa)
@@ -622,7 +621,7 @@ def exotic_report(r, field, n=None, cap=DEFAULT_CAP):
     # so 1 + s_bar fixes nu on s_bar from either side iff
     # nu(s_bar s_bar) = 0: the vanishing Gram block of the final check
     nu_central = tech.final_bilinear_ok
-    corner = corner_character_analysis(r + 1, field, cap)
+    corner = corner_character_analysis(split.target, cap)
     dim_n = algebra.dim
     xi_deg = dim_n - ch.l_bar.dim
     xi_norm = ch.s_bar.dim - ch.l_bar.dim

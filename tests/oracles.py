@@ -16,8 +16,7 @@ from utchar.chain import chain_compute
 from utchar.characters import (ClassFunction, GroupTable, exp_kirillov,
                                homomorphism_defect, kirillov, supercharacter,
                                theta_lambda, xi)
-from utchar.duals import (Functional, act_coadjoint, act_left, act_right,
-                          orbit, shape, torus_orbit)
+from utchar.duals import Functional, orbit, shape, torus_orbit
 from utchar.exotic import constant_diagonal_algebra, exotic_functional_parts
 from utchar.scalars import (CyclotomicNumber, cyclotomic_polynomial,
                             in_subfield, prime_power_split,
@@ -388,7 +387,8 @@ def xi_set(group, lam, s_bar):
     for g in group.elements:
         ginv = g.inverse()
         for s in s_group.elements:
-            moved = act_left(g, act_right(lam, s * ginv))
+            moved = definition_act_left(
+                g, definition_act_right(lam, s * ginv))
             seen.setdefault(moved.key(), moved)
     return [seen[k] for k in sorted(seen)]
 
@@ -412,7 +412,7 @@ def brute_force_abelian_dual(group, cap=DEFAULT_CAP):
     z^m = chi(relation) stepwise."""
     if not group.is_abelian():
         raise ValueError("group is not abelian")
-    identity = next(g for g in group.elements if g.is_identity())
+    identity = next(g for g in group.elements if g.body.is_zero())
     norm_form = {identity.key(): ()}
     reps = {identity.key(): identity}
     gens, rel_orders, rel_words = [], [], []
@@ -479,29 +479,54 @@ def brute_force_abelian_dual(group, cap=DEFAULT_CAP):
                           structure=rel_orders)
 
 
+def definition_act_left(g, lam):
+    """(g lam)(X) = lam(g^{-1} X), one NilMatrix product and one evaluate
+    per basis element: the definition that duals.act_left contracts."""
+    h = g.inverse().body  # g^{-1} - 1
+    return Functional(lam.algebra, [lam.evaluate(u + h @ u)
+                                    for u in lam.algebra.basis()])
+
+
+def definition_act_right(lam, g):
+    """(lam g)(X) = lam(X g^{-1}), as definition_act_left."""
+    h = g.inverse().body
+    return Functional(lam.algebra, [lam.evaluate(u + u @ h)
+                                    for u in lam.algebra.basis()])
+
+
+def definition_act_coadjoint(lam, g):
+    """lam^g(X) = lam(g X g^{-1}) through the definition actions."""
+    return definition_act_right(definition_act_left(g.inverse(), lam), g)
+
+
+def orbit_keys(functionals):
+    return {f.key() for f in functionals}
+
+
 def full_group_orbit(group, lam, which):
-    """Orbit computed by applying every group element (for the two-sided
-    orbit: every element on the right of every element of the left orbit)
-    rather than by generator BFS."""
+    """Orbit computed by applying every group element through the
+    definition actions (for the two-sided orbit: every element on the
+    right of every element of the left orbit), rather than from the Gram
+    matrix or by generator BFS."""
     seen = {}
     if which == "left":
         for g in group.elements:
-            f = act_left(g, lam)
+            f = definition_act_left(g, lam)
             seen.setdefault(f.key(), f)
     elif which == "right":
         for g in group.elements:
-            f = act_right(lam, g)
+            f = definition_act_right(lam, g)
             seen.setdefault(f.key(), f)
     elif which == "coadjoint":
         for g in group.elements:
-            f = act_coadjoint(lam, g)
+            f = definition_act_coadjoint(lam, g)
             seen.setdefault(f.key(), f)
     elif which == "two-sided":
         # G lam G is the union of the right orbits mu G over mu in G lam
         left = full_group_orbit(group, lam, "left")
         for moved in left.values():
             for h in group.elements:
-                f = act_right(moved, h)
+                f = definition_act_right(moved, h)
                 seen.setdefault(f.key(), f)
     else:
         raise ValueError(which)
@@ -701,7 +726,7 @@ def coordinate_evaluate(lam, mat):
 
 
 def all_pairs_gram(lam):
-    """chain.gram_matrix with one NilMatrix product and one coordinate
+    """duals.gram_matrix with one NilMatrix product and one coordinate
     evaluation per basis pair, in order of a, then of b."""
     basis = lam.algebra.basis()
     return [{b: v for b, w in enumerate(basis)

@@ -14,15 +14,16 @@ from utchar.chain import chain_compute, quasimonomial_kernels
 from utchar.characters import (GroupTable, abelian_dual,
                                constituents_of_induced_linear, exp_kirillov,
                                kirillov, supercharacter, theta_lambda, xi)
-from utchar.duals import (Functional, is_quasi_monomial, orbit, orbit_keys,
-                          shape, torus_orbit)
+from utchar.duals import (Functional, is_quasi_monomial, orbit, shape,
+                          torus_orbit)
 from utchar.exotic import (constant_diagonal_algebra, corner_functional,
                            corner_character_analysis, exotic_report,
                            verify_chain_closed_forms)
 from utchar.scalars import CyclotomicNumber, field_make, in_subfield
 
-from oracles import (brute_force_first_kernels, random_closed_pattern,
-                     random_quasimonomial, subspace_dense_rows)
+from oracles import (brute_force_first_kernels, orbit_keys,
+                     random_closed_pattern, random_quasimonomial,
+                     subspace_dense_rows)
 
 ONE = CyclotomicNumber.one()
 ZERO = CyclotomicNumber.zero()
@@ -122,7 +123,8 @@ def test_criterion_4_corner_supercharacter_scan():
             for n in range(2, 7):
                 if q ** (n - 1) > 729:
                     continue
-                rep = corner_character_analysis(n, field)
+                rep = corner_character_analysis(
+                    constant_diagonal_algebra(n, field))
                 assert rep.constituent_count == q ** (n - 2)
                 assert rep.constituents_distinct
                 assert rep.constituents_sum_matches

@@ -6,9 +6,8 @@ from utchar import algebra as algebra_module
 from utchar import chain as chain_module
 from utchar.algebra import (NilAlgebra, NilMatrix, Pattern, Subspace,
                             VerificationFailed, null_space)
-from utchar.chain import (chain_compute, gram_block, gram_matrix,
-                          quasimonomial_kernels)
-from utchar.duals import Functional, is_quasi_monomial, orbit
+from utchar.chain import chain_compute, gram_block, quasimonomial_kernels
+from utchar.duals import Functional, gram_matrix, is_quasi_monomial, orbit
 from utchar.exotic import constant_diagonal_algebra
 from utchar.scalars import field_make
 

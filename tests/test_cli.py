@@ -291,6 +291,16 @@ def test_failed_verification_exits_1(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["pass"] is False
 
 
+def test_exotic_builds_the_corner_algebra_once(monkeypatch, capsys):
+    # the quotient split's target a_{r+1}(q) is the corner analysis's group
+    calls = []
+    real = exotic.constant_diagonal_algebra
+    monkeypatch.setattr(exotic, "constant_diagonal_algebra",
+                        lambda n, field: calls.append(n) or real(n, field))
+    assert main(["exotic", "--r", "3", "--q", "2"]) == 0
+    assert calls == [4]
+
+
 def test_shape_mismatch_fails_verify(monkeypatch, capsys):
     # verify compares the closed-form shape with the computed shape of the
     # quasi-monomial part
@@ -640,6 +650,19 @@ def test_unknown_which_exits_2(capsys):
         assert "invalid choice" in capsys.readouterr().err
         with pytest.raises(ValueError, match="unknown"):
             run(JobSpec(command=command, n=3, q=2, which="bogus"))
+
+
+def test_unknown_which_is_rejected_before_enumeration(monkeypatch):
+    # u_6(3) has 3^15 elements, above the cap of 10; the kind is checked
+    # first, so the job is invalid input (exit 2), not a cap overrun (exit 3)
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("an invalid job enumerated the group")
+
+    monkeypatch.setattr(GroupTable, "from_algebra", no_enumeration)
+    for command in ("table", "orbit"):
+        with pytest.raises(ValueError, match="unknown"):
+            run(JobSpec(command=command, n=6, q=3, which="bogus", cap=10,
+                        lam=[[1, 6, 1]]))
 
 
 @pytest.mark.parametrize("argv", [

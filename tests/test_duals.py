@@ -4,17 +4,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from utchar import duals
-from utchar.algebra import (GroupElement, NilAlgebra, NilMatrix, Pattern,
-                            Subspace)
-from utchar.chain import gram_matrix
+from utchar.algebra import (CapExceeded, GroupElement, NilAlgebra, NilMatrix,
+                            Pattern, Subspace)
 from utchar.characters import GroupTable
 from utchar.duals import (Functional, SetPartition, act_coadjoint, act_left,
-                          act_right, is_quasi_monomial, orbit, orbit_keys,
+                          act_right, gram_matrix, is_quasi_monomial, orbit,
                           shape, torus_act, torus_orbit)
 from utchar.scalars import field_make
 
-from oracles import (coordinate_evaluate, full_group_orbit,
-                     generator_test_algebras, random_element,
+from oracles import (coordinate_evaluate, definition_act_left,
+                     definition_act_right, full_group_orbit,
+                     generator_test_algebras, orbit_keys, random_element,
                      random_functional, random_subspace_algebra,
                      u4_and_subalgebra)
 
@@ -164,6 +164,80 @@ def test_orbits_of_zero_and_sparse_functionals_match_full_group(p, e, rng):
             for which in ("left", "right", "coadjoint", "two-sided"):
                 assert orbit_keys(orbit(lam, which)) == \
                     set(full_group_orbit(group, lam, which)), (alg, which)
+
+
+ORBIT_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("p,e", ORBIT_FIELDS)
+def test_contraction_actions_match_definitions(p, e, rng):
+    # the actions contract h = g^-1 - 1 with lam's ambient covector; the
+    # oracle evaluates lam on u + h u (or u + u h) for each basis matrix.
+    # The algebras include proper closed patterns, where the contraction
+    # reaches positions off the pattern, and subspace algebras
+    kinds = set()
+    for alg in generator_test_algebras(rng, field_make(p, e)):
+        kinds.add(alg.is_pattern)
+        for _ in range(5):
+            lam = random_functional(rng, alg)
+            g = random_element(rng, alg)
+            assert act_left(g, lam) == definition_act_left(g, lam)
+            assert act_right(lam, g) == definition_act_right(lam, g)
+    assert kinds == {True, False}
+
+
+@pytest.mark.parametrize("p,e", ORBIT_FIELDS)
+def test_affine_orbits_match_full_group_without_actions(p, e, rng,
+                                                        monkeypatch):
+    # left, right and two-sided orbits are read off Gram matrices and never
+    # apply a group action; the oracle applies every group element through
+    # the definition actions.  u_4(9) (531,441 elements) is left out, and
+    # u_3(q) keeps a two-sided orbit over F_9 within the oracle's budget
+    def no_action(*args):
+        raise AssertionError("an affine orbit applied a group action")
+
+    monkeypatch.setattr(duals, "act_left", no_action)
+    monkeypatch.setattr(duals, "act_right", no_action)
+    field = field_make(p, e)
+    algebras = list(u4_and_subalgebra(field)) + [
+        NilAlgebra.pattern_algebra(Pattern.full(3), field)]
+    two_sided = 0
+    for alg in algebras:
+        if alg.size > 16_000:
+            continue
+        group = GroupTable.from_algebra(alg)
+        n = alg.pattern.n
+        for lam in (random_functional(rng, alg),
+                    Functional.from_entries(alg, {(1, n): 1})):
+            left = set(full_group_orbit(group, lam, "left"))
+            assert orbit_keys(orbit(lam, "left")) == left
+            assert orbit_keys(orbit(lam, "right")) == \
+                set(full_group_orbit(group, lam, "right"))
+            if len(left) * group.size <= 60_000:  # the oracle's pairs
+                two_sided += len(left) > 1
+                assert orbit_keys(orbit(lam, "two-sided")) == \
+                    set(full_group_orbit(group, lam, "two-sided"))
+    assert two_sided
+
+
+def test_affine_orbit_over_cap_raises_before_building_points(monkeypatch):
+    # e*_16 on u_6(3): B has rank 4, so each orbit has 3^4 = 81 points; the
+    # cap is compared with q^rank before any point is built
+    u63 = NilAlgebra.pattern_algebra(Pattern.full(6), F3)
+    lam = Functional.from_entries(u63, {(1, 6): 1})
+    assert len(orbit(lam, "left", cap=81)) == 81
+    real = duals.apply_columns
+    built = []
+    monkeypatch.setattr(duals, "apply_columns",
+                        lambda *args: built.append(1) or real(*args))
+    for which in ("left", "right", "two-sided"):
+        with pytest.raises(CapExceeded, match="orbit exceeds cap 80"):
+            orbit(lam, which, cap=80)
+    assert not built
+    # 5^28 points on u_30(5) raise at once
+    u305 = NilAlgebra.pattern_algebra(Pattern.full(30), field_make(5))
+    with pytest.raises(CapExceeded):
+        orbit(Functional.from_entries(u305, {(1, 30): 1}), "left")
 
 
 def test_left_and_right_orbits_same_size(rng):

@@ -7,7 +7,7 @@ from utchar.algebra import NilAlgebra, Pattern, VerificationFailed
 from utchar.cli import main
 from utchar.chain import chain_compute, quasimonomial_kernels
 from utchar.characters import GroupTable, abelian_dual, induce, theta_lambda
-from utchar.duals import is_quasi_monomial, orbit_keys, orbit, shape
+from utchar.duals import is_quasi_monomial, orbit, shape
 from utchar.exotic import (abelian_quotient_split, build_regions,
                            constant_diagonal_algebra, corner_functional,
                            corner_character_analysis, exotic_functional_parts,
@@ -17,7 +17,7 @@ from utchar.scalars import field_make
 
 from oracles import (brute_force_abelian_dual, brute_force_corner_constituents,
                      exotic_functional, exotic_quasimonomial,
-                     field_of_values, random_functional,
+                     field_of_values, orbit_keys, random_functional,
                      torus_shape_transitivity)
 
 F2 = field_make(2)
@@ -175,7 +175,8 @@ def test_constant_diagonal_algebra():
     (3, 4, False, False),
 ])
 def test_corner_analysis_character_flags(n, q, psi_char, psi_exp_char):
-    rep = corner_character_analysis(n, field_make(q) if q != 4 else F4)
+    rep = corner_character_analysis(
+        constant_diagonal_algebra(n, field_make(q) if q != 4 else F4))
     assert rep.kirillov_is_character is psi_char
     assert rep.exp_kirillov_is_character is psi_exp_char
     assert rep.constituent_count == q ** (n - 2)
@@ -189,7 +190,8 @@ def test_corner_analysis_conductors():
     # below n, which is also the maximal element order
     for n, q, cond in ((2, 2, 2), (3, 2, 4), (4, 2, 4), (5, 2, 8),
                        (2, 3, 3), (3, 3, 3), (4, 3, 9)):
-        rep = corner_character_analysis(n, field_make(q))
+        rep = corner_character_analysis(
+            constant_diagonal_algebra(n, field_make(q)))
         assert rep.max_constituent_conductor == cond
         assert rep.max_element_order == cond
 
@@ -202,10 +204,11 @@ CORNER_CASES = [(n, q) for q in (2, 3, 4, 5) for n in range(2, 7)
 @pytest.mark.parametrize("n,q", CORNER_CASES)
 def test_corner_analysis_matches_constituent_oracle(n, q, monkeypatch):
     field = F4 if q == 4 else field_make(q)
-    fast = corner_character_analysis(n, field)
+    algebra = constant_diagonal_algebra(n, field)
+    fast = corner_character_analysis(algebra)
     monkeypatch.setattr(exotic, "_corner_constituents",
                         brute_force_corner_constituents)
-    assert corner_character_analysis(n, field) == fast
+    assert corner_character_analysis(algebra) == fast
 
 
 @pytest.mark.parametrize("n,q", [(n, q) for q in (2, 3, 4, 5)
@@ -215,8 +218,8 @@ def test_corner_value_field_matches_galois_oracle(n, q):
     # finds the order of every value of every constituent, built from an
     # independent dual, and tests each level by its Galois action
     field = F4 if q == 4 else field_make(q)
-    report = corner_character_analysis(n, field)
     algebra = constant_diagonal_algebra(n, field)
+    report = corner_character_analysis(algebra)
     group = GroupTable.from_algebra(algebra)
     kappa = corner_functional(algebra)
     lgroup = GroupTable.from_subspace(
