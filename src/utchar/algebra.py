@@ -581,11 +581,10 @@ class NilAlgebra:
         return cls(pattern, field, Subspace.full(pattern, field), True)
 
     @classmethod
-    def from_subspace(cls, span, field, check=True):
-        alg = cls(span.pattern, field, span, False)
-        if check and not alg.is_closed_under_products():
-            raise ValueError("subspace is not closed under products")
-        return alg
+    def from_subspace(cls, span, field):
+        """The algebra on span, unchecked: a caller that needs closure
+        calls is_closed_under_products and raises its own error."""
+        return cls(span.pattern, field, span, False)
 
     @property
     def dim(self):
@@ -840,5 +839,6 @@ def quotient_project(ambient, sub, ideal):
         raise ValueError("sub + ideal does not span the ambient space")
     if ideal_check(ideal, ambient_span) != "two-sided-ideal":
         raise ValueError("complement is not a two-sided ideal")
-    NilAlgebra.from_subspace(sub, sub.field)  # validates closure
+    if not NilAlgebra.from_subspace(sub, sub.field).is_closed_under_products():
+        raise ValueError("subspace is not closed under products")
     return Projection(sub, ideal)

@@ -23,13 +23,15 @@ from .duals import Functional, gram_matrix, is_quasi_monomial
 @dataclass
 class ChainResult:
     """The ascending/descending chain 0 = l^0 <= l^1 <= ... <= s^1 <= s^0
-    with its stabilization data and derived exponents."""
+    with its stabilization data and derived exponents; form is lam(XY) on
+    the echelon basis of s_bar, as sparse rows."""
 
     algebra: object
     functional: Functional
     l_list: list
     s_list: list
     d: int
+    form: list
 
     @property
     def l_bar(self):
@@ -117,7 +119,8 @@ def chain_compute(algebra, lam):
     K_l of l^i).  Both kernels are reduced echelon combinations of the
     echelon rows of s^{i-1}, so their spans need no elimination
     (`echelon_combinations`), and the rows of s^i are the rows of K_s
-    times those of s^{i-1}, in order; the next form is K_s M K_s^T."""
+    times those of s^{i-1}, in order; the next form is K_s M K_s^T.  The
+    chain stops on s^i = s^{i-1}, so its last M is the form on s_bar."""
     if lam.algebra.span != algebra.span:
         raise ValueError("the functional lives on another algebra")
     pattern, field = algebra.pattern, algebra.field
@@ -138,7 +141,7 @@ def chain_compute(algebra, lam):
         form = restrict_form(form, s_combos, len(rows), field)
     else:
         raise VerificationFailed("chain failed to stabilize")
-    return ChainResult(algebra, lam, l_list, s_list, len(s_list) - 1)
+    return ChainResult(algebra, lam, l_list, s_list, len(s_list) - 1, form)
 
 
 # ---------------------------------------------------------------------------

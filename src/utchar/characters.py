@@ -80,7 +80,7 @@ class GroupTable:
         """The algebra subgroup 1 + subspace.  The subspace is computed,
         not given, so a subspace that is not closed under products raises
         VerificationFailed."""
-        sub = NilAlgebra.from_subspace(subspace, algebra.field, check=False)
+        sub = NilAlgebra.from_subspace(subspace, algebra.field)
         if not sub.is_closed_under_products():
             raise VerificationFailed("subspace is not closed under products")
         return cls.from_algebra(sub, cap)

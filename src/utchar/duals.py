@@ -58,11 +58,13 @@ class Functional:
         return cls(algebra, vals)
 
     def entries(self):
-        """Sparse {position: coefficient}; pattern algebras only."""
-        if not self.algebra.is_pattern:
-            raise ValueError("entries() requires a pattern algebra")
-        order = self.algebra.pattern.order
-        return {order[k]: v for k, v in enumerate(self.values) if v}
+        """lam as an ambient covector Lam = {k-th pivot position: lam_k},
+        so lam(M) = sum Lam[pos] M[pos]: a member's coordinates are its
+        pivots.  On a pattern algebra these are lam's coefficients."""
+        algebra = self.algebra
+        order = algebra.pattern.order
+        return {order[p]: v for p, v in zip(algebra.span.pivots, self.values)
+                if v}
 
     def evaluate(self, mat):
         """lam(mat): the sum of lam_k times mat's entry at the k-th pivot of
@@ -129,33 +131,22 @@ class Functional:
         return hash(self.values)
 
     def __repr__(self):
-        if self.algebra.is_pattern:
-            return f"Functional({self.entries()})"
-        return f"Functional(values={self.values})"
-
-
-def _covector(lam):
-    """lam as an ambient covector Lam = {k-th pivot position: lam_k}, so
-    lam(M) = sum Lam[pos] M[pos]: a member's coordinates are its pivots."""
-    algebra = lam.algebra
-    order = algebra.pattern.order
-    return {order[p]: v for p, v in zip(algebra.span.pivots, lam.values)
-            if v}
+        return f"Functional({self.entries()})"
 
 
 def gram_matrix(lam):
     """B[a][b] = lam(e_a e_b) on the algebra basis, as sparse rows.
 
-    lam(M) = sum Lam[pos] M[pos] (`_covector`), so only the products with
-    e_a[i, j] e_b[j, k] != 0 for some (i, k) in supp Lam are formed, in
-    order of a, then of b, the e_b found by entry position (j, k).  The
-    algebra is assumed closed under products, as NilAlgebra.from_subspace
-    checks by default.  Contracting slices without products waits for
-    ROADMAP item 0."""
+    lam(M) = sum Lam[pos] M[pos] (`Functional.entries`), so only the
+    products with e_a[i, j] e_b[j, k] != 0 for some (i, k) in supp Lam are
+    formed, in order of a, then of b, the e_b found by entry position
+    (j, k).  The algebra is assumed closed under products, which
+    NilAlgebra.from_subspace leaves to its callers to check.  Contracting
+    slices without products waits for ROADMAP item 0."""
     algebra = lam.algebra
     basis = algebra.basis()
     support = {}  # row i -> the columns k with (i, k) in the support
-    for i, k in _covector(lam):
+    for i, k in lam.entries():
         support.setdefault(i, []).append(k)
     columns = {k for ks in support.values() for k in ks}
     at = {}  # (j, k) with k a support column -> the b with e_b[j, k] != 0
@@ -184,7 +175,7 @@ def _contract(lam, g, left):
     read back on the basis (a position off a pattern meets no member).  As
     in gram_matrix, the algebra is assumed closed under products."""
     algebra, field = lam.algebra, lam.algebra.field
-    cov = _covector(lam)
+    cov = lam.entries()
     out = dict(cov)
     by = {}  # left: row i of Lam -> its (k, v); right: column k -> (i, v)
     for (i, k), v in cov.items():
@@ -336,6 +327,8 @@ class SetPartition:
 
 def is_quasi_monomial(lam):
     """At most one nonzero coefficient in each row and column."""
+    if not lam.algebra.is_pattern:
+        raise ValueError("quasi-monomial needs a pattern algebra")
     rows, cols = set(), set()
     for (i, j) in lam.entries():
         if i in rows or j in cols:

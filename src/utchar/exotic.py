@@ -278,8 +278,10 @@ def verify_chain_closed_forms(r, field):
     """Compare the computed kernel chain of the defining functional with
     the closed-form subspaces from the atlas, check the first-step kernels
     and the shape of the quasi-monomial part, and check that the
-    corner-corrected functional nu kills all products in s_bar: the Gram
-    block of nu(XY) on the echelon basis of s_bar must vanish."""
+    corner-corrected functional nu = lam - kappa kills all products in
+    s_bar: the Gram block of nu(XY) on the echelon basis of s_bar must
+    vanish.  The Gram is linear in the functional, so that block vanishes
+    iff lam's, the form the chain stopped on, equals kappa's."""
     atlas = build_regions(r)
     plus, minus = exotic_functional_parts(r, field)
     lam = plus - minus
@@ -300,15 +302,14 @@ def verify_chain_closed_forms(r, field):
     perp_s_ok = qk.perp_s == atlas.Z
     _require(shape(plus) == exotic_shape(r),
              "closed-form shape differs from the computed shape")
-    corner = Functional.from_entries(
-        algebra, {(1, 2 * r + 1): 1})
-    nu_block = gram_block(algebra, gram_matrix(lam - corner), ch.s_bar)
+    corner = Functional.from_entries(algebra, {(1, 2 * r + 1): 1})
     return TechnicalReport(
         r=r, q=field.q, matches=matches,
         dim_ambient=algebra.dim,
         dim_l_bar=ch.l_bar.dim, dim_s_bar=ch.s_bar.dim,
         stabilization=ch.d,
-        final_bilinear_ok=not any(nu_block),
+        final_bilinear_ok=ch.form == gram_block(
+            algebra, gram_matrix(corner), ch.s_bar),
         perp_l_matches=perp_l_ok, perp_s_matches=perp_s_ok,
     ), ch, atlas
 
@@ -326,8 +327,11 @@ def constant_diagonal_algebra(n, field):
         basis.append(NilMatrix(
             pattern, field,
             {(i, i + d): 1 for i in range(1, n - d + 1)}))
-    span = Subspace.from_matrices(pattern, field, basis)
-    return NilAlgebra.from_subspace(span, field)
+    algebra = NilAlgebra.from_subspace(
+        Subspace.from_matrices(pattern, field, basis), field)
+    _require(algebra.is_closed_under_products(),
+             f"a_{n}(q) is not closed under products")
+    return algebra
 
 
 def corner_functional(algebra):
@@ -379,6 +383,7 @@ def abelian_quotient_split(atlas, field, chain):
     checks["h_two_sided_ideal"] = (
         products_vanish_at(chain.s_bar, h_span, zero_on)
         and products_vanish_at(h_span, chain.s_bar, zero_on))
+    # a's one closure check: a subalgebra is closed under products
     checks["a_subalgebra"] = ideal_check(a_span, chain.s_bar) in (
         "subalgebra", "right-ideal", "two-sided-ideal")
     corner = Functional.from_entries(algebra, {corner_pos: 1})
@@ -387,9 +392,6 @@ def abelian_quotient_split(atlas, field, chain):
     # isomorphism onto a_{r+1}(q): Y_ij = X_ij for j <= r, Y_{i,r+1} = X_{i,2r+1}
     target = constant_diagonal_algebra(r + 1, field)
     tgt_pattern = target.pattern
-    a_alg = NilAlgebra.from_subspace(a_span, field, check=False)
-    _require(a_alg.is_closed_under_products(),
-             "a is not closed under products")
 
     def iso_image(mat):
         entries = {}
@@ -400,7 +402,7 @@ def abelian_quotient_split(atlas, field, chain):
                 entries[(i, r + 1)] = c
         return NilMatrix(tgt_pattern, field, entries)
 
-    a_basis = a_alg.basis()
+    a_basis = a_span.basis_matrices()
     images = [iso_image(m) for m in a_basis]
     img_span = Subspace.from_matrices(tgt_pattern, field, images)
     checks["iso_linear_bijective"] = (
@@ -609,7 +611,7 @@ def exotic_report(r, field, n=None, cap=DEFAULT_CAP):
     if not tech.ok:
         raise VerificationFailed("closed-form chain verification failed")
     # abelian_quotient_split's ideal test assumes that s_bar is closed
-    _require(NilAlgebra.from_subspace(ch.s_bar, field, check=False)
+    _require(NilAlgebra.from_subspace(ch.s_bar, field)
              .is_closed_under_products(),
              "s_bar is not closed under products")
     split = abelian_quotient_split(atlas, field, ch)

@@ -586,7 +586,16 @@ def random_subspace_algebra(rng, field):
     """The subalgebra s^1 of a random functional on u_n(q), 4 <= n <= 6."""
     u = NilAlgebra.pattern_algebra(Pattern.full(rng.randrange(4, 7)), field)
     s1 = chain_compute(u, random_functional(rng, u)).s_list[1]
-    return NilAlgebra.from_subspace(s1, field)
+    return closed_subspace_algebra(s1, field)
+
+
+def closed_subspace_algebra(span, field):
+    """NilAlgebra.from_subspace, which does not check closure, with the
+    check; ValueError (kept under python -O) if span is not closed."""
+    alg = NilAlgebra.from_subspace(span, field)
+    if not alg.is_closed_under_products():
+        raise ValueError("subspace is not closed under products")
+    return alg
 
 
 def u4_and_subalgebra(field):
@@ -598,7 +607,7 @@ def u4_and_subalgebra(field):
         + [NilMatrix.elementary(p4, field, *pos)
            for pos in ((1, 3), (1, 4), (2, 4))])
     return (NilAlgebra.pattern_algebra(p4, field),
-            NilAlgebra.from_subspace(span, field))
+            closed_subspace_algebra(span, field))
 
 
 def random_subalgebra(rng, algebra, count=2):
@@ -666,7 +675,7 @@ def generator_test_algebras(rng, field):
     while len(out) < 6:
         span = random_subalgebra(rng, u4, count=rng.choice((1, 2)))
         if q ** span.dim <= max_size:
-            out.append(NilAlgebra.from_subspace(span, field))
+            out.append(closed_subspace_algebra(span, field))
     while len(out) < 9:
         pattern = random_closed_pattern(rng, 5)
         if q ** len(pattern) <= max_size:

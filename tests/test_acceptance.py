@@ -266,6 +266,7 @@ def test_criterion_8_inflation_and_torus():
                         for i in (1, 2, 3)])
         proj = quotient_project(u42, sub_span, ideal)
         sub_alg = NilAlgebra.from_subspace(sub_span, field)
+        assert sub_alg.is_closed_under_products()
         quotient = GroupTable.from_algebra(sub_alg)
         for values in itertools.product(range(2), repeat=3):
             entries = {pos: v for pos, v in

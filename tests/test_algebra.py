@@ -180,6 +180,22 @@ def test_quotient_project_rejects_bad_decomposition():
                          Subspace.from_matrices(p3, F2, [e12, e23]))
 
 
+def test_quotient_project_rejects_a_sub_that_is_not_closed():
+    # u_4 = span{e12, e23} (+) span{e13, e14, e24, e34}, and the second part
+    # is a two-sided ideal, but e12 e23 = e13 leaves the first
+    p4 = Pattern.full(4)
+    u4 = NilAlgebra.pattern_algebra(p4, F2)
+    sub = Subspace.from_matrices(
+        p4, F2, [NilMatrix.elementary(p4, F2, *pos)
+                 for pos in ((1, 2), (2, 3))])
+    ideal = Subspace.from_matrices(
+        p4, F2, [NilMatrix.elementary(p4, F2, *pos)
+                 for pos in ((1, 3), (1, 4), (2, 4), (3, 4))])
+    assert ideal_check(ideal, u4) == "two-sided-ideal"
+    with pytest.raises(ValueError, match="not closed under products"):
+        quotient_project(u4, sub, ideal)
+
+
 def test_enumerate_group_counts():
     assert len(list(
         NilAlgebra.pattern_algebra(Pattern.full(3), F2).enumerate_group())) == 8
@@ -609,7 +625,7 @@ def test_pruned_checks_match_all_pairs_oracles(p, e, rng):
             want = all_pairs_ideal_check(sub, alg)
             assert ideal_check(sub, alg) == want
             assert ideal_check(sub, alg.span) == want
-            sub_alg = NilAlgebra.from_subspace(sub, field, check=False)
+            sub_alg = NilAlgebra.from_subspace(sub, field)
             assert sub_alg.is_closed_under_products() == \
                 all_pairs_closed(sub_alg)
             assert sub_alg.is_commutative() == all_pairs_commutative(sub_alg)

@@ -12,6 +12,7 @@ from utchar.exotic import constant_diagonal_algebra
 from utchar.scalars import field_make
 
 from oracles import (all_pairs_gram, brute_force_first_kernels, dense_chain,
+                     exotic_functional,
                      generator_test_algebras, products_vanish,
                      quasimonomial_irreducible, random_closed_pattern,
                      random_functional, random_quasimonomial,
@@ -323,6 +324,33 @@ def annihilating_functional(rng, alg, space):
         for k, v in vec.items():
             values[k] = field.add(values[k], field.mul(c, v))
     return Functional(alg, values)
+
+
+def test_chain_form_is_the_gram_block_on_s_bar(rng):
+    # the form the chain stops on is lam(XY) on the echelon basis of s_bar,
+    # the block of lam's Gram matrix there, for generic functionals, for
+    # staircases with longer chains and for the defining functional
+    fields = FIELDS + (field_make(3, 2),)
+    ds = set()
+    for k in range(30):
+        field = fields[k % 5]
+        if k % 3 == 2:
+            alg = random_subspace_algebra(rng, field)
+            lam = random_functional(rng, alg)
+        else:
+            alg = NilAlgebra.pattern_algebra(
+                Pattern.full(rng.randrange(4, 8)), field)
+            lam = (random_functional(rng, alg) if k % 3
+                   else perturbed_staircase(rng, alg))
+        ch = chain_compute(alg, lam)
+        assert ch.form == gram_block(alg, gram_matrix(lam), ch.s_bar)
+        ds.add(ch.d)
+    assert max(ds) >= 3
+    for r, field in ((2, F2), (3, F3)):
+        lam = exotic_functional(r, field)
+        ch = chain_compute(lam.algebra, lam)
+        assert ch.form == gram_block(lam.algebra, gram_matrix(lam), ch.s_bar)
+        assert any(ch.form)
 
 
 def test_gram_block_matches_product_oracle(rng):

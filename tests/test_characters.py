@@ -217,6 +217,20 @@ def test_induce_from_trivial_subgroup_gives_regular_character():
     assert all(v == ZERO for v in nonid)
 
 
+def test_from_subspace_builds_and_group_table_checks_closure():
+    # NilAlgebra.from_subspace only builds; GroupTable.from_subspace, whose
+    # subspaces are computed, checks closure and raises VerificationFailed
+    p3 = Pattern.full(3)
+    span = Subspace.from_matrices(
+        p3, F2, [NilMatrix.elementary(p3, F2, 1, 2),
+                 NilMatrix.elementary(p3, F2, 2, 3)])
+    alg = NilAlgebra.from_subspace(span, F2)
+    assert alg.span == span and alg.dim == 2 and not alg.is_pattern
+    assert not alg.is_closed_under_products()
+    with pytest.raises(VerificationFailed, match="not closed under products"):
+        GroupTable.from_subspace(U32, span)
+
+
 def test_frobenius_reciprocity(rng):
     span = Subspace.from_matrices(
         Pattern.full(3), F2,
@@ -378,6 +392,7 @@ def test_inflation_identities_u42():
     from utchar.algebra import quotient_project
     proj = quotient_project(U42, sub_span, ideal)
     sub_alg = NilAlgebra.from_subspace(sub_span, F2)
+    assert sub_alg.is_closed_under_products()
     A = GroupTable.from_algebra(sub_alg)
     for entries in ({(1, 3): 1}, {(1, 2): 1}, {(1, 3): 1, (2, 3): 1},
                     {(1, 2): 1, (2, 3): 1}):

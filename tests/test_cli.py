@@ -519,6 +519,17 @@ def test_l_bar_closure_failure_exits_1(module, argv, monkeypatch, capsys):
     assert l_bars
 
 
+def test_constant_diagonal_closure_failure_exits_1(monkeypatch, capsys):
+    # a_n(q) is computed, not given, so a failed closure check is a
+    # verification mismatch (exit 1), not invalid input (exit 2)
+    monkeypatch.setattr(NilAlgebra, "is_closed_under_products",
+                        lambda alg: False)
+    assert main(["kappa", "--n", "3", "--q", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not closed under products" in captured.err
+
+
 def test_non_integer_lambda_entries_exit_2(capsys):
     # [[1,3,2.7]] used to run as lambda_13 = 2, and the others as other
     # functionals; int() no longer coerces them

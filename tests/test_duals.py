@@ -300,6 +300,31 @@ def test_quasi_monomial_and_shape():
         shape(bad)
 
 
+def test_entries_are_the_pivot_covector_on_every_algebra(rng):
+    # lam(M) = sum of entries()[pos] M[pos] for members M; on a pattern
+    # algebra entries() are lam's coefficients
+    lam = Functional.from_entries(U33, {(1, 3): 2, (2, 3): 1})
+    assert lam.entries() == {(1, 3): 2, (2, 3): 1}
+    assert repr(lam) == "Functional({(1, 3): 2, (2, 3): 1})"
+    for field in (F2, F3, field_make(2, 2)):
+        _, sub = u4_and_subalgebra(field)
+        for _ in range(8):
+            lam = random_functional(rng, sub)
+            cov = lam.entries()
+            assert all(v for v in cov.values())
+            for _ in range(4):
+                m = random_element(rng, sub).body
+                acc = 0
+                for pos, c in cov.items():
+                    acc = field.add(acc, field.mul(c, m.coeff(*pos)))
+                assert lam.evaluate(m) == acc
+        # quasi-monomial structure is defined on pattern algebras only
+        with pytest.raises(ValueError, match="needs a pattern algebra"):
+            is_quasi_monomial(lam)
+        with pytest.raises(ValueError, match="needs a pattern algebra"):
+            shape(lam)
+
+
 def test_torus_action():
     lam = Functional.from_entries(U33, {(1, 3): 1})
     assert torus_act([1, 1, 1], lam) == lam
@@ -333,6 +358,7 @@ def test_functional_on_subspace_algebra_roundtrip():
          NilMatrix(Pattern.full(4), F3, {(1, 3): 1, (2, 4): 1}),
          NilMatrix(Pattern.full(4), F3, {(1, 4): 1})])
     alg = NilAlgebra.from_subspace(span, F3)
+    assert alg.is_closed_under_products()
     kappa = Functional.from_entries(alg, {(1, 4): 1})
     u = alg.basis()[0]  # the superdiagonal generator
     assert kappa.evaluate(u) == 0

@@ -334,10 +334,18 @@ def test_corrupted_exponent_raises_and_exits_1(monkeypatch, capsys):
 
 
 def test_nonvanishing_nu_block_fails_verification(monkeypatch, capsys):
-    # one nonzero entry nu(u_0 u_0) in the Gram block on s_bar
+    # kappa's Gram block on s_bar, which the chain's last form (lam's) must
+    # equal, gets 1 added at entry (0, 0): then nu(u_0 u_0) != 0, whatever
+    # that entry held
     real = exotic.gram_block
-    monkeypatch.setattr(exotic, "gram_block",
-                        lambda *args: [{0: 1}] + real(*args)[1:])
+
+    def shifted(*args):
+        block = real(*args)
+        row = dict(block[0])
+        row[0] = F2.add(row.get(0, 0), 1)
+        return [{b: v for b, v in row.items() if v}] + block[1:]
+
+    monkeypatch.setattr(exotic, "gram_block", shifted)
     tech, _, _ = verify_chain_closed_forms(2, F2)
     assert not tech.final_bilinear_ok and not tech.ok
     assert main(["verify", "--r", "2", "--q", "2"]) == 1
