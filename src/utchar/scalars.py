@@ -37,8 +37,6 @@ STANDARD_MODULI = {
     (7, 2): (3, 6, 1),
 }
 
-_TABLE_LIMIT = 512  # precompute q x q arithmetic tables up to this size
-
 
 def _poly_trim(c):
     c = list(c)
@@ -121,122 +119,115 @@ def _is_irreducible(modulus, p):
                for d in range(1, e) if e % d == 0)
 
 
+def _normal_modulus(p, e, modulus):
+    """The modulus of F_{p^e} (the built-in one if modulus is None), reduced
+    mod p with trailing zeros trimmed; ValueError unless p is prime, e >= 1
+    and the degree is e."""
+    try:
+        prime = prime_power_split(p) == (p, 1)
+    except ValueError:
+        prime = False
+    if not prime:
+        raise ValueError(f"p = {p} is not prime")
+    if e < 1:
+        raise ValueError("e must be >= 1")
+    if modulus is None:
+        if e == 1:
+            modulus = (0, 1)
+        elif (p, e) in STANDARD_MODULI:
+            modulus = STANDARD_MODULI[(p, e)]
+        else:
+            raise ValueError(
+                f"no built-in modulus for q = {p**e}; supply one explicitly")
+    modulus = tuple(_poly_trim(c % p for c in modulus))
+    if len(modulus) - 1 != e:
+        raise ValueError("modulus degree must equal e")
+    return modulus
+
+
 class Field:
     """The finite field F_q with q = p**e elements, exact arithmetic on
-    integer encodings."""
+    integer encodings.
+
+    For e > 1, F_q^x is cyclic of order n = q - 1; g is its generator of
+    least encoding.  exp[k] = g^k for 0 <= k < 2n, log inverts
+    exp on F_q^x, and log 0 = 2n, where exp is 0 on [2n, 4n]: so mul and neg
+    add logs with no zero branch.  For odd p, zech[k] = log(1 + g^k)
+    (Zech's logarithm) turns add into g^i + g^j = g^(i + zech[j - i]); for
+    p = 2, add is XOR on the encodings."""
 
     def __init__(self, p, e=1, modulus=None):
-        try:
-            prime = prime_power_split(p) == (p, 1)
-        except ValueError:
-            prime = False
-        if not prime:
-            raise ValueError(f"p = {p} is not prime")
-        if e < 1:
-            raise ValueError("e must be >= 1")
-        q = p**e
-        if modulus is None:
-            if e == 1:
-                modulus = (0, 1)
-            elif (p, e) in STANDARD_MODULI:
-                modulus = STANDARD_MODULI[(p, e)]
-            else:
-                raise ValueError(
-                    f"no built-in modulus for q = {q}; supply one explicitly")
-        modulus = tuple(c % p for c in modulus)
-        if len(_poly_trim(modulus)) - 1 != e:
-            raise ValueError("modulus degree must equal e")
+        modulus = _normal_modulus(p, e, modulus)
         if not _is_irreducible(modulus, p):
             raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.p = p
         self.e = e
-        self.q = q
+        self.q = p**e
         self.modulus = modulus
-        self._add_table = None
-        self._neg_table = None
-        self._mul_table = None
-        self._inv_table = None
         self._trace_table = None
-        if e > 1 and q <= _TABLE_LIMIT:
-            self._build_tables()
+        if e > 1:
+            self._build_logs()
 
-    # -- encoding helpers
-
-    def _decode(self, a):
-        c = []
-        for _ in range(self.e):
-            a, r = divmod(a, self.p)
-            c.append(r)
-        return c
-
-    def _encode(self, coeffs):
-        a = 0
-        for c in reversed(coeffs[: self.e]):
-            a = a * self.p + (c % self.p)
-        return a
-
-    def _build_tables(self):
-        q, p = self.q, self.p
-        digits = [self._decode(a) for a in range(q)]
-        self._add_table = [
-            [self._encode([x + y for x, y in zip(ca, cb)]) for cb in digits]
-            for ca in digits]
-        self._neg_table = [self._encode([-x for x in ca]) for ca in digits]
-        mul = [[0] * q for _ in range(q)]
-        for a, ca in enumerate(digits):
-            for b in range(a, q):
-                cb = digits[b]
-                prod = self._encode(
-                    _poly_mulmod(ca, cb, self.modulus, p) + [0] * self.e)
-                mul[a][b] = prod
-                mul[b][a] = prod
-        self._mul_table = mul
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = next(b for b in range(1, q) if mul[a][b] == 1)
-        self._inv_table = inv
+    def _build_logs(self):
+        p, q, n = self.p, self.q, self.q - 1
+        for g in range(2, q):
+            step = [g // p**i % p for i in range(self.e)]
+            c, powers = [1], [1]
+            for _ in range(n - 1):
+                c = _poly_mulmod(c, step, self.modulus, p)
+                x = sum(ci * p**i for i, ci in enumerate(c))
+                if x == 1:
+                    break
+                powers.append(x)
+            else:  # g^k != 1 for 0 < k < n: g generates F_q^x
+                break
+        else:
+            raise VerificationFailed(f"F_{q}^x has no element of order {n}")
+        self._exp = powers * 2 + [0] * (2 * n + 1)
+        log = [2 * n] * q
+        for k, x in enumerate(powers):
+            log[x] = k
+        self._log = log
+        self._log_minus_one = log[p - 1]
+        # 1 + x changes only the constant digit of x
+        self._zech = ([log[x - x % p + (x + 1) % p] for x in powers]
+                      if p != 2 else None)
 
     # -- arithmetic on encodings
 
     def add(self, a, b):
         if self.e == 1:
             return (a + b) % self.p
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self._encode(
-            [x + y for x, y in zip(self._decode(a), self._decode(b))])
+        if self.p == 2:
+            return a ^ b
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        return self._exp[la + self._zech[self._log[b] - la]]
 
     def neg(self, a):
         if self.e == 1:
             return (-a) % self.p
-        if self._neg_table is not None:
-            return self._neg_table[a]
-        return self._encode([-x for x in self._decode(a)])
+        return self._exp[self._log[a] + self._log_minus_one]
 
     def sub(self, a, b):
         if self.e == 1:
             return (a - b) % self.p
-        if self._add_table is not None:
-            return self._add_table[a][self._neg_table[b]]
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         if self.e == 1:
             return (a * b) % self.p
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._encode(
-            _poly_mulmod(self._decode(a), self._decode(b), self.modulus, self.p)
-            + [0] * self.e)
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero in F_q")
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self.pow(a, self.q - 2)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -295,8 +286,9 @@ def _cached_field(p, e, modulus):
 
 
 def field_make(p, e=1, modulus=None):
-    """Construct (and cache) the field F_{p^e} with a verified modulus."""
-    return _cached_field(p, e, tuple(modulus) if modulus is not None else None)
+    """Construct (and cache) the field F_{p^e} with a verified modulus; one
+    field per normal form of the modulus."""
+    return _cached_field(p, e, _normal_modulus(p, e, modulus))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,68 @@ from utchar.scalars import (CyclotomicNumber, cyclotomic_polynomial,
                             root_of_unity_order)
 
 
+class DigitField:
+    """F_q on the encodings of `field`, read as base-p digits: add and neg
+    digit by digit, mul as polynomials reduced mod the modulus, inv as
+    a^(q-2) and the trace as the sum of the e Frobenius conjugates."""
+
+    def __init__(self, field):
+        self.p, self.e, self.q = field.p, field.e, field.q
+        self.modulus = field.modulus
+
+    def _decode(self, a):
+        return [a // self.p**i % self.p for i in range(self.e)]
+
+    def _encode(self, coeffs):
+        return sum((c % self.p) * self.p**i
+                   for i, c in enumerate(coeffs[: self.e]))
+
+    def add(self, a, b):
+        return self._encode(
+            [x + y for x, y in zip(self._decode(a), self._decode(b))])
+
+    def neg(self, a):
+        return self._encode([-x for x in self._decode(a)])
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        p, e, modulus = self.p, self.e, self.modulus
+        prod = [0] * (2 * e - 1)
+        b_digits = self._decode(b)
+        for i, x in enumerate(self._decode(a)):
+            for j, y in enumerate(b_digits, i):
+                prod[j] += x * y
+        inv_lead = pow(modulus[-1], p - 2, p)
+        for k in range(2 * e - 2, e - 1, -1):
+            c = prod[k] * inv_lead % p
+            for i, m in enumerate(modulus):
+                prod[k - e + i] -= c * m
+        return self._encode(prod)
+
+    def pow(self, a, k):
+        """a^k for k >= 1, by squaring."""
+        result = a
+        for bit in bin(k)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, a)
+        return result
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero in F_q")
+        return self.pow(a, self.q - 2)
+
+    def trace(self, a):
+        total = 0
+        for _ in range(self.e):
+            total = self.add(total, a)
+            a = self.pow(a, self.p)
+        return total
+
+
 def dense_rref(matrix, field):
     """Textbook dense reduced row echelon form over a Field; rows are
     lists of encodings."""

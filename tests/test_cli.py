@@ -367,6 +367,42 @@ def test_field_with_explicit_modulus():
     assert body["xi_degree_exponent"] == 1
 
 
+# F_p and extensions of it, with the modulus each is built from
+BASE_CHANGES = {
+    2: [(4, None), (8, None), (1024, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1])],
+    3: [(9, [1, 0, 1]), (27, None), (2187, [1, 0, 2, 0, 0, 0, 0, 1])]}
+
+
+def _chain_without_q(n, q, lam, modulus=None):
+    body, code = run(JobSpec(command="chain", q=q, n=n, lam=lam,
+                             modulus=modulus))
+    assert code == 0
+    body = json.loads(render(body))
+    del body["q"]
+    return body
+
+
+@pytest.mark.parametrize("p", sorted(BASE_CHANGES))
+def test_chain_is_unchanged_by_base_change(p, rng):
+    """A functional with coefficients in F_p has its Gram matrix, hence its
+    whole chain of reduced echelon bases, over F_p: every extension field
+    must write the same chain."""
+    field = field_make(p)
+    jobs = []
+    for r in (2, 3, 4):
+        lam = oracles.exotic_functional(r, field)
+        jobs.append((6 * r + 1, [[i, j, c] for (i, j), c
+                                 in sorted(lam.entries().items()) if c]))
+    positions = [(i, j) for i in range(1, 9) for j in range(i + 1, 9)]
+    for _ in range(2):
+        jobs.append((8, [[i, j, rng.randrange(1, p)]
+                         for i, j in sorted(rng.sample(positions, 6))]))
+    for n, lam in jobs:
+        base = _chain_without_q(n, p, lam)
+        for q, modulus in BASE_CHANGES[p]:
+            assert _chain_without_q(n, q, lam, modulus) == base
+
+
 def test_invalid_kappa_n_and_cap_exit_2(capsys):
     # --n 0 and --n 1 used to exit 0 with chi_formula_matches false, and a
     # negative cap used to exit 3 ("exceeds cap -5")

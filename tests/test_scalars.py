@@ -8,12 +8,12 @@ from hypothesis import given, strategies as st
 import utchar
 from utchar import algebra
 from utchar.scalars import (STANDARD_MODULI, AdditiveCharacter,
-                            CyclotomicNumber, VerificationFailed,
+                            CyclotomicNumber, Field, VerificationFailed,
                             _is_irreducible, _zpoly_exact_div,
                             cyclotomic_polynomial, field_make, in_subfield,
                             prime_power_split, root_of_unity_order)
 
-from oracles import FractionCyclotomic
+from oracles import DigitField, FractionCyclotomic
 
 
 def test_field_make_prime_field():
@@ -66,22 +66,56 @@ def test_field_axioms_spot(p, e, rng):
             assert f.mul(a, f.inv(a)) == 1
 
 
-@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (5, 2)])
+def assert_matches_digit_arithmetic(f, pairs):
+    """neg, inv and trace on every element of f, and add, sub, mul and div
+    on the given pairs, against base-p digit arithmetic."""
+    digits = DigitField(f)
+    inverse = [None] + [digits.inv(a) for a in range(1, f.q)]
+    for a in range(f.q):
+        assert f.neg(a) == digits.neg(a)
+        assert f.trace(a) == digits.trace(a)
+        if a:
+            assert f.inv(a) == inverse[a]
+    for a, b in pairs:
+        assert f.add(a, b) == digits.add(a, b)
+        assert f.sub(a, b) == digits.sub(a, b)
+        assert f.mul(a, b) == digits.mul(a, b)
+        if b:
+            assert f.div(a, b) == digits.mul(a, inverse[b])
+
+
+@pytest.mark.parametrize("p,e", sorted(STANDARD_MODULI))
 def test_extension_tables_match_digit_arithmetic(p, e):
     f = field_make(p, e)
-    assert f._add_table is not None and f._neg_table is not None
+    assert_matches_digit_arithmetic(f, itertools.product(range(f.q), repeat=2))
 
-    def digits_add(a, b):
-        return f._encode([x + y for x, y in zip(f._decode(a), f._decode(b))])
 
-    def digits_neg(a):
-        return f._encode([-x for x in f._decode(a)])
+@pytest.mark.parametrize("p,modulus,samples", [
+    (3, (1, 0, 1), None),  # x^2 = -1: x has order 4 in F_9^x
+    (5, (2, 0, 1), None),  # x^2 = 3: x has order 8 in F_25^x
+    (2, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1), 20000),
+    (2, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1), 20000),
+    (3, (1, 0, 2, 0, 0, 0, 0, 1), 20000)],
+    ids=["F9", "F25", "F512", "F1024", "F2187"])
+def test_explicit_moduli_match_digit_arithmetic(p, modulus, samples, rng):
+    f = field_make(p, len(modulus) - 1, modulus)
+    if samples is None:
+        pairs = itertools.product(range(f.q), repeat=2)
+    else:
+        pairs = [(rng.randrange(f.q), rng.randrange(f.q))
+                 for _ in range(samples)]
+    assert_matches_digit_arithmetic(f, pairs)
 
-    for a in range(f.q):
-        assert f.neg(a) == digits_neg(a)
-        for b in range(f.q):
-            assert f.add(a, b) == digits_add(a, b)
-            assert f.sub(a, b) == digits_add(a, digits_neg(b))
+
+def test_modulus_has_one_normal_form():
+    f4 = field_make(2, 2)
+    for modulus in ([1, 1, 1, 0], [3, -1, 1], (1, 1, 1, 0, 0)):
+        f = field_make(2, 2, modulus)
+        assert f is f4 and f.modulus == (1, 1, 1)
+        assert Field(2, 2, modulus) == f4
+    u3 = algebra.Pattern.full(3)
+    assert (algebra.NilMatrix.elementary(u3, Field(2, 2, [1, 1, 1, 0]), 1, 3)
+            == algebra.NilMatrix.elementary(u3, f4, 1, 3))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
