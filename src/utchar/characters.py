@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import factorial, isqrt, lcm
+from operator import mul
 
 from .algebra import (DEFAULT_CAP, CapExceeded, NilAlgebra,
                       VerificationFailed, apply_columns, sparse_column,
@@ -344,51 +345,42 @@ def theta_lambda(group, lam):
     return ClassFunction(group, values)
 
 
-def _orbit_sum(group, functionals, scale):
-    """scale * sum of theta_mu over the functionals, as a table on the
-    group.
+def _character_sums(points, vectors, pairing, period, scale):
+    """scale * sum over the vectors v of zeta_period^(sum_k
+    pairing[k][v_k][x_k]) at each point x, as a list of cyclotomic numbers.
 
-    theta_mu(g) = zeta_p^t with t = Tr mu(X) = sum_k Tr(mu_k x_k) mod p,
-    where x are the coordinates of X = g - 1, so each value is
-    sum_t c_t zeta_p^t for the counts c_t(X) of the mu with trace t.
-
-    Because the trace is a sum over coordinates, the counts are a
-    transform of the functionals taken one coordinate at a time.  After
-    step k every (prefix x_1..x_k, suffix mu_(k+1)..mu_N) pair holds the
-    counts of the mu with that suffix by their partial trace on the
-    prefix; step k+1 splits mu_(k+1) off the suffix and, for each value v
-    of x_(k+1), rotates the counts by Tr(mu_(k+1) v) and adds them into
-    (prefix + (v,), rest of the suffix).  Only prefixes of the group's
-    elements are extended, so a subgroup costs no more than the whole
-    group.  The counts (c_0, ..., c_(p-1)) are packed as the integer
-    sum_t c_t 2^(b t), with 2^b larger than the number of functionals so
-    that no digit overflows: adding count vectors is adding integers, and
-    rotating by r is rotating the bp-bit word by b r bits.  Each distinct
-    count vector becomes one cyclotomic number, scaled and reduced mod
-    Phi_p once (CyclotomicNumber.from_powers)."""
-    algebra = functionals[0].algebra
-    field = algebra.field
-    p, q = field.p, field.q
-    bits = len(functionals).bit_length()
-    width = bits * p
+    Because the exponent is a sum over coordinates, the counts c_t(x) of
+    the v with exponent t at x are a transform of the vectors taken one
+    coordinate at a time.  After step k every (prefix x_1..x_k, suffix
+    v_(k+1)..v_N) pair holds the counts of the v with that suffix by their
+    partial exponent on the prefix; step k+1 splits v_(k+1) off the suffix
+    and, for each value a of x_(k+1), rotates the counts by
+    pairing[k][v_(k+1)][a] and adds them into (prefix + (a,), rest of the
+    suffix).  Only prefixes of the points are extended, so a subset of
+    the points costs no more than all of them.  The counts are packed as
+    the integer sum_t c_t 2^(b t), with 2^b larger than the number of
+    vectors so that no digit overflows: adding count vectors is adding
+    integers, and rotating by r is rotating the (b period)-bit word by b r
+    bits.  Each distinct count vector becomes one cyclotomic number,
+    scaled and reduced mod Phi_period once (CyclotomicNumber.from_powers)."""
+    bits = len(vectors).bit_length()
+    width = bits * period
     mask = (1 << width) - 1
-    shifts = [[bits * field.trace(field.mul(a, b)) for b in range(q)]
-              for a in range(q)]
-    coords = group.coordinates_in(algebra)
-    # children[k]: each length-k prefix of an element -> its next entries
-    children = [None] * algebra.dim
-    prefixes = set(coords)
-    for k in reversed(range(algebra.dim)):
+    # children[k]: each length-k prefix of a point -> its next entries
+    children = [None] * len(pairing)
+    prefixes = set(points)
+    for k in reversed(range(len(pairing))):
         kids = {}
         for x in prefixes:
             kids.setdefault(x[:k], []).append(x[k])
         children[k] = kids
         prefixes = kids.keys()
-    level = {(): Counter(mu.values for mu in functionals)}
-    for kids in children:
+    level = {(): Counter(vectors)}
+    for table, kids in zip(pairing, children):
+        rows = [[bits * e for e in row] for row in table]
         extended = {}
         for prefix, suffixes in level.items():
-            split = [(shifts[s[0]], s[1:], c) for s, c in suffixes.items()]
+            split = [(rows[s[0]], s[1:], c) for s, c in suffixes.items()]
             for v in kids[prefix]:
                 out = {}
                 for row, rest, c in split:
@@ -401,14 +393,28 @@ def _orbit_sum(group, functionals, scale):
     low = (1 << bits) - 1
     cyclo = {}
     values = []
-    for x in coords:
+    for x in points:
         packed = level[x][()]
         value = cyclo.get(packed)
         if value is None:
             value = cyclo[packed] = CyclotomicNumber.from_powers(
-                p, [(packed >> (bits * t)) & low for t in range(p)], scale)
+                period, [(packed >> (bits * t)) & low for t in range(period)],
+                scale)
         values.append(value)
-    return ClassFunction(group, values)
+    return values
+
+
+def _orbit_sum(group, functionals, scale):
+    """scale * sum of theta_mu over the functionals, as a table on the
+    group: theta_mu(1 + X) = zeta_p^(sum_k Tr(mu_k x_k)) for the
+    coordinates x of X, a _character_sums transform."""
+    algebra = functionals[0].algebra
+    field = algebra.field
+    trace = [[field.trace(field.mul(a, b)) for b in range(field.q)]
+             for a in range(field.q)]
+    return ClassFunction(group, _character_sums(
+        group.coordinates_in(algebra), [mu.values for mu in functionals],
+        [trace] * algebra.dim, field.p, scale))
 
 
 def kirillov(group, lam, cap=DEFAULT_CAP):
@@ -557,25 +563,42 @@ def induce(f, group):
 
 @dataclass
 class AbelianDual:
-    """The complete character group of an abelian algebra group: character
-    i takes the value zeta_M^exponents[i][g] at the element of index g."""
+    """The complete character group of an abelian algebra group.  A
+    character is its assignment t, the exponents of zeta_M at the
+    generators of the normal form: it takes the value
+    zeta_M^(sum_k t_k d_k) at an element with normal-form digits d."""
 
     group: GroupTable
-    exponents: list   # per character: tuple of exponents of zeta_M
-    modulus: int      # M = group exponent
-    structure: list   # invariant factors, largest first
+    assignments: list  # per character: tuple of exponents of zeta_M, sorted
+    modulus: int       # M = group exponent
+    structure: list    # invariant factors, largest first
+    digits: list       # per element index: its normal-form exponents
+
+    def exponent_table(self, t):
+        """The exponent of zeta_M of the character t at each element."""
+        return tuple(sum(map(mul, t, d)) % self.modulus for d in self.digits)
 
     @cached_property
     def characters(self):
-        """The characters as ClassFunctions, built on first read; the
-        corner analysis reads only the exponent tables."""
+        """The characters as ClassFunctions in order of their exponent
+        tables, built on first read; the corner analysis reads only the
+        assignments."""
         zeta_powers = [CyclotomicNumber.zeta(self.modulus, t)
                        for t in range(self.modulus)]
         return [ClassFunction(self.group, map(zeta_powers.__getitem__, exps))
-                for exps in self.exponents]
+                for exps in sorted(map(self.exponent_table, self.assignments))]
 
     def __len__(self):
-        return len(self.exponents)
+        return len(self.assignments)
+
+
+def _digits(n, radices):
+    """The mixed-radix digits of n, least significant first."""
+    digits = []
+    for m in radices:
+        n, d = divmod(n, m)
+        digits.append(d)
+    return tuple(digits)
 
 
 def abelian_dual(group):
@@ -590,17 +613,16 @@ def abelian_dual(group):
     among the images of the generators, which span G / H.  An element of
     maximal order spans a direct summand, so the relative orders are the
     invariant factors, largest first, whichever generators are given.
-    The characters, their exponent tables and the modulus M (the group
-    exponent) do not depend on the generators at all.
+    The characters and the modulus M (the group exponent) do not depend
+    on the generators at all.
 
     The normal form lists the elements s_1^k_1 ... s_j^k_j, k_1 varying
     fastest, and each layer s^k H is the generator row of s read at the
-    layer s^(k-1) H before it.
-    A character is chosen by solving z^m = chi(s^m) at each generator,
-    and its exponent table is built layer by layer:
-    table[s^k h] = table[h] + k t_s mod M, one addition per element.
-    The ClassFunctions are built from those tables only when
-    AbelianDual.characters is first read."""
+    layer s^(k-1) H before it; an element's digits (k_1, ..., k_j) are the
+    mixed-radix digits of its place in that list.  A character is chosen
+    by solving z^m = chi(s^m) at each generator, and stored as the
+    exponents t_s of its values there; no table of its values is built
+    until AbelianDual.characters is first read."""
     if not group.is_abelian():
         raise VerificationFailed("group is not abelian")
     rows = group.generator_rows()
@@ -625,10 +647,7 @@ def abelian_dual(group):
         if best is None:
             raise VerificationFailed("dual is incomplete")
         m, row, h = best
-        word, rest = [], position[h]
-        for earlier in rel_orders:
-            rest, digit = divmod(rest, earlier)
-            word.append(digit)
+        word = _digits(position[h], rel_orders)
         below, layer = len(normal), normal
         for _ in range(1, m):
             layer = [row[x] for x in layer]
@@ -647,7 +666,7 @@ def abelian_dual(group):
     for m, word in zip(rel_orders, rel_words):
         new_assignments = []
         for partial in assignments:
-            c = sum(w * t for w, t in zip(word, partial)) % modulus
+            c = sum(map(mul, word, partial)) % modulus
             if c % m:
                 raise VerificationFailed(
                     "relation has no compatible character value")
@@ -658,16 +677,9 @@ def abelian_dual(group):
         assignments = new_assignments
     if len(assignments) != group.size:
         raise VerificationFailed("dual is incomplete")
-    exponents = []
-    for ts in assignments:
-        layered = [0]
-        for t, m in zip(ts, rel_orders):
-            layered = [(e + shift) % modulus
-                       for shift in [k * t for k in range(m)]
-                       for e in layered]
-        exponents.append(tuple(map(layered.__getitem__, position)))
-    return AbelianDual(group=group, exponents=sorted(exponents),
-                       modulus=modulus, structure=rel_orders)
+    return AbelianDual(group=group, assignments=sorted(assignments),
+                       modulus=modulus, structure=rel_orders,
+                       digits=[_digits(k, rel_orders) for k in position])
 
 
 def constituents_of_induced_linear(dual, subgroup, f_on_subgroup):

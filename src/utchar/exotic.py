@@ -8,14 +8,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from .algebra import (DEFAULT_CAP, NilAlgebra, NilMatrix, Pattern,
                       Subspace, VerificationFailed, ideal_check,
                       products_vanish_at, solution_space)
 from .chain import chain_compute, gram_block, quasimonomial_kernels
-from .characters import (GroupTable, abelian_dual, exp_kirillov,
-                         homomorphism_defect, induce, kirillov,
-                         theta_lambda)
+from .characters import (ClassFunction, GroupTable, _character_sums,
+                         abelian_dual, exp_kirillov, homomorphism_defect,
+                         induce, kirillov, theta_lambda)
 from .duals import Functional, SetPartition, gram_matrix, shape
 from .scalars import CyclotomicNumber
 
@@ -469,17 +470,9 @@ def corner_character_analysis(algebra, cap=DEFAULT_CAP):
                   else CyclotomicNumber.zero())
         for g, c, value in zip(group.elements, group.coords, chi.values))
     dual = abelian_dual(group)
-    cons_idx, sum_ok = _corner_constituents(dual, lgroup, kappa, chi)
-    distinct = len({dual.exponents[i] for i in cons_idx}) == len(cons_idx)
-    max_conductor = 1
-    max_level = 0
-    for i in cons_idx:
-        g = dual.modulus
-        for t in dual.exponents[i]:
-            g = gcd(g, t)
-        image_order = dual.modulus // g
-        max_conductor = max(max_conductor, image_order)
-        max_level = max(max_level, _cyclic_value_level(image_order, field.p))
+    cons, sum_ok = _corner_constituents(dual, lgroup, kappa, chi)
+    # the image of the character t is cyclic of order M / gcd(M, t)
+    orders = {dual.modulus // gcd(dual.modulus, *t) for t in cons}
     psi = kirillov(group, kappa, cap)
     psi_defect = homomorphism_defect(psi)
     psi_exp = exp_kirillov(group, kappa, cap)
@@ -488,11 +481,12 @@ def corner_character_analysis(algebra, cap=DEFAULT_CAP):
         n=n, q=qq, p=field.p,
         group_size=group.size,
         chi_degree=int(chi.degree.rational_value()),
-        constituent_count=len(cons_idx),
-        constituents_distinct=distinct,
+        constituent_count=len(cons),
+        constituents_distinct=len(set(cons)) == len(cons),
         constituents_sum_matches=sum_ok,
-        max_constituent_conductor=max_conductor,
-        max_min_level=max_level,
+        max_constituent_conductor=max(orders, default=1),
+        max_min_level=max((_cyclic_value_level(order, field.p)
+                           for order in orders), default=0),
         # in an abelian p-group the exponent, the largest element order,
         # is the largest order of a generator
         max_element_order=max(s.order() for s in algebra.group_generators()),
@@ -505,41 +499,35 @@ def corner_character_analysis(algebra, cap=DEFAULT_CAP):
 
 
 def _corner_constituents(dual, lgroup, kappa, chi):
-    """The indices of the characters of dual that restrict to theta_kappa on
-    the subgroup lgroup (the constituents of chi = Ind theta_kappa), and
-    whether their sum equals chi.
+    """The assignments of the characters of dual that restrict to
+    theta_kappa on the subgroup lgroup (the constituents of
+    chi = Ind theta_kappa), and whether their sum equals chi.
 
     Both sides are read as exponents of zeta_M, M = dual.modulus:
     theta_kappa(h) = zeta_p^t = zeta_M^(t M / p) for t = Tr kappa(h - 1),
-    and the sum of the constituents at g is sum_t c_t zeta_M^t for the
-    number c_t of constituents with exponent t at g.  That sum is built
-    once per distinct count vector."""
+    and the character t is zeta_M^(sum_k t_k d_k) at an element with
+    normal-form digits d.  So the constituents are read off the elements
+    of lgroup, and their sum is one _character_sums transform of their
+    assignments over the digits of every element."""
     group = dual.group
     field = group.algebra.field
     modulus = dual.modulus
     _require(modulus % field.p == 0,
              "the group exponent is not a multiple of p")
     step = modulus // field.p
-    on_l = [(group.index[c], field.trace(kappa.evaluate_group(h)) * step)
+    on_l = [(dual.digits[group.index[c]],
+             field.trace(kappa.evaluate_group(h)) * step)
             for h, c in zip(lgroup.elements,
                             lgroup.coordinates_in(group.algebra))]
-    cons_idx = [i for i, exps in enumerate(dual.exponents)
-                if all(exps[g] == t for g, t in on_l)]
-    if not cons_idx:
-        return cons_idx, False
-    sums = {}
-    for g, want in enumerate(chi.values):
-        counts = [0] * modulus
-        for i in cons_idx:
-            counts[dual.exponents[i][g]] += 1
-        counts = tuple(counts)
-        total = sums.get(counts)
-        if total is None:
-            total = sums[counts] = CyclotomicNumber.from_powers(modulus,
-                                                                counts)
-        if total != want:
-            return cons_idx, False
-    return cons_idx, True
+    cons = [t for t in dual.assignments
+            if all(sum(map(mul, t, d)) % modulus == e for d, e in on_l)]
+    if not cons:
+        return cons, False
+    pairing = {m: [[t * d % modulus for d in range(m)]
+                   for t in range(modulus)] for m in set(dual.structure)}
+    sums = _character_sums(dual.digits, cons,
+                           [pairing[m] for m in dual.structure], modulus, 1)
+    return cons, ClassFunction(group, sums) == chi
 
 
 def _cyclic_value_level(order, p):

@@ -215,7 +215,19 @@ class Field:
     def sub(self, a, b):
         if self.e == 1:
             return (a - b) % self.p
-        return self.add(a, self.neg(b))
+        if self.p == 2:
+            return a ^ b
+        if not b:
+            return a
+        if not a:
+            return self.neg(b)
+        # a - b = g^la + g^(la + k) = g^(la + zech[k]) for
+        # k = log b + log(-1) - la, brought into zech's range (-n, n)
+        la = self._log[a]
+        k = self._log[b] + self._log_minus_one - la
+        if k >= self.q - 1:
+            k -= self.q - 1
+        return self._exp[la + self._zech[k]]
 
     def mul(self, a, b):
         if self.e == 1:

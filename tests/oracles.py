@@ -367,6 +367,21 @@ def dense_orbit_sum(group, functionals, scale):
     return ClassFunction(group, values)
 
 
+def brute_force_character_sums(points, vectors, pairing, period, scale):
+    """scale * sum over the vectors v of
+    zeta_period^(sum_k pairing[k][v_k][x_k]) at each point x, one
+    cyclotomic addition per vector and point."""
+    zeta = [CyclotomicNumber.zeta(period, t) for t in range(period)]
+    values = []
+    for x in points:
+        total = CyclotomicNumber.zero(period)
+        for v in vectors:
+            total = total + zeta[sum(table[a][b] for table, a, b
+                                     in zip(pairing, v, x)) % period]
+        values.append(total.scale(scale))
+    return values
+
+
 def trunc_exp_kirillov(group, lam, cap=DEFAULT_CAP):
     """psi^Exp_lambda(Exp X) = psi_lambda(1 + X), with one trunc_exp power
     series per element, found in the table through its span
@@ -459,7 +474,7 @@ def xi_set(group, lam, s_bar):
 class EnumeratedDual:
     """The result of brute_force_abelian_dual.  Its characters are built
     here from the normal form, independently of AbelianDual.characters,
-    which derives them from the exponent tables."""
+    which derives them from the assignments."""
 
     characters: list  # of ClassFunction
     exponents: list

@@ -17,8 +17,9 @@ from utchar.duals import Functional, orbit
 from utchar.exotic import constant_diagonal_algebra, corner_functional
 from utchar.scalars import CyclotomicNumber, field_make
 
-from oracles import (dense_orbit_sum, field_of_values, is_character_linear,
-                     key_index, orbit_keys, random_functional, restrict,
+from oracles import (brute_force_character_sums, dense_orbit_sum,
+                     field_of_values, is_character_linear, key_index,
+                     orbit_keys, random_functional, restrict,
                      u4_and_subalgebra, xi_set)
 
 F2 = field_make(2)
@@ -531,6 +532,30 @@ def test_orbit_sum_on_a_subgroup_extends_only_its_prefixes():
         exact_values(dense_orbit_sum(sub, functionals, scale))
     assert len({v.coeffs for v in table.values}) > 1
     assert peak < 1 << 22, peak  # all 2^15 prefixes take over 20 MB
+
+
+@pytest.mark.parametrize("period", [8, 9])
+def test_character_sums_match_brute_force(period, rng):
+    # arbitrary pairing tables, mixed radices for the points' coordinates
+    # and for the vectors' entries, repeated vectors, and as points the
+    # whole grid, a random subset, and a box inside it: all points with
+    # x_1 = 0 and x_3 < 2, whose prefixes are a proper subset of the grid's
+    point_radices = [2, 3, 4, 3]
+    vector_radices = [5, 2, 3, 4]
+    pairing = [[[rng.randrange(period) for _ in range(m)] for _ in range(r)]
+               for m, r in zip(point_radices, vector_radices)]
+    grid = list(itertools.product(*map(range, point_radices)))
+    box = [x for x in grid if x[0] == 0 and x[2] < 2]
+    for points in (grid, rng.sample(grid, 17), box):
+        for count in (1, 6, 40):
+            vectors = [tuple(map(rng.randrange, vector_radices))
+                       for _ in range(count)]
+            vectors.append(vectors[0])
+            scale = Fraction(1, count)
+            assert characters._character_sums(
+                points, vectors, pairing, period, scale) == \
+                brute_force_character_sums(
+                    points, vectors, pairing, period, scale)
 
 
 def test_vanishing_orbit_sum_keeps_conductor_p():

@@ -206,9 +206,23 @@ def test_corner_analysis_matches_constituent_oracle(n, q, monkeypatch):
     field = F4 if q == 4 else field_make(q)
     algebra = constant_diagonal_algebra(n, field)
     fast = corner_character_analysis(algebra)
-    monkeypatch.setattr(exotic, "_corner_constituents",
-                        brute_force_corner_constituents)
+
+    def oracle(dual, lgroup, kappa, chi):
+        cons_idx, sum_ok = brute_force_corner_constituents(
+            dual, lgroup, kappa, chi)
+        return as_assignments(dual, cons_idx), sum_ok
+
+    monkeypatch.setattr(exotic, "_corner_constituents", oracle)
     assert corner_character_analysis(algebra) == fast
+
+
+def as_assignments(dual, cons_idx):
+    """The assignments of the characters dual.characters[i] for i in
+    cons_idx, matched through their exponent tables, which order
+    dual.characters."""
+    by_table = {dual.exponent_table(t): t for t in dual.assignments}
+    tables = sorted(by_table)
+    return [by_table[tables[i]] for i in cons_idx]
 
 
 @pytest.mark.parametrize("n,q", [(n, q) for q in (2, 3, 4, 5)
@@ -235,7 +249,8 @@ def test_corner_value_field_matches_galois_oracle(n, q):
     assert report.max_min_level == max(f.min_level for f in fields)
 
 
-@pytest.mark.parametrize("n,q", [(3, 2), (4, 2), (3, 3), (3, 4), (3, 5)])
+@pytest.mark.parametrize("n,q", [(3, 2), (4, 2), (5, 2), (3, 3), (4, 3),
+                                 (3, 4), (3, 5)])
 def test_corner_constituents_of_other_functionals_match_oracle(n, q, rng):
     # restrictions to theta_mu for functionals mu other than kappa, and sums
     # against a chi they do not add up to
@@ -251,10 +266,13 @@ def test_corner_constituents_of_other_functionals_match_oracle(n, q, rng):
     for mu in [kappa, kappa.scale(field.q - 1)] + \
             [random_functional(rng, algebra) for _ in range(4)]:
         for target in (chi, chi.scale(2)):
-            got = exotic._corner_constituents(dual, lgroup, mu, target)
-            assert got == brute_force_corner_constituents(
+            cons, sum_ok = exotic._corner_constituents(
                 dual, lgroup, mu, target)
-            sums.add(got[1])
+            cons_idx, want_ok = brute_force_corner_constituents(
+                dual, lgroup, mu, target)
+            assert sorted(cons) == sorted(as_assignments(dual, cons_idx))
+            assert sum_ok == want_ok
+            sums.add(sum_ok)
     assert sums == {True, False}
 
 

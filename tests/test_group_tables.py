@@ -199,7 +199,6 @@ def test_induce_random_tables_on_random_subgroups_match_oracle(rng, make,
 def assert_dual_matches_oracle(group):
     dual = abelian_dual(group)
     want = brute_force_abelian_dual(group)
-    assert dual.exponents == want.exponents
     assert (dual.modulus, dual.structure) == (want.modulus, want.structure)
     assert dual.characters == want.characters
 
