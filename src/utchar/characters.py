@@ -6,14 +6,15 @@ abelian groups."""
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 from fractions import Fraction
-from math import factorial, isqrt, lcm
-from operator import mul
+from math import factorial, isqrt, lcm, prod
+from operator import add, eq, getitem, mul, sub
 
-from .algebra import (DEFAULT_CAP, CapExceeded, NilAlgebra,
+from .algebra import (DEFAULT_CAP, CapExceeded, GroupElement, NilAlgebra,
                       VerificationFailed, apply_columns, sparse_column,
                       trunc_exp)
 from .chain import ChainResult, chain_compute
@@ -49,7 +50,7 @@ class GroupTable:
             coords = [tuple(algebra.coordinates(g.body))
                       for g in self.elements]
         self.coords = list(coords)
-        self.index = {c: i for i, c in enumerate(self.coords)}
+        self.index = dict(zip(self.coords, itertools.count()))
         if len(self.index) != len(self.coords):
             raise ValueError("duplicate group elements")
         self._inverses = None
@@ -75,6 +76,10 @@ class GroupTable:
         """The elements as GroupElements, in table order; a table made by
         from_algebra enumerates them here, on first read."""
         return list(self.algebra.enumerate_group(self.size))
+
+    def element(self, i):
+        """The i-th element as a GroupElement, built from coords[i] alone."""
+        return GroupElement(self.algebra.span.matrix(self.coords[i]))
 
     @classmethod
     def from_subspace(cls, algebra, subspace, cap=DEFAULT_CAP):
@@ -283,26 +288,25 @@ class ClassFunction:
     def degree(self):
         return self.values[self.group.identity_index()]
 
-    def __add__(self, other):
+    def _pointwise(self, op, other):
         self._same(other)
-        return ClassFunction(self.group,
-                             [a + b for a, b in zip(self.values, other.values)])
+        return ClassFunction(self.group, map(op, self.values, other.values))
+
+    def __add__(self, other):
+        return self._pointwise(add, other)
 
     def __sub__(self, other):
-        self._same(other)
-        return ClassFunction(self.group,
-                             [a - b for a, b in zip(self.values, other.values)])
+        return self._pointwise(sub, other)
 
     def __mul__(self, other):
-        self._same(other)
-        return ClassFunction(self.group,
-                             [a * b for a, b in zip(self.values, other.values)])
+        return self._pointwise(mul, other)
 
     def scale(self, rational):
         return ClassFunction(self.group, [v.scale(rational) for v in self.values])
 
     def conjugate(self):
-        return ClassFunction(self.group, [v.conjugate() for v in self.values])
+        return ClassFunction(self.group,
+                             map(CyclotomicNumber.conjugate, self.values))
 
     def _same(self, other):
         if other.group is not self.group:
@@ -310,16 +314,13 @@ class ClassFunction:
 
     def inner(self, other):
         """<f, g> = (1/|G|) sum f(x) conj(g(x)); exact."""
-        self._same(other)
-        acc = CyclotomicNumber.zero()
-        for a, b in zip(self.values, other.values):
-            acc = acc + a * b.conjugate()
-        return acc.scale(Fraction(1, self.group.size))
+        products = (self * other.conjugate()).values
+        return sum(products, CyclotomicNumber.zero()).scale(
+            Fraction(1, self.group.size))
 
     def __eq__(self, other):
         return (isinstance(other, ClassFunction)
-                and self.group is other.group
-                and all(a == b for a, b in zip(self.values, other.values)))
+                and self.group is other.group and self.values == other.values)
 
     __hash__ = None
 
@@ -349,72 +350,82 @@ def _character_sums(points, vectors, pairing, period, scale):
     """scale * sum over the vectors v of zeta_period^(sum_k
     pairing[k][v_k][x_k]) at each point x, as a list of cyclotomic numbers.
 
-    Because the exponent is a sum over coordinates, the counts c_t(x) of
-    the v with exponent t at x are a transform of the vectors taken one
-    coordinate at a time.  After step k every (prefix x_1..x_k, suffix
-    v_(k+1)..v_N) pair holds the counts of the v with that suffix by their
-    partial exponent on the prefix; step k+1 splits v_(k+1) off the suffix
-    and, for each value a of x_(k+1), rotates the counts by
-    pairing[k][v_(k+1)][a] and adds them into (prefix + (a,), rest of the
-    suffix).  Only prefixes of the points are extended, so a subset of
-    the points costs no more than all of them.  The counts are packed as
-    the integer sum_t c_t 2^(b t), with 2^b larger than the number of
-    vectors so that no digit overflows: adding count vectors is adding
-    integers, and rotating by r is rotating the (b period)-bit word by b r
-    bits.  Each distinct count vector becomes one cyclotomic number,
-    scaled and reduced mod Phi_period once (CyclotomicNumber.from_powers)."""
-    bits = len(vectors).bit_length()
-    width = bits * period
-    mask = (1 << width) - 1
-    # children[k]: each length-k prefix of a point -> its next entries
-    children = [None] * len(pairing)
-    prefixes = set(points)
-    for k in reversed(range(len(pairing))):
-        kids = {}
-        for x in prefixes:
-            kids.setdefault(x[:k], []).append(x[k])
-        children[k] = kids
-        prefixes = kids.keys()
-    level = {(): Counter(vectors)}
-    for table, kids in zip(pairing, children):
-        rows = [[bits * e for e in row] for row in table]
-        extended = {}
-        for prefix, suffixes in level.items():
-            split = [(rows[s[0]], s[1:], c) for s, c in suffixes.items()]
-            for v in kids[prefix]:
-                out = {}
-                for row, rest, c in split:
-                    shift = row[v]
-                    if shift:
-                        c = ((c << shift) | (c >> (width - shift))) & mask
-                    out[rest] = out.get(rest, 0) + c
-                extended[prefix + (v,)] = out
-        level = extended
-    low = (1 << bits) - 1
-    cyclo = {}
-    values = []
-    for x in points:
-        packed = level[x][()]
-        value = cyclo.get(packed)
-        if value is None:
-            value = cyclo[packed] = CyclotomicNumber.from_powers(
-                period, [(packed >> (bits * t)) & low for t in range(period)],
-                scale)
-        values.append(value)
-    return values
+    The counts c_t(x) of the v with exponent t at x are a transform of the
+    vectors' counts on a grid, taken one axis at a time (Yates).  Axis k
+    has max(#distinct v_k, len(pairing[k][0])) slots, the v_k relabelled
+    0, 1, ..., and the last axis varies fastest, as in itertools.product;
+    step k rotates the counts in slot v_k by pairing[k][v_k][a] and adds
+    them into slot a.  Each c_t is one integer with a digit of 8, 16, 32
+    or 64 bits per position, wide enough for len(vectors), so a step is a
+    batch of whole-grid shifts and masks and the cost is the grid's, for
+    any subset of it as points.  The digits are read in place when the
+    points are the grid in product order, and each distinct count vector
+    becomes one CyclotomicNumber.from_powers."""
+    counts = Counter(vectors)
+    labels, slots = [], []
+    for axis, table in zip(zip(*counts), pairing):
+        # each distinct value of v_k -> 0, 1, ... in order
+        labels.append(dict(zip(sorted(set(axis)), itertools.count())))
+        slots.append(max(len(labels[-1]), len(table[0])))
+    strides = [prod(slots[k + 1:]) for k in range(len(slots))]
+    size, width = prod(slots), 1
+    while len(vectors) >> (8 * width):
+        width *= 2
+    start = bytearray(size * width)
+    grid = _cells(start, width)
+    for v, c in counts.items():
+        grid[sum(map(mul, map(getitem, labels, v), strides))] = c
+    planes = [int.from_bytes(start, sys.byteorder)] + [0] * (period - 1)
+    for table, lab, slot, stride in zip(pairing, labels, slots, strides):
+        block, step = stride * width, stride * width * 8
+        mask = int.from_bytes((b"\xff" * block + bytes(block * (slot - 1)))
+                              * (size // (stride * slot)), "little")
+        parts = [([(plane >> (i * step)) & mask for plane in planes],
+                  table[value]) for value, i in lab.items()]
+        planes = [0] * period
+        for a in range(len(table[0])):
+            out = [0] * period
+            for part, row in parts:
+                r = period - row[a]
+                out = list(map(add, out, part[r:] + part[:r]))
+            planes = [n + (o << (a * step)) for n, o in zip(planes, out)]
+    digits = [_cells(plane.to_bytes(size * width, sys.byteorder), width)
+              for plane in planes]
+    if len(points) != size or not all(
+            map(eq, points, itertools.product(*map(range, slots)))):
+        positions = [sum(map(mul, x, strides)) for x in points]
+        digits = [map(d.__getitem__, positions) for d in digits]
+    value = cache(partial(CyclotomicNumber.from_powers, period, scale=scale))
+    return list(map(value, zip(*digits)))
+
+
+def _cells(data, width):
+    """The bytes of a number as native unsigned integers of width bytes,
+    its lowest digit first: a big-endian host reads a big-endian number
+    from its last item back."""
+    cells = memoryview(data).cast({1: "B", 2: "H", 4: "I", 8: "Q"}[width])
+    return cells if sys.byteorder == "little" else cells[::-1]
 
 
 def _orbit_sum(group, functionals, scale):
     """scale * sum of theta_mu over the functionals, as a table on the
-    group: theta_mu(1 + X) = zeta_p^(sum_k Tr(mu_k x_k)) for the
-    coordinates x of X, a _character_sums transform."""
-    algebra = functionals[0].algebra
+    group: theta_mu(1 + Y) = zeta_p^(sum_b Tr(mu(u_b) y_b)) for the
+    coordinates y of Y over group.algebra.basis(), a _character_sums
+    transform on the group's own coordinate grid.  Functionals on an
+    ambient algebra are first read on that basis, since theta_mu on
+    1 + S is theta of mu restricted to S, so a subgroup costs its own
+    size."""
+    algebra = group.algebra
     field = algebra.field
+    if functionals[0].algebra.span == algebra.span:
+        vectors = [mu.values for mu in functionals]
+    else:
+        basis = algebra.basis()
+        vectors = [tuple(map(mu.evaluate, basis)) for mu in functionals]
     trace = [[field.trace(field.mul(a, b)) for b in range(field.q)]
              for a in range(field.q)]
     return ClassFunction(group, _character_sums(
-        group.coordinates_in(algebra), [mu.values for mu in functionals],
-        [trace] * algebra.dim, field.p, scale))
+        group.coords, vectors, [trace] * algebra.dim, field.p, scale))
 
 
 def kirillov(group, lam, cap=DEFAULT_CAP):
@@ -542,7 +553,7 @@ def induce(f, group):
     elements to H's indices.  A class that misses H gets the conductor-1
     zero."""
     sub = f.group
-    in_sub = {c: i for i, c in enumerate(sub.coordinates_in(group.algebra))}
+    in_sub = dict(zip(sub.coordinates_in(group.algebra), itertools.count()))
     coords = group.coords
     values = [None] * group.size
     for members in group.classes():
@@ -710,9 +721,7 @@ def _value_exponents(f):
             if d is None:
                 return None, None
             orders[key] = (v, d)
-    modulus = 1
-    for _, d in orders.values():
-        modulus = lcm(modulus, d)
+    modulus = lcm(*(d for _, d in orders.values()))
     tables = {}  # conductor -> {numerators of zeta_M^t there: t}
     exponent = {}
     for key, (v, _) in orders.items():
@@ -765,7 +774,7 @@ def homomorphism_defect(f):
             row = mul[i]
             for j in range(size):
                 if (ei + exps[j] - exps[row[j]]) % modulus:
-                    return group.elements[i], group.elements[j]
+                    return group.element(i), group.element(j)
         return None
     values = f.values
     for i in range(size):
@@ -773,5 +782,5 @@ def homomorphism_defect(f):
         row = mul[i]
         for j in range(size):
             if values[row[j]] != fg * values[j]:
-                return group.elements[i], group.elements[j]
+                return group.element(i), group.element(j)
     return None

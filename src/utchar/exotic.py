@@ -258,6 +258,8 @@ def closed_form_chain(atlas, algebra):
 
 @dataclass
 class TechnicalReport:
+    """The checks of verify_chain_closed_forms on UT_{6r+1}(q)."""
+
     r: int
     q: int
     matches: dict
@@ -427,6 +429,8 @@ def abelian_quotient_split(atlas, field, chain):
 
 @dataclass
 class CornerReport:
+    """The corner supercharacter of A_n(q) and its constituents."""
+
     n: int
     q: int
     p: int
@@ -461,14 +465,15 @@ def corner_character_analysis(algebra, cap=DEFAULT_CAP):
     lgroup = GroupTable.from_subspace(algebra, ch.l_bar, cap)
     theta_on_l = theta_lambda(lgroup, kappa)
     chi = induce(theta_on_l, group)
-    # closed form: q^{n-2} * theta(corner entry) on the subgroup, else 0
-    th = group.theta
+    # closed form: q^{n-2} * theta(corner entry) on the subgroup, else 0;
+    # the corner entry X_{1,n} is kappa(X), read off each coordinate tuple
     qq = field.q
     in_l = set(lgroup.coordinates_in(algebra))
+    corner = theta_lambda(group, kappa).values
     formula_ok = all(
-        value == (th(g.body.coeff(1, n)).scale(qq ** (n - 2)) if c in in_l
+        value == (t.scale(qq ** (n - 2)) if c in in_l
                   else CyclotomicNumber.zero())
-        for g, c, value in zip(group.elements, group.coords, chi.values))
+        for c, t, value in zip(group.coords, corner, chi.values))
     dual = abelian_dual(group)
     cons, sum_ok = _corner_constituents(dual, lgroup, kappa, chi)
     # the image of the character t is cyclic of order M / gcd(M, t)
@@ -556,6 +561,8 @@ def _witness_keys(defect):
 
 @dataclass
 class ExoticReport:
+    """The whole pipeline's findings at (r, q) and size n."""
+
     r: int
     q: int
     p: int

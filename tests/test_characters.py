@@ -17,9 +17,9 @@ from utchar.duals import Functional, orbit
 from utchar.exotic import constant_diagonal_algebra, corner_functional
 from utchar.scalars import CyclotomicNumber, field_make
 
-from oracles import (brute_force_character_sums, dense_orbit_sum,
-                     field_of_values, is_character_linear, key_index,
-                     orbit_keys, random_functional, restrict,
+from oracles import (brute_force_character_sums, closed_subspace_algebra,
+                     dense_orbit_sum, field_of_values, is_character_linear,
+                     key_index, orbit_keys, random_functional, restrict,
                      u4_and_subalgebra, xi_set)
 
 F2 = field_make(2)
@@ -556,6 +556,75 @@ def test_character_sums_match_brute_force(period, rng):
                 points, vectors, pairing, period, scale) == \
                 brute_force_character_sums(
                     points, vectors, pairing, period, scale)
+
+
+@pytest.mark.parametrize("period", [2, 3, 8, 9])
+def test_character_sums_on_random_radices_match_brute_force(period, rng):
+    # random mixed radices; each draw has an axis with more distinct
+    # vector values than point values and one with fewer, the vectors
+    # repeat, and the points are the grid, a shuffle of it and a subset
+    for _ in range(6):
+        point_radices = [rng.randint(2, 4) for _ in range(rng.randint(2, 4))]
+        vector_radices = [rng.randint(1, 5) for _ in point_radices]
+        vector_radices[0] = point_radices[0] + rng.randint(1, 2)
+        vector_radices[-1] = rng.randint(1, point_radices[-1] - 1)
+        pairing = [[[rng.randrange(period) for _ in range(m)]
+                    for _ in range(r)]
+                   for m, r in zip(point_radices, vector_radices)]
+        # every vector value occurs, so each axis has r distinct values
+        vectors = [tuple(i % r for r in vector_radices)
+                   for i in range(max(vector_radices))]
+        vectors += [tuple(map(rng.randrange, vector_radices))
+                    for _ in range(rng.randint(0, 30))]
+        vectors += rng.choices(vectors, k=3)
+        grid = list(itertools.product(*map(range, point_radices)))
+        shuffled = rng.sample(grid, len(grid))
+        for points in (grid, shuffled, shuffled[:5]):
+            scale = Fraction(rng.randint(1, 5), len(vectors))
+            assert characters._character_sums(
+                points, vectors, pairing, period, scale) == \
+                brute_force_character_sums(
+                    points, vectors, pairing, period, scale)
+
+
+@pytest.mark.parametrize("count", [255, 256, 65535, 65536])
+def test_character_sums_at_digit_width_edges(count):
+    # count vectors, almost all one vector, on a 2 x 2 grid: at x = (0, 0)
+    # every vector has exponent 0, so one digit holds count, the most an
+    # 8-bit (count 255) or 16-bit (count 65535) digit can hold, or one
+    # more than that
+    pairing = [[[0, 1], [0, 2]], [[0, 2], [0, 1]]]
+    vectors = [(1, 1)] * (count - 2) + [(0, 1), (1, 0)]
+    points = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    sums = characters._character_sums(points, vectors, pairing, 3, 1)
+    assert sums == brute_force_character_sums(points, vectors, pairing, 3, 1)
+    assert sums[0] == CyclotomicNumber.rational(count)
+
+
+def test_orbit_sum_on_a_shuffled_table_matches_dense_oracle(rng):
+    # tables made from an explicit, shuffled element list, so that their
+    # coordinate tuples are not in product order: u_3(3), and the
+    # subgroup 1 + span(e12 + e23, e13) of u_3(3) with the orbits of
+    # functionals on u_3(3)
+    alg = NilAlgebra.pattern_algebra(Pattern.full(3), F3)
+    sub = closed_subspace_algebra(Subspace.from_matrices(
+        alg.pattern, F3, [NilMatrix(alg.pattern, F3, entries) for entries
+                          in ({(1, 2): 1, (2, 3): 1}, {(1, 3): 1})]), F3)
+    lams = [Functional.from_entries(alg, {(1, 3): 1}),
+            Functional.from_entries(alg, {(1, 2): 2, (2, 3): 1}),
+            random_functional(rng, alg)]
+    for algebra in (alg, sub):
+        elements = list(GroupTable.from_algebra(algebra).elements)
+        rng.shuffle(elements)
+        group = GroupTable(algebra, elements)
+        assert group.coords != sorted(group.coords)
+        for lam in lams:
+            for which in ("coadjoint", "two-sided"):
+                functionals = orbit(lam, which)
+                scale = Fraction(1, len(functionals))
+                assert exact_values(
+                    characters._orbit_sum(group, functionals, scale)) == \
+                    exact_values(dense_orbit_sum(group, functionals, scale))
 
 
 def test_vanishing_orbit_sum_keeps_conductor_p():

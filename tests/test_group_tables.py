@@ -519,6 +519,17 @@ def test_from_algebra_elements_are_enumerated_in_order(q):
         assert group.elements == list(group.algebra.enumerate_group())
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_element_builds_one_element_from_its_coordinates(q):
+    for group, _ in subgroup_tables(q):
+        built = [group.element(i) for i in range(group.size)]
+        assert "elements" not in vars(group)  # none enumerated
+        assert built == group.elements
+        given = GroupTable(group.algebra, group.elements[::-1])
+        assert [given.element(i) for i in range(given.size)] == \
+            group.elements[::-1]
+
+
 def refuse_enumeration(algebra, cap=None):
     raise AssertionError("the group was enumerated")
 
@@ -558,3 +569,22 @@ def test_value_tables_do_not_enumerate_elements(monkeypatch, capsys):
     for which in kinds:
         assert main(argv + [which]) == 0
         assert capsys.readouterr().out == want[which]
+
+
+def test_corner_analysis_enumerates_only_the_subgroup(monkeypatch, capsys):
+    # the kappa report on A_4(3) reads the corner group's coordinate
+    # tuples, not its elements; only the q elements of 1 + l_bar are
+    # enumerated
+    argv = ["kappa", "--n", "4", "--q", "3"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    sizes = []
+    real = NilAlgebra.enumerate_group
+
+    def recording(algebra, *args):
+        sizes.append(algebra.size)
+        return real(algebra, *args)
+    monkeypatch.setattr(NilAlgebra, "enumerate_group", recording)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+    assert sizes == [3]
