@@ -86,6 +86,17 @@ class NilMatrix:
         self._rows = None
 
     @classmethod
+    def _of(cls, pattern, field, entries):
+        """A matrix on nonzero int entries, not cleaned again; an entry
+        outside the pattern still raises."""
+        if not pattern.positions.issuperset(entries):
+            return cls(pattern, field, entries)
+        mat = cls.__new__(cls)
+        mat.pattern, mat.field, mat.entries, mat._rows = \
+            pattern, field, entries, None
+        return mat
+
+    @classmethod
     def zero(cls, pattern, field):
         return cls(pattern, field, {})
 
@@ -138,15 +149,17 @@ class NilMatrix:
         f = self.field
         out = {}
         rows = other.rows()
+        prime, p = f.e == 1, f.p  # over F_p the arithmetic is inline
         for (i, k), a in self.entries.items():
             for j, b in rows.get(k, ()):
                 pos = (i, j)
-                s = f.add(out.get(pos, 0), f.mul(a, b))
+                s = ((out.get(pos, 0) + a * b) % p if prime
+                     else f.add(out.get(pos, 0), f.mul(a, b)))
                 if s:
                     out[pos] = s
                 else:
                     out.pop(pos, None)
-        return NilMatrix(self.pattern, self.field, out)
+        return NilMatrix._of(self.pattern, f, out)
 
     def power(self, k):
         result = None
@@ -275,24 +288,42 @@ def rref(rows, field):
     the rows users.pop(c), so a row costs its entries plus those of the
     pivot rows it hits, and a new pivot its entries times the number of
     earlier rows that use its column, with no scan over all pivots.
+
+    Over a prime field (field.e == 1, checked once per call) the
+    arithmetic is inline on ints, with delayed reduction (Dumas, Giorgi and
+    Pernet, ACM TOMS 35(3), 2008): all of a row's hits are known up front,
+    so the products v w are added up and the row is reduced mod p once.
+    Back-reduction reduces entry by entry, so that users stays exact.
     """
-    sub, mul = field.sub, field.mul
+    prime, p, sub, mul = field.e == 1, field.p, field.sub, field.mul
     pivots = {}
     users = {}
     for row in rows:
         row = {c: v for c, v in row.items() if v}
-        for c, v in [(c, v) for c, v in row.items() if c in pivots]:
-            for k, w in pivots[c].items():
-                s = sub(row.get(k, 0), mul(v, w))
-                if s:
-                    row[k] = s
-                else:
-                    del row[k]
+        hits = [(c, v) for c, v in row.items() if c in pivots]
+        if prime:
+            if hits:
+                for c, v in hits:
+                    for k, w in pivots[c].items():
+                        row[k] = row.get(k, 0) - v * w
+                row = {k: r for k, s in row.items() if (r := s % p)}
+        else:
+            for c, v in hits:
+                for k, w in pivots[c].items():
+                    s = sub(row.get(k, 0), mul(v, w))
+                    if s:
+                        row[k] = s
+                    else:
+                        del row[k]
         if not row:
             continue
         c = min(row)
-        inv = field.inv(row[c])
-        row = {k: mul(inv, v) for k, v in row.items()}
+        if not prime:
+            inv = field.inv(row[c])
+            row = {k: mul(inv, v) for k, v in row.items()}
+        elif row[c] != 1:
+            inv = pow(row[c], p - 2, p)
+            row = {k: inv * v % p for k, v in row.items()}
         to_reduce = users.pop(c, ())
         for k in row:
             if k != c:
@@ -301,7 +332,8 @@ def rref(rows, field):
             prow = pivots[c2]
             factor = prow[c]
             for k, v in row.items():
-                s = sub(prow.get(k, 0), mul(factor, v))
+                s = ((prow.get(k, 0) - factor * v) % p if prime
+                     else sub(prow.get(k, 0), mul(factor, v)))
                 if s:
                     prow[k] = s
                     users[k].add(c2)
@@ -314,11 +346,16 @@ def rref(rows, field):
 
 
 def combine_rows(coeffs, rows, field):
-    """sum_a coeffs[a] * rows[a] for sparse coefficients {a: c}, sparse."""
+    """sum_a coeffs[a] * rows[a] for sparse coefficients {a: c}, sparse.
+    Over a prime field (field.e == 1, checked once per call) each update is
+    inline int arithmetic mod p: most calls combine a row or two, where
+    reducing each sum once at the end costs more than it saves."""
     out = {}
+    prime, p = field.e == 1, field.p
     for a, ca in coeffs.items():
         for c, v in rows[a].items():
-            s = field.add(out.get(c, 0), field.mul(ca, v))
+            s = ((out.get(c, 0) + ca * v) % p if prime
+                 else field.add(out.get(c, 0), field.mul(ca, v)))
             if s:
                 out[c] = s
             else:
@@ -349,13 +386,14 @@ def null_space(constraint_rows, width, field):
     last = width - 1
     reduced = rref([{last - c: v for c, v in r.items()}
                     for r in constraint_rows], field)
+    neg = field.p.__sub__ if field.e == 1 else field.neg  # p - v for v != 0
     basis = {c: {c: 1} for c in range(width)}
     for r in reduced:
         pivot = last - min(r)
         del basis[pivot]
         for c, v in r.items():  # reduced: other entries are free columns
             if last - c != pivot:
-                basis[last - c][pivot] = field.neg(v)
+                basis[last - c][pivot] = neg(v)
     return list(basis.values())
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .algebra import (Subspace, VerificationFailed, combine_rows,
                       echelon_combinations, ideal_check, left_kernel,
-                      transpose)
+                      null_space, transpose)
 from .duals import Functional, gram_matrix, is_quasi_monomial
 
 
@@ -115,8 +115,9 @@ def chain_compute(algebra, lam):
 
     M is the form lam(XY) on s^{i-1} over its echelon basis; on s^0 it is
     the Gram matrix B.  l^i comes from the left kernel K_l of M, and s^i
-    from the left kernel K_s of M K_l^T (the form against the spanning set
-    K_l of l^i).  Both kernels are reduced echelon combinations of the
+    from the K_s with K_s M K_l^T = 0 (the form against the spanning set
+    K_l of l^i): the null space of the rows K_l M^T, read off one
+    transpose of M.  Both kernels are reduced echelon combinations of the
     echelon rows of s^{i-1}, so their spans need no elimination
     (`echelon_combinations`), and the rows of s^i are the rows of K_s
     times those of s^{i-1}, in order; the next form is K_s M K_s^T.  The
@@ -131,9 +132,9 @@ def chain_compute(algebra, lam):
         s_prev = s_list[-1]
         rows = s_prev.row_dicts()
         l_combos = left_kernel(form, len(rows), field)
-        l_cols = transpose(l_combos, len(rows))
-        against_l = [combine_rows(m, l_cols, field) for m in form]
-        s_combos = left_kernel(against_l, len(l_combos), field)
+        form_t = transpose(form, len(rows))
+        s_combos = null_space([combine_rows(k, form_t, field)
+                               for k in l_combos], len(rows), field)
         l_list.append(echelon_combinations(pattern, field, l_combos, rows))
         s_list.append(echelon_combinations(pattern, field, s_combos, rows))
         if s_list[-1] == s_prev:

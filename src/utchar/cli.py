@@ -211,15 +211,18 @@ def _u_n_job(spec):
 def cmd_chain(spec):
     algebra, lam, pieces, head = _u_n_job(spec)
     ch = chain_compute(algebra, lam)
+    # l_bar and s_bar are the last l^i and s^i: their texts are written once
+    ls = [_subspace(pieces, s) for s in ch.l_list[1:]]
+    ss = [_subspace(pieces, s) for s in ch.s_list[1:]]
     return {
         **head,
         "d": ch.d,
         "dims_l": [s.dim for s in ch.l_list],
         "dims_s": [s.dim for s in ch.s_list],
-        "l": Raw(_array([_subspace(pieces, s) for s in ch.l_list[1:]])),
-        "s": Raw(_array([_subspace(pieces, s) for s in ch.s_list[1:]])),
-        "l_bar": Raw(_subspace(pieces, ch.l_bar)),
-        "s_bar": Raw(_subspace(pieces, ch.s_bar)),
+        "l": Raw(_array(ls)),
+        "s": Raw(_array(ss)),
+        "l_bar": Raw(ls[-1]),
+        "s_bar": Raw(ss[-1]),
         "xi_degree_exponent": ch.degree_exponent,
         "xi_norm_exponent": ch.norm_exponent,
         "chi_degree_exponent": ch.chi_degree_exponent,

@@ -75,10 +75,13 @@ class Functional:
         # membership check; the pivot route below takes about 4x as long
         # on the single-entry products of the chain's Gram matrix
         if self.algebra.is_pattern:
-            idx = self.algebra.pattern.index
-            acc = 0
+            idx, values, acc = self.algebra.pattern.index, self.values, 0
+            if field.e == 1:  # added up as ints, reduced once
+                for pos, c in mat.entries.items():
+                    acc += values[idx[pos]] * c
+                return acc % field.p
             for pos, c in mat.entries.items():
-                v = self.values[idx[pos]]
+                v = values[idx[pos]]
                 if v:
                     acc = field.add(acc, field.mul(v, c))
             return acc

@@ -3,11 +3,12 @@ from hypothesis import given, strategies as st
 
 from utchar import algebra
 from utchar.algebra import (CapExceeded, GroupElement, NilAlgebra, NilMatrix,
-                            Pattern, Subspace, apply_columns,
+                            Pattern, Subspace, apply_columns, combine_rows,
                             echelon_combinations, ideal_check, left_kernel,
-                            nonzero_products, products_vanish_at,
+                            nonzero_products, null_space, products_vanish_at,
                             quotient_project, rref, solution_space,
                             sparse_column, trunc_exp)
+from utchar.duals import Functional
 from utchar.scalars import field_make
 
 from oracles import (all_pairs_closed, all_pairs_commutative,
@@ -256,7 +257,11 @@ RREF_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
 
 
 class CountingField:
-    """A field whose operations count themselves."""
+    """A field whose operations count themselves.  Its e is not 1, so the
+    sparse linear algebra takes its `Field`-method path, the one extension
+    fields take, even over a prime field."""
+
+    e = None
 
     def __init__(self, field):
         self.field = field
@@ -301,32 +306,36 @@ def _combination(rng, field, rows):
     return out  # may hold zero entries
 
 
+def _awkward_rows(rng, field):
+    """Sparse and dense rows, with zero rows, stored zeros, duplicates,
+    scaled copies and combinations of earlier rows, which cancel to zero
+    after reduction; returns (rows, width)."""
+    width = rng.randrange(0, 14)
+    density = rng.choice([0.1, 0.25, 0.5, 0.9])
+    rows = [_random_row(rng, field, width, density)
+            for _ in range(rng.randrange(0, 10))]
+    for _ in range(rng.randrange(0, 6)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            rows.append({})
+        elif kind == 1 and width:
+            rows.append({rng.randrange(width): 0})
+        elif kind == 2 and rows:
+            f = rng.randrange(1, field.q)
+            rows.append({c: field.mul(f, v)
+                         for c, v in rng.choice(rows).items()})
+        elif rows:
+            rows.append(_combination(
+                rng, field, rng.sample(rows, rng.randrange(1, len(rows) + 1))))
+    rng.shuffle(rows)
+    return rows, width
+
+
 @pytest.mark.parametrize("p,e", RREF_FIELDS)
 def test_rref_matches_pivot_scan_and_dense_oracles(p, e, rng):
-    """Sparse and dense rows with zero rows, stored zeros, duplicates,
-    scaled copies and combinations of earlier rows, which cancel to zero
-    after reduction."""
     field = field_make(p, e)
     for _ in range(60):
-        width = rng.randrange(0, 14)
-        density = rng.choice([0.1, 0.25, 0.5, 0.9])
-        rows = [_random_row(rng, field, width, density)
-                for _ in range(rng.randrange(0, 10))]
-        for _ in range(rng.randrange(0, 6)):
-            kind = rng.randrange(4)
-            if kind == 0:
-                rows.append({})
-            elif kind == 1 and width:
-                rows.append({rng.randrange(width): 0})
-            elif kind == 2 and rows:
-                f = rng.randrange(1, field.q)
-                rows.append({c: field.mul(f, v)
-                             for c, v in rng.choice(rows).items()})
-            elif rows:
-                rows.append(_combination(
-                    rng, field, rng.sample(rows, rng.randrange(1, len(rows) + 1))))
-        rng.shuffle(rows)
-        assert_rref_matches_oracles(rows, width, field)
+        assert_rref_matches_oracles(*_awkward_rows(rng, field), field)
 
 
 @pytest.mark.parametrize("p,e", RREF_FIELDS)
@@ -353,6 +362,94 @@ def test_rref_fill_in_updates_the_column_index(p, e, rng):
             rows.insert(rng.randrange(len(rows) + 1),
                         _combination(rng, field, rng.sample(rows, 2)))
         assert_rref_matches_oracles(rows, width, field)
+
+
+PRIME_PATH_FIELDS = [2, 3, 5, 7, 13, 101]
+
+
+@pytest.mark.parametrize("p", PRIME_PATH_FIELDS)
+def test_prime_path_matches_method_path_and_dense_oracles(p, rng):
+    """rref, null_space, left_kernel and combine_rows run int arithmetic
+    over a prime field; the same calls through CountingField run the
+    Field-method path.  Both must give the same rows, equal to the dense
+    oracles', on the awkward rows of the rref tests."""
+    field = field_make(p)
+    method = CountingField(field)
+    for _ in range(40):
+        rows, width = _awkward_rows(rng, field)
+        got = rref(rows, field)
+        assert got == rref(rows, method)
+        assert all(0 < v < p for r in got for v in r.values())
+        dense = [[r.get(c, 0) for c in range(width)] for r in rows]
+        assert [[r.get(c, 0) for c in range(width)] for r in got] == \
+            dense_rref(dense, field)
+        kernel = null_space(rows, width, field)
+        assert kernel == null_space(rows, width, method)
+        assert len(kernel) == width - len(got)
+        for vec in kernel:
+            assert all(sum(r.get(c, 0) * x for c, x in vec.items()) % p == 0
+                       for r in rows)
+        left = left_kernel(rows, width, field)
+        assert left == left_kernel(rows, width, method)
+        assert [[vec.get(a, 0) for a in range(len(rows))] for vec in left] \
+            == dense_left_kernel(dense, field)
+        coeffs = {a: rng.randrange(p) for a in range(len(rows))
+                  if rng.random() < 0.6}
+        combined = combine_rows(coeffs, rows, field)
+        assert combined == combine_rows(coeffs, rows, method)
+        assert combined == {c: x for c in range(width) if (x := sum(
+            coeffs.get(a, 0) * r.get(c, 0) for a, r in enumerate(rows)) % p)}
+    assert method.ops
+
+
+@pytest.mark.parametrize("p", PRIME_PATH_FIELDS)
+def test_prime_products_and_evaluations_match_method_path(p, rng):
+    """NilMatrix @ and the pattern path of Functional.evaluate over a prime
+    field, against the same calls through CountingField and against the
+    dense product and the dense sum lam_k M_k; the products include
+    cancelling sums and the zero matrix."""
+    field = field_make(p)
+    method = CountingField(field)
+    for n in (4, 5, 7):
+        pattern = Pattern.full(n)
+        alg = NilAlgebra.pattern_algebra(pattern, field)
+        alg_method = NilAlgebra.pattern_algebra(pattern, method)
+        width = len(pattern.order)
+        for _ in range(15):
+            x, y = (_random_row(rng, field, width, rng.random())
+                    for _ in range(2))
+            if rng.random() < 0.3:  # a c + b d = 0: x y = 0 by cancelling
+                a, b, c = (rng.randrange(1, p) for _ in range(3))
+                idx = pattern.index
+                x = {idx[1, 2]: a, idx[1, 3]: b}
+                y = {idx[2, n]: c, idx[3, n]: (-a * c * pow(b, -1, p)) % p}
+            prod = NilMatrix.from_vector(pattern, field, x) @ \
+                NilMatrix.from_vector(pattern, field, y)
+            assert prod.entries == (NilMatrix.from_vector(pattern, method, x)
+                                    @ NilMatrix.from_vector(pattern, method,
+                                                            y)).entries
+            dense = dense_product(pattern, field,
+                                  *([v.get(k, 0) for k in range(width)]
+                                    for v in (x, y)))
+            assert prod.vector() == {k: c for k, c in enumerate(dense) if c}
+            values = [rng.randrange(p) for _ in range(width)]
+            value = Functional(alg, values).evaluate(prod)
+            assert value == Functional(alg_method, values).evaluate(
+                NilMatrix.from_vector(pattern, method, prod.vector()))
+            assert value == sum(values[k] * c
+                                for k, c in enumerate(dense)) % p
+    assert method.ops
+
+
+def test_matmul_keeps_the_pattern_check():
+    # (1,2)(2,3) = (1,3), which this non-closed pattern lacks
+    pattern = Pattern(3, [(1, 2), (2, 3)])
+    for field in (F3, field_make(2, 2)):
+        x = NilMatrix.elementary(pattern, field, 1, 2)
+        y = NilMatrix.elementary(pattern, field, 2, 3)
+        with pytest.raises(ValueError, match="outside the pattern"):
+            x @ y
+        assert (y @ x).is_zero()
 
 
 def test_pattern_closure_matches_pair_scan(rng):

@@ -370,7 +370,9 @@ def test_field_with_explicit_modulus():
 # F_p and extensions of it, with the modulus each is built from
 BASE_CHANGES = {
     2: [(4, None), (8, None), (1024, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1])],
-    3: [(9, [1, 0, 1]), (27, None), (2187, [1, 0, 2, 0, 0, 0, 0, 1])]}
+    3: [(9, [1, 0, 1]), (27, None), (2187, [1, 0, 2, 0, 0, 0, 0, 1])],
+    5: [(25, None)],
+    7: [(49, None)]}
 
 
 def _chain_without_q(n, q, lam, modulus=None):
@@ -386,10 +388,14 @@ def _chain_without_q(n, q, lam, modulus=None):
 def test_chain_is_unchanged_by_base_change(p, rng):
     """A functional with coefficients in F_p has its Gram matrix, hence its
     whole chain of reduced echelon bases, over F_p: every extension field
-    must write the same chain."""
+    must write the same chain.  F_p runs the inline prime-field arithmetic
+    and F_q the Field-method path, on the defining functional up to
+    r = 16 (n = 97), two random functionals on u_8 and a dense one on u_16
+    (each position with probability 1/2, as in the benchmark's dense
+    generic chains)."""
     field = field_make(p)
     jobs = []
-    for r in (2, 3, 4):
+    for r in (2, 3, 4, 8, 16):
         lam = oracles.exotic_functional(r, field)
         jobs.append((6 * r + 1, [[i, j, c] for (i, j), c
                                  in sorted(lam.entries().items()) if c]))
@@ -397,6 +403,8 @@ def test_chain_is_unchanged_by_base_change(p, rng):
     for _ in range(2):
         jobs.append((8, [[i, j, rng.randrange(1, p)]
                          for i, j in sorted(rng.sample(positions, 6))]))
+    jobs.append((16, [[i, j, rng.randrange(1, p)] for i in range(1, 16)
+                      for j in range(i + 1, 17) if rng.random() < 0.5]))
     for n, lam in jobs:
         base = _chain_without_q(n, p, lam)
         for q, modulus in BASE_CHANGES[p]:
