@@ -12,7 +12,9 @@ import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, field as dc_field, fields
+from itertools import compress
 from math import gcd
+from operator import getitem
 
 from .algebra import (DEFAULT_CAP, CapExceeded, NilAlgebra, Pattern,
                       VerificationFailed)
@@ -160,7 +162,7 @@ class _Position(dict):
 
 def _entries(pieces, x):
     """[i,j,c] of each nonzero coordinate of x, sorted as pattern order is."""
-    return _array([p[c] for p, c in zip(pieces, x) if c])
+    return _array(map(getitem, compress(pieces, x), compress(x, x)))
 
 
 def _subspace(pieces, space):
@@ -171,13 +173,38 @@ def _subspace(pieces, space):
             f'"pivot_positions":{pivots}}}')
 
 
-def _table(pieces, coords, values):
-    """Each value's text is encoded once per distinct (m, nums, den)."""
+def _extend(texts, piece, q):
+    """The q extensions of each text in turn: for c = 0 the text itself,
+    else the text followed by piece's [i,j,c], after a comma unless the
+    text is empty."""
+    head = ["", *[piece[c] for c in range(1, q)]]
+    tail = ["", *["," + text for text in head[1:]]]
+    return (s + e for s in texts for e in (tail if s else head))
+
+
+def _table(pieces, q, values):
+    """The table's values in the order of
+    itertools.product(range(q), repeat=len(pieces)), the coordinates of
+    GroupTable.from_algebra, each with the g text of its coordinates.
+
+    The g texts are built over that grid: the texts of the first k
+    coordinates are those of the first k - 1, each followed by the k-th
+    coordinate's [i,j,c] for c in range(q) (`_extend`).  The last
+    coordinate's texts go straight into the row strings.  Each
+    value's text is encoded once per distinct (m, nums, den)."""
+    if len(values) != q ** len(pieces):
+        raise ValueError(f"{len(values)} values for a grid of "
+                         f"{q}^{len(pieces)} elements")
     keys = [(v.m, v.nums, v.den) for v in values]
     texts = {key: _encode(ser_cyclotomic(v))
              for key, v in dict(zip(keys, values)).items()}
-    return _array([f'{{"g":{_entries(pieces, x)},"value":{texts[key]}}}'
-                   for x, key in zip(coords, keys)])
+    grid = [""]
+    for piece in pieces[:-1]:
+        grid = list(_extend(grid, piece, q))
+    if pieces:
+        grid = _extend(grid, pieces[-1], q)
+    return _array(map('{{"g":[{}],"value":{}}}'.format, grid,
+                      map(texts.__getitem__, keys)))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +378,7 @@ def cmd_table(spec):
         "which": spec.which,
         "degree": ser_cyclotomic(fn.degree),
         # u_n's coordinates are its entries in pattern order
-        "values": Raw(_table(pieces, group.coords, fn.values)),
+        "values": Raw(_table(pieces, spec.q, fn.values)),
     }, 0
 
 

@@ -217,10 +217,11 @@ def orbit(lam, which, cap=DEFAULT_CAP):
     """The left, right, two-sided, or coadjoint orbit of lam, as a list of
     functionals sorted by key; more than cap raise CapExceeded.
 
-    Left and right orbits are affine (`_affine_orbit`).  The left orbits
-    partition G lam G, and G(lam k) meets lam G at lam k, so the
-    two-sided orbit is the union of the left orbits of the mu in lam G
-    that no earlier one covers.
+    Left and right orbits are affine: (g lam)(X) = lam(X) + lam(h X) with
+    h = g^{-1} - 1 running over the algebra, so G lam = lam + rowspace(B)
+    and lam G = lam + colspace(B) for B = gram_matrix(lam)
+    (`_affine_orbit`).  The two-sided orbit is a union of left orbits
+    (`_two_sided_orbit`).  All three are built in increasing order.
 
     The coadjoint orbit is a BFS over `lam.algebra.group_generators()`:
     a generator moves f to f + sum_k f_k c_k, c_k = act(delta_k) - delta_k
@@ -230,13 +231,12 @@ def orbit(lam, which, cap=DEFAULT_CAP):
         raise ValueError(f"unknown orbit kind {which!r}")
     algebra, field = lam.algebra, lam.algebra.field
     if which in ("left", "right"):
-        seen = _affine_orbit(lam, which, cap)
+        gram = gram_matrix(lam)
+        points = _affine_orbit(field, lam.values, rref(
+            gram if which == "left" else transpose(gram, len(gram)), field),
+            cap)
     elif which == "two-sided":
-        seen = set()
-        for mu in _affine_orbit(lam, "right", cap):
-            if mu not in seen:
-                seen.update(_affine_orbit(Functional(algebra, mu), "left",
-                                          cap - len(seen)))
+        points = _two_sided_orbit(lam, cap)
     else:
         gens, dim = algebra.group_generators(), algebra.dim
         computed = [False] * dim
@@ -265,24 +265,116 @@ def orbit(lam, which, cap=DEFAULT_CAP):
         if len(seen) not in [field.q ** k for k in range(0, dim + 1, 2)]:
             raise VerificationFailed(f"coadjoint orbit size {len(seen)} "
                                      "is not an even power of q")
-    return [Functional(algebra, values) for values in sorted(seen)]
+        points = sorted(seen)
+    # Functional.__init__ inlined, with algebra.dim read once
+    dim, new, out = algebra.dim, Functional.__new__, []
+    for values in points:
+        if len(values) != dim:
+            raise ValueError("value vector has wrong length")
+        f = new(Functional)
+        f.algebra, f.values = algebra, values
+        out.append(f)
+    return out
 
 
-def _affine_orbit(lam, side, cap):
-    """The value tuples of G lam (side "left") or lam G ("right").
-    (g lam)(X) = lam(X) + lam(h X) with h = g^{-1} - 1 running over the
-    algebra, so G lam = lam + rowspace(B) and lam G = lam + colspace(B)
-    for B = gram_matrix(lam): q^rank points, built over the rref basis
-    once they are known to fit in cap."""
-    field, gram = lam.algebra.field, gram_matrix(lam)
-    rows = rref(gram if side == "left" else transpose(gram, len(gram)), field)
+def _affine_orbit(field, start, rows, cap):
+    """The value tuples of start + span(rows), for rows in reduced row
+    echelon form, in increasing order; q^len(rows) > cap raises
+    CapExceeded before any point is built.  Cleared at the pivots, start
+    becomes the point whose value at the i-th pivot is t_i, and whose
+    entries before that pivot depend on t_1, ..., t_(i-1) alone: so
+    `_affine_points`, taking t in product order, lists them in order."""
     if field.q ** len(rows) > cap:
         raise CapExceeded(f"orbit exceeds cap {cap}")
-    points = [lam.values]
-    for row in rows:
-        column = [(0, list(row.items()))]
-        points += [apply_columns(field, column, (t,), f)
-                   for t in range(1, field.q) for f in points]
+    base = apply_columns(field, [(min(r), list(r.items())) for r in rows],
+                         tuple(map(field.neg, start)), start)
+    return _affine_points(field, base, rows)
+
+
+def _affine_points(field, start, rows):
+    """start + sum_i t_i rows[i] for each t in
+    itertools.product(range(q), repeat=len(rows)), in that order, as value
+    tuples; the rows are sparse {k: value}.
+
+    The points are built a coordinate column at a time, the last row
+    first, each row multiplying the point count N by q.  A column the row
+    does not touch is repeated q times; one it touches gets one block per
+    t, the column plus t w.  A column no earlier row touched holds one
+    value, so its block is one value repeated; any other goes through the
+    tables x -> x + a, whose q^2 entries are made only once N >= q."""
+    q, add, mul = field.q, field.add, field.mul
+    columns = [[x] for x in start]
+    touched, shifts = set(), None
+    for row in reversed(rows):
+        for k, col in enumerate(columns):
+            w = row.get(k)
+            if not w:
+                columns[k] = col * q
+                continue
+            new = []
+            if k not in touched:
+                for t in range(q):
+                    new += [add(col[0], mul(t, w))] * len(col)
+            else:
+                if shifts is None:
+                    shifts = [[add(x, a) for x in range(q)] for a in range(q)]
+                for t in range(q):
+                    new += map(shifts[mul(t, w)].__getitem__, col)
+            columns[k] = new
+        touched.update(row)
+    # on an algebra of dimension 0 there are no columns to zip
+    return list(zip(*columns)) or [start]
+
+
+def _two_sided_orbit(lam, cap):
+    """The value tuples of G lam G, in increasing order.
+
+    The left orbits partition G lam G, and each meets lam G (Diaconis and
+    Isaacs, Trans. AMS 360 (2008)).  For B = gram_matrix(lam) and
+    W = rref(B), the pivot columns b of W index a basis B[:, b] of B's
+    column space, so mu_t = lam + sum_b t_b B[:, b] runs once over lam G:
+    mu_t = lam k with k^-1 = 1 + sum_b t_b e_b.  Then G mu_t = (G lam) k,
+    and nu -> nu k is linear, with (w k)(e_a) = w_a + sum_b t_b w(e_a e_b);
+    so G mu_t = mu_t + span{w k : w in W}, from the Gram matrices of the
+    rank B rows of W and one rref per left orbit.  A mu_t that an earlier
+    left orbit holds is skipped, and a left orbit that would take the
+    total past cap raises CapExceeded before any of its points is built.
+    Each left orbit comes out sorted, so sorting their concatenation
+    merges q^rank-long runs."""
+    algebra, field = lam.algebra, lam.algebra.field
+    gram = gram_matrix(lam)
+    rows = rref(gram, field)
+    size = field.q ** len(rows)
+    if size > cap:
+        raise CapExceeded(f"orbit exceeds cap {cap}")
+    pivots = [min(w) for w in rows]
+
+    def pivot_columns(g):
+        """Columns b of g at W's pivots, as apply_columns pairs (i, col)."""
+        cols = transpose(g, len(g))
+        return [(i, list(cols[b].items())) for i, b in enumerate(pivots)]
+
+    moves = []
+    for w in rows:
+        values = [w.get(k, 0) for k in range(algebra.dim)]
+        moves.append((values, pivot_columns(
+            gram_matrix(Functional(algebra, values)))))
+    mus = dict(zip(_affine_points(field, lam.values,
+                                  [dict(c) for _, c in pivot_columns(gram)]),
+                   itertools.product(range(field.q), repeat=len(rows))))
+    covered, runs = set(), []
+    for mu, t in mus.items():
+        if mu in covered:
+            continue
+        if (len(runs) + 1) * size > cap:
+            raise CapExceeded(f"orbit exceeds cap {cap}")
+        run = _affine_orbit(field, mu, rref(
+            [dict(enumerate(apply_columns(field, cols, t, values)))
+             for values, cols in moves], field), cap)
+        covered.update(filter(mus.__contains__, run))
+        runs.append(run)
+    points = list(itertools.chain.from_iterable(runs))
+    points.sort()
     return points
 
 

@@ -9,14 +9,17 @@ from math import gcd, lcm
 
 from utchar import chain as chain_module
 from utchar import cli
-from utchar.algebra import (DEFAULT_CAP, GroupElement, NilAlgebra, NilMatrix,
-                            Pattern, Subspace, VerificationFailed,
-                            combine_rows, left_kernel, null_space, trunc_exp)
+from utchar.algebra import (DEFAULT_CAP, CapExceeded, GroupElement,
+                            NilAlgebra, NilMatrix, Pattern, Subspace,
+                            VerificationFailed, apply_columns, combine_rows,
+                            left_kernel, null_space, rref, transpose,
+                            trunc_exp)
 from utchar.chain import chain_compute
 from utchar.characters import (ClassFunction, GroupTable, exp_kirillov,
                                homomorphism_defect, kirillov, supercharacter,
                                theta_lambda, xi)
-from utchar.duals import Functional, orbit, shape, torus_orbit
+from utchar.duals import (Functional, gram_matrix, orbit, shape,
+                          torus_orbit)
 from utchar.exotic import constant_diagonal_algebra, exotic_functional_parts
 from utchar.scalars import (CyclotomicNumber, cyclotomic_polynomial,
                             in_subfield, prime_power_split,
@@ -610,6 +613,45 @@ def full_group_orbit(group, lam, which):
     return seen
 
 
+# the two-sided walk that duals.orbit replaced: one Gram matrix and one rref
+# per left orbit, every point built by one sparse mat-vec and kept in a set
+
+
+def affine_points_by_row(field, start, rows):
+    """start + span(rows), one row at a time: each row adds t * row for
+    t = 1, ..., q - 1 to every point so far, one apply_columns each."""
+    points = [tuple(start)]
+    for row in rows:
+        column = [(0, list(row.items()))]
+        points += [apply_columns(field, column, (t,), f)
+                   for t in range(1, field.q) for f in points]
+    return points
+
+
+def affine_orbit_by_row(lam, side, cap=DEFAULT_CAP):
+    """The value tuples of G lam (side "left") or lam G ("right"), in the
+    order affine_points_by_row builds them: lam + rowspace(B) or
+    lam + colspace(B) for B = gram_matrix(lam)."""
+    field, gram = lam.algebra.field, gram_matrix(lam)
+    rows = rref(gram if side == "left" else transpose(gram, len(gram)), field)
+    if field.q ** len(rows) > cap:
+        raise CapExceeded(f"orbit exceeds cap {cap}")
+    return affine_points_by_row(field, lam.values, rows)
+
+
+def per_left_orbit_two_sided(lam, cap=DEFAULT_CAP):
+    """The value tuples of G lam G, sorted: each mu in lam G that no earlier
+    left orbit covers adds G mu, from its own Gram matrix."""
+    seen = set()
+    for mu in affine_orbit_by_row(lam, "right", cap):
+        if mu not in seen:
+            seen.update(affine_orbit_by_row(Functional(lam.algebra, mu),
+                                            "left", cap))
+            if len(seen) > cap:
+                raise CapExceeded(f"orbit exceeds cap {cap}")
+    return sorted(seen)
+
+
 def all_functionals(algebra):
     q = algebra.field.q
     for values in itertools.product(range(q), repeat=algebra.dim):
@@ -952,6 +994,20 @@ def ser_subspace(space):
         "pivot_positions": [list(order[k]) for k in space.pivots],
         "basis": [[[*order[k], v] for k, v in row] for row in space.rows],
     }
+
+
+def per_element_table(pieces, coords, values):
+    """cli._table's text, written element by element from each coordinate
+    tuple, with one list of [i,j,c] texts per element."""
+    texts = {}
+    rows = []
+    for x, v in zip(coords, values):
+        key = (v.m, v.nums, v.den)
+        if key not in texts:
+            texts[key] = cli._encode(cli.ser_cyclotomic(v))
+        g = ",".join([p[c] for p, c in zip(pieces, x) if c])
+        rows.append(f'{{"g":[{g}],"value":{texts[key]}}}')
+    return f"[{','.join(rows)}]"
 
 
 TABLE_FUNCTIONS = {

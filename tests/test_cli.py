@@ -161,13 +161,17 @@ def _jobs(command, cells, kinds):
 
 
 # two-digit encodings (F_11, F_16), empty arrays (n = 1, 2 and a zero
-# lambda) and every table and orbit kind
+# lambda) and every table and orbit kind; the tables' g texts are built on
+# the coordinate grid, checked also over F_9, on the grids of n = 1 (no
+# coordinate) and n = 2 (one), and on a zero lambda, whose values repeat
+TABLE_CELLS = [(3, 5, [[1, 3, 4], [2, 3, 1]]), (4, 3, [[1, 4, 1], [2, 3, 2]]),
+               (3, 4, [[1, 2, 3], [1, 3, 2]]),
+               (3, 11, [[1, 3, 10], [2, 3, 7]]),
+               (1, 2, []), (2, 3, []), (2, 5, [[1, 2, 4]]),
+               (3, 9, [[1, 3, 5], [2, 3, 7]]), (1, 9, []),
+               (2, 9, [[1, 2, 8]]), (3, 4, [])]
 ORACLE_JOBS = (
-    _jobs("table", [(3, 5, [[1, 3, 4], [2, 3, 1]]),
-                    (4, 3, [[1, 4, 1], [2, 3, 2]]),
-                    (3, 4, [[1, 2, 3], [1, 3, 2]]),
-                    (3, 11, [[1, 3, 10], [2, 3, 7]]),
-                    (1, 2, []), (2, 3, []), (2, 5, [[1, 2, 4]])],
+    _jobs("table", TABLE_CELLS,
           ["theta", "kirillov", "expkirillov", "superchar", "xi"])
     + _jobs("orbit", [(4, 2, [[1, 4, 1], [2, 3, 1]]),
                       (3, 9, [[1, 3, 5], [1, 2, 8]]),
@@ -189,6 +193,18 @@ def test_render_writes_the_bytes_of_the_structured_body(spec):
     assert code == 0
     assert render(body) == json.dumps(structured_body(spec), sort_keys=True,
                                       separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("n,q,lam", TABLE_CELLS)
+def test_grid_texts_match_the_per_element_writer(n, q, lam):
+    spec = JobSpec(command="table", n=n, q=q, lam=lam, which="superchar")
+    algebra, lam, pieces, _ = cli._u_n_job(spec)
+    group = GroupTable.from_algebra(algebra)
+    values = characters.supercharacter(group, lam).values
+    assert cli._table(pieces, q, values) == \
+        oracles.per_element_table(pieces, group.coords, values)
+    with pytest.raises(ValueError, match="values for a grid"):
+        cli._table(pieces, q, values[1:])
 
 
 def test_render_tells_values_apart_by_their_denominator(monkeypatch):
@@ -231,6 +247,17 @@ def test_main_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["chain", "--n", "3"])  # missing required --q
     assert exc.value.code == 2
+
+
+def test_two_sided_cap_error_names_the_given_cap(capsys):
+    # 27 left orbits of 81 points: the 27th does not fit in 2,186
+    argv = ["orbit", "--which", "two-sided", "--n", "5", "--q", "3",
+            "--lambda", "[[1,4,2],[2,5,1]]", "--cap"]
+    assert main(argv + ["2186"]) == 3
+    err = capsys.readouterr()
+    assert err.out == "" and err.err == "error: orbit exceeds cap 2186\n"
+    assert main(argv + ["2187"]) == 0
+    assert json.loads(capsys.readouterr().out)["size"] == 2187
 
 
 def test_bad_lambda_reports_validation_error(capsys):

@@ -5,16 +5,17 @@ from hypothesis import given, strategies as st
 
 from utchar import duals
 from utchar.algebra import (CapExceeded, GroupElement, NilAlgebra, NilMatrix,
-                            Pattern, Subspace)
+                            Pattern, Subspace, rref)
 from utchar.characters import GroupTable
 from utchar.duals import (Functional, SetPartition, act_coadjoint, act_left,
                           act_right, gram_matrix, is_quasi_monomial, orbit,
                           shape, torus_act, torus_orbit)
 from utchar.scalars import field_make
 
-from oracles import (coordinate_evaluate, definition_act_left,
-                     definition_act_right, full_group_orbit,
-                     generator_test_algebras, orbit_keys, random_element,
+from oracles import (affine_points_by_row, coordinate_evaluate,
+                     definition_act_left, definition_act_right,
+                     full_group_orbit, generator_test_algebras, orbit_keys,
+                     per_left_orbit_two_sided, random_element,
                      random_functional, random_subspace_algebra,
                      u4_and_subalgebra)
 
@@ -238,6 +239,90 @@ def test_affine_orbit_over_cap_raises_before_building_points(monkeypatch):
     u305 = NilAlgebra.pattern_algebra(Pattern.full(30), field_make(5))
     with pytest.raises(CapExceeded):
         orbit(Functional.from_entries(u305, {(1, 30): 1}), "left")
+
+
+WALK_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]
+
+
+def values_of(functionals):
+    return [f.values for f in functionals]
+
+
+@pytest.mark.parametrize("p,e", WALK_FIELDS)
+def test_two_sided_walk_matches_per_left_orbit_walk(p, e, rng):
+    # one Gram matrix and the right action of lam G against a Gram matrix
+    # per left orbit, on u_4(q) (u_5(q) for q <= 3) and on u_3(q), where
+    # every group element is also applied through the definition actions
+    field = field_make(p, e)
+    big = NilAlgebra.pattern_algebra(Pattern.full(5 if field.q <= 3 else 4),
+                                     field)
+    u3 = NilAlgebra.pattern_algebra(Pattern.full(3), field)
+    group = GroupTable.from_algebra(u3)
+    sizes = set()
+    for _ in range(4):
+        lam = random_functional(rng, big)
+        two = values_of(orbit(lam, "two-sided"))
+        assert two == per_left_orbit_two_sided(lam)
+        sizes.add(len(two))
+        lam = random_functional(rng, u3)
+        two = values_of(orbit(lam, "two-sided"))
+        assert two == per_left_orbit_two_sided(lam)
+        assert set(two) == set(full_group_orbit(group, lam, "two-sided"))
+    assert len(sizes) > 1 or max(sizes) > 1
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+def test_two_sided_walk_on_subspace_algebras(p, e, rng):
+    field = field_make(p, e)
+    algebras = [u4_and_subalgebra(field)[1]] + [
+        random_subspace_algebra(rng, field) for _ in range(3)]
+    for alg in algebras:
+        assert not alg.is_pattern
+        for _ in range(3):
+            lam = random_functional(rng, alg)
+            two = values_of(orbit(lam, "two-sided"))
+            assert two == per_left_orbit_two_sided(lam)
+            if alg.size <= 256:
+                group = GroupTable.from_algebra(alg)
+                assert set(two) == set(
+                    full_group_orbit(group, lam, "two-sided"))
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2)])
+def test_affine_points_come_in_increasing_order(p, e, rng):
+    # over F_4, F_8 and F_9 the encodings are not in additive order, so
+    # the value at each pivot is stepped through, not the coefficient t
+    field = field_make(p, e)
+    for _ in range(25):
+        width = rng.randrange(1, 8)
+        rows = rref([{k: rng.randrange(field.q) for k in range(width)
+                      if rng.random() < 0.6} for _ in range(rng.randrange(4))],
+                    field)
+        if field.q ** len(rows) > 800:
+            continue
+        start = tuple(rng.randrange(field.q) for _ in range(width))
+        points = duals._affine_orbit(field, start, rows, 800)
+        assert len(points) == field.q ** len(rows)
+        assert all(a < b for a, b in zip(points, points[1:]))
+        assert points == sorted(set(affine_points_by_row(field, start, rows)))
+
+
+def test_two_sided_cap_names_the_given_cap(monkeypatch):
+    # the two-sided orbit of this lam on u_5(3) has 2,187 points, 27 left
+    # orbits of 81; a cap of 2,186 is caught before the 27th is built.
+    # One more _affine_points call builds lam G, then one per left orbit.
+    u53 = NilAlgebra.pattern_algebra(Pattern.full(5), F3)
+    lam = Functional.from_entries(u53, {(1, 4): 2, (2, 5): 1})
+    real = duals._affine_points
+    built = []
+    monkeypatch.setattr(duals, "_affine_points",
+                        lambda *args: built.append(1) or real(*args))
+    with pytest.raises(CapExceeded, match=r"orbit exceeds cap 2186$"):
+        orbit(lam, "two-sided", cap=2186)
+    assert len(built) == 1 + 26
+    built.clear()
+    assert len(orbit(lam, "two-sided", cap=2187)) == 2187
+    assert len(built) == 1 + 27
 
 
 def test_left_and_right_orbits_same_size(rng):
