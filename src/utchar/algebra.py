@@ -443,7 +443,9 @@ class Subspace:
     def __init__(self, pattern, field, rows):
         self.pattern = pattern
         self.field = field
-        self.rows = tuple(tuple(sorted(r.items())) for r in rows)
+        # each row a dict, or a (column, value) tuple sorted already
+        self.rows = tuple(r if type(r) is tuple else tuple(sorted(r.items()))
+                          for r in rows)
         self.pivots = tuple(r[0][0] for r in self.rows)
         self._mats = None
         self._tails = None
@@ -539,19 +541,25 @@ class Subspace:
             self.row_dicts() + other.row_dicts())
 
     def restrict_to_zero(self, coords):
-        """The subspace of vectors vanishing on the given coordinates.  The
-        kernel combinations and the rows are both in reduced echelon form,
-        so their products are too (`echelon_combinations`)."""
-        cols = sorted(set(coords))
-        col_pos = {c: k for k, c in enumerate(cols)}
-        basis_rows = self.row_dicts()
-        mrows = []
-        for rdict in basis_rows:
-            mrows.append({col_pos[c]: v for c, v in rdict.items()
-                          if c in col_pos})
-        combos = left_kernel(mrows, len(cols), self.field)
-        return echelon_combinations(self.pattern, self.field, combos,
-                                    basis_rows)
+        """The subspace of vectors vanishing on the given coordinates."""
+        col_pos = {c: k for k, c in enumerate(sorted(set(coords)))}
+        mrows = [{col_pos[c]: v for c, v in row if c in col_pos}
+                 for row in self.rows]
+        return self.span_of(left_kernel(mrows, len(col_pos), self.field))
+
+    def span_of(self, combos):
+        """The span of the combinations sum_a k[a] * rows[a], for combos in
+        reduced echelon form (as null_space gives them), with no
+        elimination: K R is then reduced echelon too, row f being rows[a_f]
+        plus later rows, 0 at the other pivots.  A unit combination {a: 1}
+        is rows[a] itself, and on the full space, whose rows are the unit
+        vectors, each combination is its own row."""
+        rows, field = self.rows, self.field
+        full = len(rows) == len(self.pattern.order)
+        return Subspace(self.pattern, field, [
+            rows[next(iter(k))] if len(k) == 1 else k if full
+            else combine_rows(k, {a: dict(rows[a]) for a in k}, field)
+            for k in combos])
 
     def __eq__(self, other):
         if self is other:
@@ -573,21 +581,6 @@ def solution_space(pattern, field, constraint_rows):
     null_space returns it in reduced echelon form."""
     return Subspace(pattern, field,
                     null_space(constraint_rows, len(pattern.order), field))
-
-
-def echelon_combinations(pattern, field, combos, rows):
-    """The subspace spanned by the combinations sum_a k[a] * rows[a], for
-    combos and rows both in reduced echelon form (rows in pivot order, as
-    null_space and Subspace.row_dicts give them); no elimination is run.
-
-    The product K R of two reduced echelon matrices is reduced echelon:
-    row f of K is 1 at its pivot a_f and 0 at the other pivots of K, and
-    nonzero only at columns a >= a_f, so row f of K R is rows[a_f] plus
-    later rows, with its leading 1 at the pivot of rows[a_f]; at the
-    pivot of rows[a_g], a column of R that is the unit vector at a_g, it
-    reads K[f][a_g], which is 1 if g = f and 0 otherwise."""
-    return Subspace(pattern, field,
-                    [combine_rows(k, rows, field) for k in combos])
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,16 @@ the coordinates of its echelon basis.  On s^0, the algebra itself, that
 is the Gram matrix B[a][b] = lam(e_a e_b), built once per chain from the
 basis products that meet lam's support (`gram_matrix`); each step
 restricts the last form to the next s^i, so the chain runs sparse F_q
-linear algebra with no further matrix products, and each subspace costs
-one elimination."""
+linear algebra with no further matrix products, and each new subspace
+costs one elimination.  The form also shows when a step would leave
+s^{i-1} unchanged, and the chain then stops on s^{i-1} itself."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .algebra import (Subspace, VerificationFailed, combine_rows,
-                      echelon_combinations, ideal_check, left_kernel,
-                      null_space, transpose)
+                      ideal_check, left_kernel, null_space, transpose)
 from .duals import Functional, gram_matrix, is_quasi_monomial
 
 
@@ -119,9 +119,10 @@ def chain_compute(algebra, lam):
     K_l of l^i): the null space of the rows K_l M^T, read off one
     transpose of M.  Both kernels are reduced echelon combinations of the
     echelon rows of s^{i-1}, so their spans need no elimination
-    (`echelon_combinations`), and the rows of s^i are the rows of K_s
-    times those of s^{i-1}, in order; the next form is K_s M K_s^T.  The
-    chain stops on s^i = s^{i-1}, so its last M is the form on s_bar."""
+    (`Subspace.span_of`), and the rows of s^i are the rows of K_s times
+    those of s^{i-1}, in order; the next form is K_s M K_s^T.  If M has no
+    entries, l^i = s^i = s^{i-1}, and if the rows K_l M^T are all empty,
+    s^i = s^{i-1}: the chain stops there, on the form on s_bar."""
     if lam.algebra.span != algebra.span:
         raise ValueError("the functional lives on another algebra")
     pattern, field = algebra.pattern, algebra.field
@@ -130,16 +131,21 @@ def chain_compute(algebra, lam):
     l_list = [Subspace.zero(pattern, field)]
     for _ in range(algebra.dim + 1):
         s_prev = s_list[-1]
-        rows = s_prev.row_dicts()
-        l_combos = left_kernel(form, len(rows), field)
-        form_t = transpose(form, len(rows))
-        s_combos = null_space([combine_rows(k, form_t, field)
-                               for k in l_combos], len(rows), field)
-        l_list.append(echelon_combinations(pattern, field, l_combos, rows))
-        s_list.append(echelon_combinations(pattern, field, s_combos, rows))
-        if s_list[-1] == s_prev:
+        if not any(form):
+            l_list.append(s_prev)
+            s_list.append(s_prev)
             break
-        form = restrict_form(form, s_combos, len(rows), field)
+        width = s_prev.dim
+        l_combos = left_kernel(form, width, field)
+        l_list.append(s_prev.span_of(l_combos))
+        form_t = transpose(form, width)
+        constraints = [combine_rows(k, form_t, field) for k in l_combos]
+        if not any(constraints):
+            s_list.append(s_prev)
+            break
+        s_combos = null_space(constraints, width, field)
+        s_list.append(s_prev.span_of(s_combos))
+        form = restrict_form(form, s_combos, width, field)
     else:
         raise VerificationFailed("chain failed to stabilize")
     return ChainResult(algebra, lam, l_list, s_list, len(s_list) - 1, form)

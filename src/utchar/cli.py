@@ -153,6 +153,7 @@ class _Position(dict):
     """The text [i,j,c] of one position by value c, made on first read."""
 
     def __init__(self, i, j):
+        self.pair = f"[{i},{j}]"
         self.prefix = f"[{i},{j},"
 
     def __missing__(self, c):
@@ -168,7 +169,7 @@ def _entries(pieces, x):
 def _subspace(pieces, space):
     basis = _array([_array([pieces[k][v] for k, v in row])
                     for row in space.rows])
-    pivots = _encode([space.pattern.order[k] for k in space.pivots])
+    pivots = _array([pieces[k].pair for k in space.pivots])
     return (f'{{"basis":{basis},"dim":{space.dim},'
             f'"pivot_positions":{pivots}}}')
 
@@ -238,18 +239,18 @@ def _u_n_job(spec):
 def cmd_chain(spec):
     algebra, lam, pieces, head = _u_n_job(spec)
     ch = chain_compute(algebra, lam)
-    # l_bar and s_bar are the last l^i and s^i: their texts are written once
-    ls = [_subspace(pieces, s) for s in ch.l_list[1:]]
-    ss = [_subspace(pieces, s) for s in ch.s_list[1:]]
+    # l_bar, s_bar and the last s^i can be one object: one text each
+    spaces = {id(s): s for s in ch.l_list[1:] + ch.s_list[1:]}
+    texts = {k: _subspace(pieces, s) for k, s in spaces.items()}
     return {
         **head,
         "d": ch.d,
         "dims_l": [s.dim for s in ch.l_list],
         "dims_s": [s.dim for s in ch.s_list],
-        "l": Raw(_array(ls)),
-        "s": Raw(_array(ss)),
-        "l_bar": Raw(ls[-1]),
-        "s_bar": Raw(ss[-1]),
+        "l": Raw(_array([texts[id(s)] for s in ch.l_list[1:]])),
+        "s": Raw(_array([texts[id(s)] for s in ch.s_list[1:]])),
+        "l_bar": Raw(texts[id(ch.l_bar)]),
+        "s_bar": Raw(texts[id(ch.s_bar)]),
         "xi_degree_exponent": ch.degree_exponent,
         "xi_norm_exponent": ch.norm_exponent,
         "chi_degree_exponent": ch.chi_degree_exponent,

@@ -128,6 +128,15 @@ def dense_left_kernel(matrix, field):
     return dense_rref(kernel, field)
 
 
+def echelon_combinations(pattern, field, combos, rows):
+    """The span of the combinations sum_a k[a] * rows[a], for combos and
+    rows both in reduced echelon form, each combination summed and sorted
+    with no elimination, as the chain built its subspaces before
+    Subspace.span_of reused unit rows and the full space's rows."""
+    return Subspace(pattern, field,
+                    [combine_rows(k, rows, field) for k in combos])
+
+
 def two_elimination_span(pattern, field, combos, rows):
     """The span of the combinations sum_a k[a] * rows[a], reduced once more
     by rref, as the chain built its subspaces before kernels came back in

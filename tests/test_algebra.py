@@ -4,19 +4,19 @@ from hypothesis import given, strategies as st
 from utchar import algebra
 from utchar.algebra import (CapExceeded, GroupElement, NilAlgebra, NilMatrix,
                             Pattern, Subspace, apply_columns, combine_rows,
-                            echelon_combinations, ideal_check, left_kernel,
-                            nonzero_products, null_space, products_vanish_at,
-                            quotient_project, rref, solution_space,
-                            sparse_column, trunc_exp)
+                            ideal_check, left_kernel, nonzero_products,
+                            null_space, products_vanish_at, quotient_project,
+                            rref, solution_space, sparse_column, trunc_exp)
 from utchar.duals import Functional
 from utchar.scalars import field_make
 
 from oracles import (all_pairs_closed, all_pairs_commutative,
                      all_pairs_ideal_check, all_pairs_products, dense_inverse,
                      dense_left_kernel, dense_product, dense_rref,
-                     elimination_coordinates, generated_group,
-                     generator_test_algebras, pair_scan_is_closed,
-                     pivot_scan_rref, random_closed_pattern, random_element,
+                     echelon_combinations, elimination_coordinates,
+                     generated_group, generator_test_algebras,
+                     pair_scan_is_closed, pivot_scan_rref,
+                     random_closed_pattern, random_element,
                      random_subalgebra, subspace_dense_rows, trunc_log,
                      two_elimination_restrict_to_zero,
                      two_elimination_solution_space, two_elimination_span,
@@ -526,8 +526,46 @@ def test_echelon_kernels_need_no_second_elimination(p, e, rng):
         for combos in (left_kernel(form, len(rows), field),
                        rref(random_sparse_rows(rng, field, len(rows),
                                                len(rows)), field)):
-            assert echelon_combinations(pattern, field, combos, rows) == \
-                two_elimination_span(pattern, field, combos, rows)
+            span = space.span_of(combos)
+            assert span == echelon_combinations(pattern, field, combos, rows)
+            assert span == two_elimination_span(pattern, field, combos, rows)
+
+
+@pytest.mark.parametrize("p,e", ECHELON_FIELDS + [(3, 2)])
+def test_span_of_matches_rref_oracle(p, e, rng):
+    # Subspace.span_of against Subspace.from_vectors of the summed
+    # combinations: unit combinations reuse the row tuples, the full space
+    # (rows the unit vectors) takes each combination as its row, and the
+    # combinations' keys need not be sorted, as in rref's rows
+    field = field_make(p, e)
+    paths = set()
+    for _ in range(30):
+        pattern = Pattern.full(rng.randrange(2, 6))
+        width = len(pattern.order)
+        full = Subspace.full(pattern, field)
+        some = Subspace.from_vectors(pattern, field, random_sparse_rows(
+            rng, field, rng.randrange(1, width + 1), width))
+        for space in (full, some):
+            dim = space.dim
+            for combos in (left_kernel(random_sparse_rows(
+                               rng, field, dim, dim), dim, field),
+                           rref(random_sparse_rows(rng, field, dim, dim),
+                                field)):
+                span = space.span_of(combos)
+                assert span.rows == Subspace.from_vectors(
+                    pattern, field,
+                    [combine_rows(k, space.row_dicts(), field)
+                     for k in combos]).rows
+                assert span.pivots == tuple(r[0][0] for r in span.rows)
+                for k, row in zip(combos, span.rows):
+                    if len(k) == 1:
+                        assert row is space.rows[next(iter(k))]
+                        paths.add("unit")
+                    else:
+                        paths.add("full" if space is full else "summed")
+                    if list(k) != sorted(k):
+                        paths.add("unsorted")
+    assert paths == {"unit", "full", "summed", "unsorted"}
 
 
 def test_each_subspace_costs_one_elimination(monkeypatch, rng):

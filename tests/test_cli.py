@@ -77,6 +77,28 @@ def test_chain_command_corner_and_zero():
     load_validator("chain.schema.json").validate(body0)
 
 
+def test_chain_command_writes_each_subspace_from_its_own_object():
+    # the defining functional at r = 2 ends with l_bar < s_bar, and s_bar is
+    # the object of the last two s^i, so a text keyed to the wrong object
+    # shows here; the pivot positions are checked against pattern order
+    lam = oracles.exotic_functional(2, field_make(2))
+    entries = [[i, j, c] for (i, j), c in sorted(lam.entries().items()) if c]
+    body, code = run_cli(["chain", "--n", "13", "--q", "2",
+                          "--lambda", json.dumps(entries)])
+    assert code == 0
+    assert body["l_bar"] == body["l"][-1] != body["s_bar"]
+    assert body["s_bar"] == body["s"][-1] == body["s"][-2]
+    ch = cli.chain_compute(lam.algebra, lam)
+    order = lam.algebra.pattern.order
+    for texts, spaces in ((body["l"], ch.l_list[1:]),
+                          (body["s"], ch.s_list[1:])):
+        for text, space in zip(texts, spaces, strict=True):
+            assert text["dim"] == space.dim
+            assert [tuple(p) for p in text["pivot_positions"]] == \
+                [order[k] for k in space.pivots]
+    load_validator("chain.schema.json").validate(body)
+
+
 def test_exotic_command():
     body, code = run_cli(["exotic", "--r", "2", "--q", "2"])
     assert code == 0
