@@ -30,47 +30,50 @@ sys.path.insert(0, "src")
 from utchar.cli import field_for  # noqa: E402
 from utchar.exotic import (constant_diagonal_algebra,  # noqa: E402
                            corner_character_analysis, exotic_report,
-                           verify_chain_closed_forms)
+                           verdict, verify_chain_closed_forms)
 
 
 def verify_row(r, q, tech, sec):
-    return (f"{r:>3} {q:>3} {tech.dim_ambient:>6} {tech.dim_s_bar:>6} "
-            f"{tech.dim_l_bar:>6} {tech.stabilization:>2} "
-            f"{str(tech.ok):>5} {sec:>7.2f}")
+    return (f"{r:>3} {q:>3} {tech['dim_ambient']:>6} "
+            f"{tech['dim_s_bar']:>6} {tech['dim_l_bar']:>6} "
+            f"{tech['stabilization']:>2} "
+            f"{str(verdict(tech)):>5} {sec:>7.2f}")
 
 
 def exotic_row(r, q, rep, sec):
-    return (f"{r:>2} {q:>2} {rep.n:>3} "
-            f"q^{rep.xi_degree_exponent:<4} q^{rep.xi_norm_exponent:<2} "
-            f"{rep.constituent_count:>6} "
-            f"q^{rep.constituent_degree_exponent:<5} "
-            f"{rep.value_field_conductor:>5} "
-            f"{str(rep.kirillov_is_character):>5} "
-            f"{str(rep.exp_kirillov_is_character):>8} {sec:>7.2f}")
+    return (f"{r:>2} {q:>2} {rep['n']:>3} "
+            f"q^{rep['xi_degree_exponent']:<4} "
+            f"q^{rep['xi_norm_exponent']:<2} "
+            f"{rep['constituent_count']:>6} "
+            f"q^{rep['constituent_degree_exponent']:<5} "
+            f"{rep['value_field_conductor']:>5} "
+            f"{str(rep['kirillov_is_character']):>5} "
+            f"{str(rep['exp_kirillov_is_character']):>8} {sec:>7.2f}")
 
 
 def kappa_run(n, field, cap):
     if field.q ** (n - 1) > cap:
         return None  # A_n(q) has q^(n-1) elements
-    return corner_character_analysis(constant_diagonal_algebra(n, field),
-                                     cap)
+    return (corner_character_analysis(constant_diagonal_algebra(n, field),
+                                      cap),)
 
 
 def kappa_row(n, q, rep, sec):
-    return (f"{n:>2} {q:>2} {rep.group_size:>5} "
-            f"{rep.constituent_count:>6} "
-            f"{rep.max_constituent_conductor:>5} "
-            f"{rep.max_element_order:>7} "
-            f"{str(rep.kirillov_is_character):>5} "
-            f"{str(rep.exp_kirillov_is_character):>8} {sec:>6.2f}")
+    return (f"{n:>2} {q:>2} {rep['group_size']:>5} "
+            f"{rep['constituent_count']:>6} "
+            f"{rep['max_constituent_conductor']:>5} "
+            f"{rep['max_element_order']:>7} "
+            f"{str(rep['kirillov_is_character']):>5} "
+            f"{str(rep['exp_kirillov_is_character']):>8} {sec:>6.2f}")
 
 
 @dataclass(frozen=True)
 class Grid:
     """One subcommand.  size names the varied size ("r" or "n"), with the
-    default range sizes; run(size, field, cap) returns a report with an
-    ok verdict, or None to skip the point; row(size, q, report, seconds)
-    formats it under header.  cap is the default --cap, and None means the
+    default range sizes; run(size, field, cap) returns the library's
+    results, which the row passes if `verdict` holds on all of them, or
+    None to skip the point; row(size, q, result, seconds) formats the
+    first under header.  cap is the default --cap, and None means the
     subcommand has no cap."""
 
     size: str
@@ -87,7 +90,7 @@ GRIDS = {
         "r", (2, 4), "2,3,4",
         f"{'r':>3} {'q':>3} {'dim n':>6} {'dim s':>6} {'dim l':>6} "
         f"{'d':>2} {'pass':>5} {'sec':>7}",
-        lambda r, field, cap: verify_chain_closed_forms(r, field)[0],
+        lambda r, field, cap: verify_chain_closed_forms(r, field)[:1],
         verify_row),
     "exotic": Grid(
         "r", (2, 3), "2,3",
@@ -130,12 +133,12 @@ def main(argv=None):
                       getattr(args, grid.size + "max") + 1):
         for q, field in fields:
             start = time.perf_counter()
-            report = grid.run(size, field, getattr(args, "cap", None))
-            if report is None:
+            results = grid.run(size, field, getattr(args, "cap", None))
+            if results is None:
                 continue
             elapsed = time.perf_counter() - start
-            failures += not report.ok
-            print(grid.row(size, q, report, elapsed))
+            failures += not verdict(*results)
+            print(grid.row(size, q, results[0], elapsed))
     return 1 if failures else 0
 
 

@@ -14,9 +14,9 @@ from .characters import (AbelianDual, ClassFunction, GroupTable,
                          abelian_dual, constituents_of_induced_linear,
                          exp_kirillov, induce, kirillov, supercharacter,
                          theta_lambda, xi)
-from .exotic import (ExoticReport, RegionAtlas, abelian_quotient_split,
-                     build_regions, constant_diagonal_algebra,
-                     corner_character_analysis, corner_functional,
-                     exotic_report, exotic_shape, verify_chain_closed_forms)
+from .exotic import (RegionAtlas, abelian_quotient_split, build_regions,
+                     constant_diagonal_algebra, corner_character_analysis,
+                     corner_functional, exotic_report, exotic_shape, verdict,
+                     verify_chain_closed_forms)
 
 __version__ = "0.1.0"

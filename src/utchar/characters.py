@@ -512,12 +512,11 @@ def supercharacter(group, lam, cap=DEFAULT_CAP):
 
 @dataclass
 class XiData:
-    """Structural data for the induced character attached to lam, plus a
-    value table when the group is small enough to enumerate."""
+    """Structural data for the induced character attached to lam (its
+    degree and norm exponents are the chain's), plus a value table when
+    the group is small enough to enumerate."""
 
     chain: ChainResult
-    degree_exponent: int
-    norm_exponent: int
     table: object = None  # ClassFunction | None
 
 
@@ -526,9 +525,7 @@ def xi(algebra, lam, group=None, cap=DEFAULT_CAP):
     the subgroup fits the cap) for the character induced from the linear
     character theta_lambda of the terminal subgroup 1 + l_bar."""
     ch = chain_compute(algebra, lam)
-    data = XiData(chain=ch,
-                  degree_exponent=ch.degree_exponent,
-                  norm_exponent=ch.norm_exponent)
+    data = XiData(chain=ch)
     if group is not None:
         try:
             lgroup = GroupTable.from_subspace(algebra, ch.l_bar, cap)

@@ -23,7 +23,7 @@ from .characters import (GroupTable, exp_kirillov, kirillov, supercharacter,
 from .chain import chain_compute
 from .duals import Functional, orbit
 from .exotic import (constant_diagonal_algebra, corner_character_analysis,
-                     exotic_report, verify_chain_closed_forms)
+                     exotic_report, verdict, verify_chain_closed_forms)
 from .scalars import field_make, prime_power_split
 
 
@@ -261,91 +261,22 @@ def cmd_chain(spec):
 def cmd_exotic(spec):
     field = field_for(spec.q, spec.modulus)
     n = spec.n if spec.n else 6 * spec.r + 1
-    rep = exotic_report(spec.r, field, n, spec.cap)
-    body = {
-        "command": "exotic",
-        "r": rep.r,
-        "q": rep.q,
-        "p": rep.p,
-        "n": rep.n,
-        "dim_ambient": rep.dim_ambient,
-        "dim_l_bar": rep.dim_l_bar,
-        "dim_s_bar": rep.dim_s_bar,
-        "xi_degree_exponent": rep.xi_degree_exponent,
-        "xi_norm_exponent": rep.xi_norm_exponent,
-        "constituent_count": rep.constituent_count,
-        "constituent_degree_exponent": rep.constituent_degree_exponent,
-        "kirillov_degree_exponent": rep.kirillov_degree_exponent,
-        "xi_set_size_exponent": rep.xi_set_size_exponent,
-        "value_field_conductor": rep.value_field_conductor,
-        "value_field_min_level": rep.value_field_min_level,
-        "kirillov_is_character": rep.kirillov_is_character,
-        "exp_kirillov_is_character": rep.exp_kirillov_is_character,
-        "shape": rep.shape.sorted_parts(),
-        "checks": {
-            "chain_closed_forms": rep.technical.matches,
-            "final_bilinear": rep.technical.final_bilinear_ok,
-            "first_step_obstructions": rep.technical.perp_l_matches
-            and rep.technical.perp_s_matches,
-            "quotient_split": rep.split_checks,
-            "nu_central": rep.nu_central,
-        },
-        "provenance": rep.provenance,
-        "notes": rep.notes,
-    }
-    return body, 0 if rep.ok else 1
+    body, corner = exotic_report(spec.r, field, n, spec.cap)
+    return {"command": "exotic", **body}, 0 if verdict(body, corner) else 1
 
 
 def cmd_verify(spec):
     field = field_for(spec.q, spec.modulus)
-    tech, _, _ = verify_chain_closed_forms(spec.r, field)
-    body = {
-        "command": "verify",
-        "r": tech.r,
-        "q": tech.q,
-        "matches": tech.matches,
-        "dim_ambient": tech.dim_ambient,
-        "dim_l_bar": tech.dim_l_bar,
-        "dim_s_bar": tech.dim_s_bar,
-        "stabilization": tech.stabilization,
-        "final_bilinear": tech.final_bilinear_ok,
-        "first_step_obstruction_sets": tech.perp_l_matches
-        and tech.perp_s_matches,
-        "pass": tech.ok,
-    }
-    return body, 0 if tech.ok else 1
+    result, _, _ = verify_chain_closed_forms(spec.r, field)
+    ok = verdict(result)
+    return {"command": "verify", **result, "pass": ok}, 0 if ok else 1
 
 
 def cmd_kappa(spec):
     field = field_for(spec.q, spec.modulus)
-    rep = corner_character_analysis(
+    result = corner_character_analysis(
         constant_diagonal_algebra(spec.n, field), spec.cap)
-    body = {
-        "command": "kappa",
-        "n": rep.n,
-        "q": rep.q,
-        "p": rep.p,
-        "group_size": rep.group_size,
-        "chi_degree": rep.chi_degree,
-        "chi_formula_matches": rep.chi_formula_matches,
-        "constituent_count": rep.constituent_count,
-        "constituents_distinct": rep.constituents_distinct,
-        "constituents_sum_matches": rep.constituents_sum_matches,
-        "max_constituent_conductor": rep.max_constituent_conductor,
-        "max_min_level": rep.max_min_level,
-        "max_element_order": rep.max_element_order,
-        "kirillov_is_character": rep.kirillov_is_character,
-        "kirillov_witness": _ser_witness(rep.kirillov_witness),
-        "exp_kirillov_is_character": rep.exp_kirillov_is_character,
-        "exp_kirillov_witness": _ser_witness(rep.exp_kirillov_witness),
-    }
-    return body, 0 if rep.ok else 1
-
-
-def _ser_witness(witness):
-    if witness is None:
-        return None
-    return [[[i, j, c] for (i, j), c in key] for key in witness]
+    return {"command": "kappa", **result}, 0 if verdict(result) else 1
 
 
 def cmd_orbit(spec):
@@ -491,11 +422,15 @@ def main(argv=None):
         print(f"error: {err}", file=sys.stderr)
         return 2
     text = render(body)
-    if spec.out:
+    if not spec.out:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(spec.out, "w") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     return code
 
 

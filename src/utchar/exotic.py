@@ -256,25 +256,24 @@ def closed_form_chain(atlas, algebra):
     }
 
 
-@dataclass
-class TechnicalReport:
-    """The checks of verify_chain_closed_forms on UT_{6r+1}(q)."""
+# the fields of a verify, kappa or exotic result that are checks, each a
+# bool or a dict of checks (verify's matches, exotic's nested checks)
+_CHECKS = ("matches", "final_bilinear", "first_step_obstruction_sets",
+           "chi_formula_matches", "constituents_distinct",
+           "constituents_sum_matches", "checks")
 
-    r: int
-    q: int
-    matches: dict
-    dim_ambient: int
-    dim_l_bar: int
-    dim_s_bar: int
-    stabilization: int
-    final_bilinear_ok: bool
-    perp_l_matches: bool
-    perp_s_matches: bool
 
-    @property
-    def ok(self):
-        return (all(self.matches.values()) and self.final_bilinear_ok
-                and self.perp_l_matches and self.perp_s_matches)
+def verdict(*results):
+    """Whether every check of each verify, kappa or exotic result holds,
+    read off its check fields at each call, so a result changed after it
+    was made gives the verdict of its fields as they are now."""
+    return all(_holds(res[k]) for res in results for k in _CHECKS
+               if k in res)
+
+
+def _holds(check):
+    return (all(map(_holds, check.values())) if isinstance(check, dict)
+            else check)
 
 
 def verify_chain_closed_forms(r, field):
@@ -284,7 +283,10 @@ def verify_chain_closed_forms(r, field):
     corner-corrected functional nu = lam - kappa kills all products in
     s_bar: the Gram block of nu(XY) on the echelon basis of s_bar must
     vanish.  The Gram is linear in the functional, so that block vanishes
-    iff lam's, the form the chain stopped on, equals kappa's."""
+    iff lam's, the form the chain stopped on, equals kappa's.
+
+    Returns the body `utchar verify` writes, less its verdict "pass",
+    with the chain and the atlas."""
     atlas = build_regions(r)
     plus, minus = exotic_functional_parts(r, field)
     lam = plus - minus
@@ -301,20 +303,20 @@ def verify_chain_closed_forms(r, field):
                             and ch.s_list[i] == closed[f"s{i}"])
     # first step of the quasi-monomial part, combinatorially
     qk = quasimonomial_kernels(algebra, plus)
-    perp_l_ok = qk.perp_l == (atlas.lettered | atlas.Z | atlas.Zp)
-    perp_s_ok = qk.perp_s == atlas.Z
+    first_step_ok = (qk.perp_l == (atlas.lettered | atlas.Z | atlas.Zp)
+                     and qk.perp_s == atlas.Z)
     _require(shape(plus) == exotic_shape(r),
              "closed-form shape differs from the computed shape")
     corner = Functional.from_entries(algebra, {(1, 2 * r + 1): 1})
-    return TechnicalReport(
-        r=r, q=field.q, matches=matches,
-        dim_ambient=algebra.dim,
-        dim_l_bar=ch.l_bar.dim, dim_s_bar=ch.s_bar.dim,
-        stabilization=ch.d,
-        final_bilinear_ok=ch.form == gram_block(
+    return {
+        "r": r, "q": field.q, "matches": matches,
+        "dim_ambient": algebra.dim,
+        "dim_l_bar": ch.l_bar.dim, "dim_s_bar": ch.s_bar.dim,
+        "stabilization": ch.d,
+        "final_bilinear": ch.form == gram_block(
             algebra, gram_matrix(corner), ch.s_bar),
-        perp_l_matches=perp_l_ok, perp_s_matches=perp_s_ok,
-    ), ch, atlas
+        "first_step_obstruction_sets": first_step_ok,
+    }, ch, atlas
 
 
 # ---------------------------------------------------------------------------
@@ -427,37 +429,11 @@ def abelian_quotient_split(atlas, field, chain):
 # analysis of the corner supercharacter on A_n(q)
 
 
-@dataclass
-class CornerReport:
-    """The corner supercharacter of A_n(q) and its constituents."""
-
-    n: int
-    q: int
-    p: int
-    group_size: int
-    chi_degree: int
-    constituent_count: int
-    constituents_distinct: bool
-    constituents_sum_matches: bool
-    max_constituent_conductor: int
-    max_min_level: int
-    max_element_order: int
-    kirillov_is_character: bool
-    kirillov_witness: object
-    exp_kirillov_is_character: bool
-    exp_kirillov_witness: object
-    chi_formula_matches: bool
-
-    @property
-    def ok(self):
-        return (self.chi_formula_matches and self.constituents_distinct
-                and self.constituents_sum_matches)
-
-
 def corner_character_analysis(algebra, cap=DEFAULT_CAP):
     """Decompose the corner supercharacter of the abelian group A_n(q), for
     algebra = constant_diagonal_algebra(n, field), into linear constituents
-    and test the Kirillov functions for being characters."""
+    and test the Kirillov functions for being characters.  Returns the
+    body `utchar kappa` writes."""
     n, field = algebra.pattern.n, algebra.field
     group = GroupTable.from_algebra(algebra, cap)
     kappa = corner_functional(algebra)
@@ -478,29 +454,29 @@ def corner_character_analysis(algebra, cap=DEFAULT_CAP):
     cons, sum_ok = _corner_constituents(dual, lgroup, kappa, chi)
     # the image of the character t is cyclic of order M / gcd(M, t)
     orders = {dual.modulus // gcd(dual.modulus, *t) for t in cons}
-    psi = kirillov(group, kappa, cap)
-    psi_defect = homomorphism_defect(psi)
-    psi_exp = exp_kirillov(group, kappa, cap)
-    psi_exp_defect = homomorphism_defect(psi_exp)
-    return CornerReport(
-        n=n, q=qq, p=field.p,
-        group_size=group.size,
-        chi_degree=int(chi.degree.rational_value()),
-        constituent_count=len(cons),
-        constituents_distinct=len(set(cons)) == len(cons),
-        constituents_sum_matches=sum_ok,
-        max_constituent_conductor=max(orders, default=1),
-        max_min_level=max((_cyclic_value_level(order, field.p)
-                           for order in orders), default=0),
+    body = {
+        "n": n, "q": qq, "p": field.p,
+        "group_size": group.size,
+        "chi_degree": int(chi.degree.rational_value()),
+        "chi_formula_matches": formula_ok,
+        "constituent_count": len(cons),
+        "constituents_distinct": len(set(cons)) == len(cons),
+        "constituents_sum_matches": sum_ok,
+        "max_constituent_conductor": max(orders, default=1),
+        "max_min_level": max((_cyclic_value_level(order, field.p)
+                              for order in orders), default=0),
         # in an abelian p-group the exponent, the largest element order,
         # is the largest order of a generator
-        max_element_order=max(s.order() for s in algebra.group_generators()),
-        kirillov_is_character=psi_defect is None,
-        kirillov_witness=_witness_keys(psi_defect),
-        exp_kirillov_is_character=psi_exp_defect is None,
-        exp_kirillov_witness=_witness_keys(psi_exp_defect),
-        chi_formula_matches=formula_ok,
-    )
+        "max_element_order": max(s.order()
+                                 for s in algebra.group_generators()),
+    }
+    # a witness (g, h) of f(gh) != f(g) f(h) as the [i,j,c] entries of each
+    for name, fn in (("kirillov", kirillov), ("exp_kirillov", exp_kirillov)):
+        defect = homomorphism_defect(fn(group, kappa, cap))
+        body[f"{name}_is_character"] = defect is None
+        body[f"{name}_witness"] = defect and [
+            [[i, j, c] for (i, j), c in g.key()] for g in defect]
+    return body
 
 
 def _corner_constituents(dual, lgroup, kappa, chi):
@@ -548,62 +524,21 @@ def _cyclic_value_level(order, p):
     return level
 
 
-def _witness_keys(defect):
-    if defect is None:
-        return None
-    g, h = defect
-    return (g.key(), h.key())
-
-
 # ---------------------------------------------------------------------------
 # the assembled report
-
-
-@dataclass
-class ExoticReport:
-    """The whole pipeline's findings at (r, q) and size n."""
-
-    r: int
-    q: int
-    p: int
-    n: int
-    dim_ambient: int
-    dim_l_bar: int
-    dim_s_bar: int
-    xi_degree_exponent: int
-    xi_norm_exponent: int
-    constituent_count: int
-    constituent_degree_exponent: int
-    kirillov_degree_exponent: int
-    xi_set_size_exponent: int
-    value_field_conductor: int
-    value_field_min_level: int
-    kirillov_is_character: bool
-    exp_kirillov_is_character: bool
-    shape: SetPartition
-    technical: TechnicalReport
-    split_checks: dict
-    nu_central: bool
-    corner: CornerReport
-    provenance: dict
-    notes: list
-
-    @property
-    def ok(self):
-        return (self.technical.ok and all(self.split_checks.values())
-                and self.nu_central and self.corner.ok)
 
 
 def exotic_report(r, field, n=None, cap=DEFAULT_CAP):
     """Run the whole pipeline at size 6r+1 (reports for larger n follow by
     padding with singleton columns, which leaves every number below
-    unchanged)."""
+    unchanged).  Returns the body `utchar exotic` writes and the corner
+    analysis it rests on, whose verdict the body does not carry."""
     if n is None:
         n = 6 * r + 1
     if n < 6 * r + 1:
         raise ValueError("need n > 6r")
     tech, ch, atlas = verify_chain_closed_forms(r, field)
-    if not tech.ok:
+    if not verdict(tech):
         raise VerificationFailed("closed-form chain verification failed")
     # abelian_quotient_split's ideal test assumes that s_bar is closed
     _require(NilAlgebra.from_subspace(ch.s_bar, field)
@@ -613,11 +548,6 @@ def exotic_report(r, field, n=None, cap=DEFAULT_CAP):
     if not split.ok:
         raise VerificationFailed(f"quotient split failed: {split.checks}")
     algebra = ch.algebra
-    # (g nu)(X) = nu(X) + nu(h X) and (nu g)(X) = nu(X) + nu(X h) with
-    # h = g^-1 - 1, which runs over all of s_bar as g runs over 1 + s_bar;
-    # so 1 + s_bar fixes nu on s_bar from either side iff
-    # nu(s_bar s_bar) = 0: the vanishing Gram block of the final check
-    nu_central = tech.final_bilinear_ok
     corner = corner_character_analysis(split.target, cap)
     dim_n = algebra.dim
     xi_deg = dim_n - ch.l_bar.dim
@@ -659,26 +589,34 @@ def exotic_report(r, field, n=None, cap=DEFAULT_CAP):
     xi_set_exp = 2 * dim_n - ch.l_bar.dim - ch.s_bar.dim
     _require(xi_set_exp == 2 * cons_deg + (r - 1),
              "|Xi| exponent is not 2 * constituent degree + r - 1")
-    return ExoticReport(
-        r=r, q=q, p=p, n=n,
-        dim_ambient=dim_n,
-        dim_l_bar=ch.l_bar.dim,
-        dim_s_bar=ch.s_bar.dim,
-        xi_degree_exponent=xi_deg,
-        xi_norm_exponent=xi_norm,
-        constituent_count=q ** (r - 1),
-        constituent_degree_exponent=cons_deg,
-        kirillov_degree_exponent=cons_deg,
-        xi_set_size_exponent=xi_set_exp,
-        value_field_conductor=corner.max_constituent_conductor,
-        value_field_min_level=corner.max_min_level,
-        kirillov_is_character=corner.kirillov_is_character,
-        exp_kirillov_is_character=corner.exp_kirillov_is_character,
-        shape=shp,
-        technical=tech,
-        split_checks=split.checks,
-        nu_central=nu_central,
-        corner=corner,
-        provenance=provenance,
-        notes=notes,
-    )
+    return {
+        "r": r, "q": q, "p": p, "n": n,
+        "dim_ambient": dim_n,
+        "dim_l_bar": ch.l_bar.dim,
+        "dim_s_bar": ch.s_bar.dim,
+        "xi_degree_exponent": xi_deg,
+        "xi_norm_exponent": xi_norm,
+        "constituent_count": q ** (r - 1),
+        "constituent_degree_exponent": cons_deg,
+        "kirillov_degree_exponent": cons_deg,
+        "xi_set_size_exponent": xi_set_exp,
+        "value_field_conductor": corner["max_constituent_conductor"],
+        "value_field_min_level": corner["max_min_level"],
+        "kirillov_is_character": corner["kirillov_is_character"],
+        "exp_kirillov_is_character": corner["exp_kirillov_is_character"],
+        "shape": shp.sorted_parts(),
+        "checks": {
+            "chain_closed_forms": tech["matches"],
+            "final_bilinear": tech["final_bilinear"],
+            "first_step_obstructions": tech["first_step_obstruction_sets"],
+            "quotient_split": split.checks,
+            # (g nu)(X) = nu(X) + nu(h X) and (nu g)(X) = nu(X) + nu(X h)
+            # with h = g^-1 - 1, which runs over all of s_bar as g runs
+            # over 1 + s_bar; so 1 + s_bar fixes nu on s_bar from either
+            # side iff nu(s_bar s_bar) = 0: the vanishing Gram block of
+            # the final check
+            "nu_central": tech["final_bilinear"],
+        },
+        "provenance": provenance,
+        "notes": notes,
+    }, corner

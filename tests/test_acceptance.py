@@ -18,7 +18,7 @@ from utchar.duals import (Functional, is_quasi_monomial, orbit, shape,
                           torus_orbit)
 from utchar.exotic import (constant_diagonal_algebra, corner_functional,
                            corner_character_analysis, exotic_report,
-                           verify_chain_closed_forms)
+                           verdict, verify_chain_closed_forms)
 from utchar.scalars import CyclotomicNumber, field_make, in_subfield
 
 from oracles import (brute_force_first_kernels, orbit_keys,
@@ -84,22 +84,22 @@ def test_criterion_2_closed_form_chain_grid():
         for q, field in fields.items():
             with Timer(f"2 (closed-form chain, r={r} q={q})", 30.0):
                 tech, _, _ = verify_chain_closed_forms(r, field)
-                assert all(tech.matches.values()), tech.matches
-                assert tech.final_bilinear_ok
-                assert tech.perp_l_matches and tech.perp_s_matches
+                assert all(tech["matches"].values()), tech["matches"]
+                assert tech["final_bilinear"]
+                assert tech["first_step_obstruction_sets"]
 
 
 def test_criterion_3_exotic_quantitative_report():
     with Timer("3 (quantitative report, r=2 q=2 n=13)", 10.0):
         field = field_make(2)
-        rep = exotic_report(2, field, n=13)
-        assert rep.ok
-        assert rep.xi_degree_exponent == 17
-        assert rep.xi_norm_exponent == 1
-        assert rep.constituent_count == 2
-        assert rep.constituent_degree_exponent == 16
-        assert rep.dim_s_bar == 62 and rep.dim_l_bar == 61
-        assert rep.value_field_conductor == 4
+        rep, corner = exotic_report(2, field, n=13)
+        assert verdict(rep, corner)
+        assert rep["xi_degree_exponent"] == 17
+        assert rep["xi_norm_exponent"] == 1
+        assert rep["constituent_count"] == 2
+        assert rep["constituent_degree_exponent"] == 16
+        assert rep["dim_s_bar"] == 62 and rep["dim_l_bar"] == 61
+        assert rep["value_field_conductor"] == 4
         # at least one constituent on the abelian quotient has a value that
         # the Galois test zeta -> zeta^3 moves, i.e. a non-rational value
         a3 = constant_diagonal_algebra(3, field)
@@ -125,15 +125,15 @@ def test_criterion_4_corner_supercharacter_scan():
                     continue
                 rep = corner_character_analysis(
                     constant_diagonal_algebra(n, field))
-                assert rep.constituent_count == q ** (n - 2)
-                assert rep.constituents_distinct
-                assert rep.constituents_sum_matches
+                assert rep["constituent_count"] == q ** (n - 2)
+                assert rep["constituents_distinct"]
+                assert rep["constituents_sum_matches"]
                 largest = 1
                 while largest * p < n:
                     largest *= p
-                assert rep.max_constituent_conductor == p * largest
-                assert rep.kirillov_is_character is (n == 2)
-                assert rep.exp_kirillov_is_character is (n <= p)
+                assert rep["max_constituent_conductor"] == p * largest
+                assert rep["kirillov_is_character"] is (n == 2)
+                assert rep["exp_kirillov_is_character"] is (n <= p)
 
 
 def test_criterion_5_orthogonality_suite():
@@ -219,35 +219,39 @@ def test_criterion_7_kirillov_character_pipeline():
     with Timer("7 (Kirillov reduction pipeline)", 10.0):
         for q, exp_is_char in ((2, False), (3, True)):
             field = field_make(q)
-            rep = exotic_report(2, field)
+            rep, corner = exotic_report(2, field)
+            checks = rep["checks"]
+            split_checks = checks["quotient_split"]
             # every computational link of the reduction is verified
-            assert rep.technical.final_bilinear_ok
-            assert rep.nu_central
-            assert rep.split_checks["h_two_sided_ideal"]
-            assert rep.split_checks["a_subalgebra"]
-            assert rep.split_checks["direct_sum"]
-            assert rep.split_checks["corner_kills_h"]
-            assert rep.split_checks["iso_linear_bijective"]
-            assert rep.split_checks["iso_multiplicative"]
-            assert rep.split_checks["corner_matches_kappa"]
-            assert rep.kirillov_is_character is False
-            assert rep.exp_kirillov_is_character is exp_is_char
+            assert checks["final_bilinear"]
+            assert checks["nu_central"]
+            assert split_checks["h_two_sided_ideal"]
+            assert split_checks["a_subalgebra"]
+            assert split_checks["direct_sum"]
+            assert split_checks["corner_kills_h"]
+            assert split_checks["iso_linear_bijective"]
+            assert split_checks["iso_multiplicative"]
+            assert split_checks["corner_matches_kappa"]
+            assert rep["kirillov_is_character"] is False
+            assert rep["exp_kirillov_is_character"] is exp_is_char
             # the homomorphism failure witness on A_3(q) is explicit
             a3 = constant_diagonal_algebra(3, field)
             group = GroupTable.from_algebra(a3)
             kappa = corner_functional(a3)
             psi = kirillov(group, kappa)
             by_key = {g.key(): g for g in group.elements}
-            gk, hk = rep.corner.kirillov_witness
-            g, h = by_key[gk], by_key[hk]
+
+            def element(witness):  # the [i,j,c] entries of an element
+                return by_key[tuple(((i, j), c) for i, j, c in witness)]
+
+            g, h = map(element, corner["kirillov_witness"])
             assert psi(g * h) != psi(g) * psi(h)
             if not exp_is_char:
                 psi_exp = exp_kirillov(group, kappa)
-                gk, hk = rep.corner.exp_kirillov_witness
-                g, h = by_key[gk], by_key[hk]
+                g, h = map(element, corner["exp_kirillov_witness"])
                 assert psi_exp(g * h) != psi_exp(g) * psi_exp(h)
             else:
-                assert rep.corner.exp_kirillov_witness is None
+                assert corner["exp_kirillov_witness"] is None
 
 
 def test_criterion_8_inflation_and_torus():

@@ -149,8 +149,8 @@ def test_supercharacter_inner_products_on_quasimonomials():
 def test_xi_equals_induced_and_equals_chi_when_irreducible():
     lam = Functional.from_entries(U32, {(1, 3): 1})
     data = xi(U32, lam, group=G32)
-    assert data.degree_exponent == 1 and data.norm_exponent == 0
-    assert data.norm_exponent == 0  # irreducible
+    assert data.chain.degree_exponent == 1 and data.chain.norm_exponent == 0
+    assert data.chain.norm_exponent == 0  # irreducible
     assert data.table == supercharacter(G32, lam)
     assert data.table == kirillov(G32, lam)
 
@@ -167,11 +167,11 @@ def test_xi_without_group_returns_structural_data_only():
     lam = Functional.from_entries(U42, {(1, 4): 1})
     data = xi(U42, lam)
     assert data.table is None
-    assert data.degree_exponent == 2 and data.norm_exponent == 0
+    assert data.chain.degree_exponent == 2 and data.chain.norm_exponent == 0
     # the structural report survives a cap too small for the subgroup table
     capped = xi(U42, lam, group=G42, cap=2)
     assert capped.table is None
-    assert capped.degree_exponent == 2
+    assert capped.chain.degree_exponent == 2
 
 
 def test_xi_formula_as_orbit_sum():
@@ -197,7 +197,7 @@ def test_xi_inner_products():
     data_l = xi(U42, lam, group=G42)
     data_m = xi(U42, mu, group=G42)
     norm = data_l.table.inner(data_l.table)
-    assert norm == CyclotomicNumber.rational(2 ** data_l.norm_exponent)
+    assert norm == CyclotomicNumber.rational(2 ** data_l.chain.norm_exponent)
     in_xi = mu.key() in {f.key() for f in
                          xi_set(G42, lam, data_l.chain.s_bar)}
     cross = data_l.table.inner(data_m.table)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -271,6 +270,34 @@ def test_main_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    # an --out path that cannot be opened is invalid input (exit 2), not a
+    # verification mismatch (exit 1) with a traceback
+    out = tmp_path / "missing" / "verify.json"
+    assert main(["verify", "--r", "2", "--q", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert not out.parent.exists()
+
+
+def test_command_bodies_are_the_library_results():
+    # each body is the library's result under its command name, with no
+    # field renamed, added or dropped; verify adds only its verdict "pass"
+    field = cli.field_for(2)
+    result, _, _ = exotic.verify_chain_closed_forms(2, field)
+    assert run(JobSpec(command="verify", r=2, q=2)) == (
+        {"command": "verify", **result, "pass": exotic.verdict(result)}, 0)
+    body, _ = exotic.exotic_report(2, field)
+    assert run(JobSpec(command="exotic", r=2, q=2)) == (
+        {"command": "exotic", **body}, 0)
+    result = exotic.corner_character_analysis(
+        exotic.constant_diagonal_algebra(4, cli.field_for(3)))
+    assert run(JobSpec(command="kappa", n=4, q=3)) == (
+        {"command": "kappa", **result}, 0)
+
+
 def test_two_sided_cap_error_names_the_given_cap(capsys):
     # 27 left orbits of 81 points: the 27th does not fit in 2,186
     argv = ["orbit", "--which", "two-sided", "--n", "5", "--q", "3",
@@ -323,7 +350,7 @@ def test_repeated_lambda_position_is_rejected(capsys):
 def _failing_closed_forms(real):
     def verify(r, field):
         tech, ch, atlas = real(r, field)
-        tech.matches["l1"] = False
+        tech["matches"]["l1"] = False
         return tech, ch, atlas
     return verify
 
@@ -553,8 +580,7 @@ CORNER_VERDICTS = ["chi_formula_matches", "constituents_distinct",
 
 def failing_corner(analysis, verdict):
     """corner_character_analysis with one verdict of its report false."""
-    return lambda *args: dataclasses.replace(analysis(*args),
-                                             **{verdict: False})
+    return lambda *args: {**analysis(*args), verdict: False}
 
 
 @pytest.mark.parametrize("verdict", CORNER_VERDICTS)

@@ -11,7 +11,7 @@ from utchar.duals import is_quasi_monomial, orbit, shape
 from utchar.exotic import (abelian_quotient_split, build_regions,
                            constant_diagonal_algebra, corner_functional,
                            corner_character_analysis, exotic_functional_parts,
-                           exotic_report, exotic_shape,
+                           exotic_report, exotic_shape, verdict,
                            verify_chain_closed_forms)
 from utchar.scalars import field_make
 
@@ -114,12 +114,12 @@ def test_shape():
                                      (4, F2)])
 def test_verify_chain_closed_forms(r, field):
     tech, ch, atlas = verify_chain_closed_forms(r, field)
-    assert tech.ok
-    assert tech.dim_s_bar == 13 * r * r + 5 * r
-    assert tech.dim_l_bar == tech.dim_s_bar - (r - 1)
-    assert tech.dim_ambient - tech.dim_l_bar == 5 * r * r - r - 1
-    assert tech.dim_ambient - tech.dim_s_bar == 5 * r * r - 2 * r
-    assert tech.stabilization == 4
+    assert verdict(tech)
+    assert tech["dim_s_bar"] == 13 * r * r + 5 * r
+    assert tech["dim_l_bar"] == tech["dim_s_bar"] - (r - 1)
+    assert tech["dim_ambient"] - tech["dim_l_bar"] == 5 * r * r - r - 1
+    assert tech["dim_ambient"] - tech["dim_s_bar"] == 5 * r * r - 2 * r
+    assert tech["stabilization"] == 4
 
 
 def test_exotic_chain_satisfies_ideal_laws():
@@ -131,7 +131,7 @@ def test_chain_matches_dense_oracle_at_r2():
     from oracles import dense_chain, subspace_dense_rows
     for field in (F2, F3):
         tech, ch, _ = verify_chain_closed_forms(2, field)
-        assert tech.ok
+        assert verdict(tech)
         l_steps, s_steps = dense_chain(ch.algebra, ch.functional)
         assert len(l_steps) == len(ch.l_list) - 1
         for i, dense in enumerate(l_steps, start=1):
@@ -177,12 +177,12 @@ def test_constant_diagonal_algebra():
 def test_corner_analysis_character_flags(n, q, psi_char, psi_exp_char):
     rep = corner_character_analysis(
         constant_diagonal_algebra(n, field_make(q) if q != 4 else F4))
-    assert rep.kirillov_is_character is psi_char
-    assert rep.exp_kirillov_is_character is psi_exp_char
-    assert rep.constituent_count == q ** (n - 2)
-    assert rep.chi_degree == q ** (n - 2)
-    assert rep.chi_formula_matches
-    assert rep.constituents_distinct and rep.constituents_sum_matches
+    assert rep["kirillov_is_character"] is psi_char
+    assert rep["exp_kirillov_is_character"] is psi_exp_char
+    assert rep["constituent_count"] == q ** (n - 2)
+    assert rep["chi_degree"] == q ** (n - 2)
+    assert rep["chi_formula_matches"]
+    assert rep["constituents_distinct"] and rep["constituents_sum_matches"]
 
 
 def test_corner_analysis_conductors():
@@ -192,8 +192,8 @@ def test_corner_analysis_conductors():
                        (2, 3, 3), (3, 3, 3), (4, 3, 9)):
         rep = corner_character_analysis(
             constant_diagonal_algebra(n, field_make(q)))
-        assert rep.max_constituent_conductor == cond
-        assert rep.max_element_order == cond
+        assert rep["max_constituent_conductor"] == cond
+        assert rep["max_element_order"] == cond
 
 
 # A_n(q) for n = 2..6 and q = 2..5, up to 256 elements
@@ -242,11 +242,11 @@ def test_corner_value_field_matches_galois_oracle(n, q):
     dual = brute_force_abelian_dual(group)
     cons_idx, sum_ok = brute_force_corner_constituents(
         dual, lgroup, kappa, chi)
-    assert sum_ok and len(cons_idx) == report.constituent_count
+    assert sum_ok and len(cons_idx) == report["constituent_count"]
     fields = [field_of_values(dual.characters[i]) for i in cons_idx]
-    assert report.max_constituent_conductor == \
+    assert report["max_constituent_conductor"] == \
         max(f.conductor for f in fields)
-    assert report.max_min_level == max(f.min_level for f in fields)
+    assert report["max_min_level"] == max(f.min_level for f in fields)
 
 
 @pytest.mark.parametrize("n,q", [(3, 2), (4, 2), (5, 2), (3, 3), (4, 3),
@@ -277,37 +277,38 @@ def test_corner_constituents_of_other_functionals_match_oracle(n, q, rng):
 
 
 def test_exotic_report_r2_q2():
-    rep = exotic_report(2, F2)
-    assert rep.ok
-    assert rep.n == 13
-    assert rep.dim_s_bar == 62 and rep.dim_l_bar == 61
-    assert rep.xi_degree_exponent == 17
-    assert rep.xi_norm_exponent == 1
-    assert rep.constituent_count == 2
-    assert rep.constituent_degree_exponent == 16
-    assert rep.kirillov_degree_exponent == 16
-    assert rep.xi_set_size_exponent == 2 * 16 + 1
-    assert rep.value_field_conductor == 4
-    assert rep.value_field_min_level == 2
-    assert rep.kirillov_is_character is False
-    assert rep.exp_kirillov_is_character is False
-    assert rep.shape.sorted_parts()[0] == [1, 5, 7, 9, 13]
-    assert rep.provenance["value_field_on_full_group"].startswith("lifted")
+    rep, corner = exotic_report(2, F2)
+    assert verdict(rep, corner)
+    assert rep["n"] == 13
+    assert rep["dim_s_bar"] == 62 and rep["dim_l_bar"] == 61
+    assert rep["xi_degree_exponent"] == 17
+    assert rep["xi_norm_exponent"] == 1
+    assert rep["constituent_count"] == 2
+    assert rep["constituent_degree_exponent"] == 16
+    assert rep["kirillov_degree_exponent"] == 16
+    assert rep["xi_set_size_exponent"] == 2 * 16 + 1
+    assert rep["value_field_conductor"] == 4
+    assert rep["value_field_min_level"] == 2
+    assert rep["kirillov_is_character"] is False
+    assert rep["exp_kirillov_is_character"] is False
+    assert rep["shape"][0] == [1, 5, 7, 9, 13]
+    assert rep["provenance"]["value_field_on_full_group"].startswith(
+        "lifted")
 
 
 def test_exotic_report_r2_q3_flips_exp_kirillov():
-    rep = exotic_report(2, F3)
-    assert rep.ok
-    assert rep.kirillov_is_character is False
-    assert rep.exp_kirillov_is_character is True  # r = 2 < p = 3
-    assert rep.xi_degree_exponent == 17
+    rep, corner = exotic_report(2, F3)
+    assert verdict(rep, corner)
+    assert rep["kirillov_is_character"] is False
+    assert rep["exp_kirillov_is_character"] is True  # r = 2 < p = 3
+    assert rep["xi_degree_exponent"] == 17
 
 
 def test_exotic_report_padding():
-    rep = exotic_report(2, F2, n=15)
-    assert rep.n == 15
-    assert rep.xi_degree_exponent == 17
-    assert len(rep.shape) == 15 - 8 - 1
+    rep, _ = exotic_report(2, F2, n=15)
+    assert rep["n"] == 15
+    assert rep["xi_degree_exponent"] == 17
+    assert len(rep["shape"]) == 15 - 8 - 1
 
 
 def test_torus_shape_transitivity():
@@ -365,7 +366,7 @@ def test_nonvanishing_nu_block_fails_verification(monkeypatch, capsys):
 
     monkeypatch.setattr(exotic, "gram_block", shifted)
     tech, _, _ = verify_chain_closed_forms(2, F2)
-    assert not tech.final_bilinear_ok and not tech.ok
+    assert not tech["final_bilinear"] and not verdict(tech)
     assert main(["verify", "--r", "2", "--q", "2"]) == 1
     assert main(["exotic", "--r", "2", "--q", "2"]) == 1
     assert "closed-form" in capsys.readouterr().err

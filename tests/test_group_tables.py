@@ -246,7 +246,8 @@ def test_abelian_dual_matches_oracle_on_abelian_pattern_algebra(q):
 @pytest.mark.parametrize("n,q", CONSTANT_DIAGONAL)
 def test_max_element_order_matches_oracle(n, q):
     rep = corner_character_analysis(constant_diagonal_algebra(n, FIELDS[q]))
-    assert rep.max_element_order == max_element_order(constant_diagonal(n, q))
+    assert rep["max_element_order"] == \
+        max_element_order(constant_diagonal(n, q))
 
 
 def test_missing_generator_raises(monkeypatch, capsys):
