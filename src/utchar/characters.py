@@ -17,8 +17,8 @@ from operator import add, eq, getitem, mul, sub
 from .algebra import (DEFAULT_CAP, CapExceeded, GroupElement, NilAlgebra,
                       VerificationFailed, apply_columns, sparse_column,
                       trunc_exp)
-from .chain import ChainResult, chain_compute
-from .duals import orbit
+from .chain import chain_compute
+from .duals import Functional, orbit
 from .scalars import AdditiveCharacter, CyclotomicNumber, root_of_unity_order
 
 
@@ -407,21 +407,22 @@ def _cells(data, width):
     return cells if sys.byteorder == "little" else cells[::-1]
 
 
-def _orbit_sum(group, functionals, scale):
-    """scale * sum of theta_mu over the functionals, as a table on the
-    group: theta_mu(1 + Y) = zeta_p^(sum_b Tr(mu(u_b) y_b)) for the
-    coordinates y of Y over group.algebra.basis(), a _character_sums
-    transform on the group's own coordinate grid.  Functionals on an
-    ambient algebra are first read on that basis, since theta_mu on
-    1 + S is theta of mu restricted to S, so a subgroup costs its own
-    size."""
+def _orbit_sum(group, ambient, points, scale):
+    """scale * sum of theta_mu over the points mu, value tuples on the
+    ambient algebra's basis, as a table on the group: theta_mu(1 + Y) =
+    zeta_p^(sum_b Tr(mu(u_b) y_b)) for the coordinates y of Y over
+    group.algebra.basis(), a _character_sums transform on the group's own
+    coordinate grid.  Points on a larger ambient algebra are first read on
+    that basis, since theta_mu on 1 + S is theta of mu restricted to S, so
+    a subgroup costs its own size."""
     algebra = group.algebra
     field = algebra.field
-    if functionals[0].algebra.span == algebra.span:
-        vectors = [mu.values for mu in functionals]
+    if ambient.span == algebra.span:
+        vectors = points
     else:
         basis = algebra.basis()
-        vectors = [tuple(map(mu.evaluate, basis)) for mu in functionals]
+        vectors = [tuple(map(Functional(ambient, mu).evaluate, basis))
+                   for mu in points]
     trace = [[field.trace(field.mul(a, b)) for b in range(field.q)]
              for a in range(field.q)]
     return ClassFunction(group, _character_sums(
@@ -437,7 +438,7 @@ def kirillov(group, lam, cap=DEFAULT_CAP):
     if root * root != size:
         raise VerificationFailed(
             f"coadjoint orbit size {size} is not a perfect square")
-    return _orbit_sum(group, orb, Fraction(1, root))
+    return _orbit_sum(group, lam.algebra, orb, Fraction(1, root))
 
 
 def exp_kirillov(group, lam, cap=DEFAULT_CAP):
@@ -507,33 +508,22 @@ def supercharacter(group, lam, cap=DEFAULT_CAP):
     two-sided orbit."""
     left_size = len(orbit(lam, "left", cap))
     two = orbit(lam, "two-sided", cap)
-    return _orbit_sum(group, two, Fraction(left_size, len(two)))
+    return _orbit_sum(group, lam.algebra, two,
+                      Fraction(left_size, len(two)))
 
 
-@dataclass
-class XiData:
-    """Structural data for the induced character attached to lam (its
-    degree and norm exponents are the chain's), plus a value table when
-    the group is small enough to enumerate."""
-
-    chain: ChainResult
-    table: object = None  # ClassFunction | None
-
-
-def xi(algebra, lam, group=None, cap=DEFAULT_CAP):
-    """Structural report (always) and exact table (when group is given and
-    the subgroup fits the cap) for the character induced from the linear
-    character theta_lambda of the terminal subgroup 1 + l_bar."""
+def xi(algebra, lam, group, cap=DEFAULT_CAP):
+    """The character of group induced from the linear character
+    theta_lambda of the terminal subgroup 1 + l_bar of lam's kernel chain;
+    a subgroup past cap raises CapExceeded.  Its degree and norm exponents
+    are the chain's (`chain_compute`)."""
     ch = chain_compute(algebra, lam)
-    data = XiData(chain=ch)
-    if group is not None:
-        try:
-            lgroup = GroupTable.from_subspace(algebra, ch.l_bar, cap)
-        except CapExceeded:
-            return data
-        theta_on_l = theta_lambda(lgroup, lam)
-        data.table = induce(theta_on_l, group)
-    return data
+    try:
+        lgroup = GroupTable.from_subspace(algebra, ch.l_bar, cap)
+    except CapExceeded:
+        raise CapExceeded("xi value table exceeds the enumeration cap") \
+            from None
+    return induce(theta_lambda(lgroup, lam), group)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, field as dc_field, fields
 from itertools import compress
@@ -286,7 +287,7 @@ def cmd_orbit(spec):
         **head,
         "which": spec.which,
         "size": len(orb),
-        "orbit": Raw(_array([_entries(pieces, f.values) for f in orb])),
+        "orbit": Raw(_array([_entries(pieces, v) for v in orb])),
     }, 0
 
 
@@ -302,9 +303,7 @@ def cmd_table(spec):
     elif spec.which == "superchar":
         fn = supercharacter(group, lam, spec.cap)
     else:  # xi; validate rejects every other kind
-        fn = xi(algebra, lam, group, spec.cap).table
-        if fn is None:
-            raise CapExceeded("xi value table exceeds the enumeration cap")
+        fn = xi(algebra, lam, group, spec.cap)
     return {
         **head,
         "which": spec.which,
@@ -402,11 +401,27 @@ def render(body):
          for k, v in sorted(body.items())])
 
 
+def _out_problem(path):
+    """Why the output cannot be written to path, or None.  Nothing is
+    opened, so a run that then fails leaves an existing file as it was."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        return f"cannot write {path}: it is a directory"
+    if not os.path.isdir(folder):
+        return f"cannot write {path}: no directory {folder}"
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        return f"cannot write {path}: permission denied"
+    return None
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         spec = spec_from_args(args)
+        # checked before the work, which can take minutes
+        if spec.out and (problem := _out_problem(spec.out)):
+            raise ValueError(problem)
         body, code = run(spec)
     except CapExceeded as err:
         print(f"error: {err}", file=sys.stderr)

@@ -122,9 +122,6 @@ class Functional:
         f = self.algebra.field
         return Functional(self.algebra, [f.mul(c, v) for v in self.values])
 
-    def key(self):
-        return self.values
-
     def __eq__(self, other):
         return (isinstance(other, Functional)
                 and self.algebra.span == other.algebra.span
@@ -214,8 +211,9 @@ def act_coadjoint(lam, g):
 
 
 def orbit(lam, which, cap=DEFAULT_CAP):
-    """The left, right, two-sided, or coadjoint orbit of lam, as a list of
-    functionals sorted by key; more than cap raise CapExceeded.
+    """The left, right, two-sided, or coadjoint orbit of lam, as the sorted
+    list of its points' value tuples, each of length lam.algebra.dim; more
+    than cap raise CapExceeded.
 
     Left and right orbits are affine: (g lam)(X) = lam(X) + lam(h X) with
     h = g^{-1} - 1 running over the algebra, so G lam = lam + rowspace(B)
@@ -266,15 +264,7 @@ def orbit(lam, which, cap=DEFAULT_CAP):
             raise VerificationFailed(f"coadjoint orbit size {len(seen)} "
                                      "is not an even power of q")
         points = sorted(seen)
-    # Functional.__init__ inlined, with algebra.dim read once
-    dim, new, out = algebra.dim, Functional.__new__, []
-    for values in points:
-        if len(values) != dim:
-            raise ValueError("value vector has wrong length")
-        f = new(Functional)
-        f.algebra, f.values = algebra, values
-        out.append(f)
-    return out
+    return points
 
 
 def _affine_orbit(field, start, rows, cap):
@@ -479,15 +469,13 @@ def torus_act(diag, lam):
 
 
 def torus_orbit(lam, cap=DEFAULT_CAP):
-    """Orbit of lam under all invertible diagonal conjugations; the first
-    diagonal entry is fixed to 1 (scalars act trivially)."""
+    """Orbit of lam under all invertible diagonal conjugations, as sorted
+    value tuples like `orbit`'s; the first diagonal entry is fixed to 1
+    (scalars act trivially)."""
     algebra = lam.algebra
     n = algebra.pattern.n
     q = algebra.field.q
     if (q - 1) ** (n - 1) > cap:
         raise CapExceeded("torus orbit enumeration exceeds cap")
-    seen = {}
-    for tail in itertools.product(range(1, q), repeat=n - 1):
-        moved = torus_act((1,) + tail, lam)
-        seen.setdefault(moved.key(), moved)
-    return [seen[k] for k in sorted(seen)]
+    return sorted({torus_act((1,) + tail, lam).values
+                   for tail in itertools.product(range(1, q), repeat=n - 1)})

@@ -550,8 +550,7 @@ def exotic_report(r, field, n=None, cap=DEFAULT_CAP):
     algebra = ch.algebra
     corner = corner_character_analysis(split.target, cap)
     dim_n = algebra.dim
-    xi_deg = dim_n - ch.l_bar.dim
-    xi_norm = ch.s_bar.dim - ch.l_bar.dim
+    xi_deg, xi_norm = ch.degree_exponent, ch.norm_exponent
     cons_deg = dim_n - ch.s_bar.dim
     q = field.q
     p = field.p

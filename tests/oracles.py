@@ -470,7 +470,7 @@ def max_element_order(group):
 
 def xi_set(group, lam, s_bar):
     """Xi = {g lam s g^{-1} : g in G, s in 1 + s_bar} as a list of
-    functionals in key order, one pair of actions for every (g, s)."""
+    functionals sorted by values, one pair of actions for every (g, s)."""
     s_group = GroupTable.from_subspace(group.algebra, s_bar)
     seen = {}
     for g in group.elements:
@@ -478,7 +478,7 @@ def xi_set(group, lam, s_bar):
         for s in s_group.elements:
             moved = definition_act_left(
                 g, definition_act_right(lam, s * ginv))
-            seen.setdefault(moved.key(), moved)
+            seen.setdefault(moved.values, moved)
     return [seen[k] for k in sorted(seen)]
 
 
@@ -588,10 +588,6 @@ def definition_act_coadjoint(lam, g):
     return definition_act_right(definition_act_left(g.inverse(), lam), g)
 
 
-def orbit_keys(functionals):
-    return {f.key() for f in functionals}
-
-
 def full_group_orbit(group, lam, which):
     """Orbit computed by applying every group element through the
     definition actions (for the two-sided orbit: every element on the
@@ -601,22 +597,22 @@ def full_group_orbit(group, lam, which):
     if which == "left":
         for g in group.elements:
             f = definition_act_left(g, lam)
-            seen.setdefault(f.key(), f)
+            seen.setdefault(f.values, f)
     elif which == "right":
         for g in group.elements:
             f = definition_act_right(lam, g)
-            seen.setdefault(f.key(), f)
+            seen.setdefault(f.values, f)
     elif which == "coadjoint":
         for g in group.elements:
             f = definition_act_coadjoint(lam, g)
-            seen.setdefault(f.key(), f)
+            seen.setdefault(f.values, f)
     elif which == "two-sided":
         # G lam G is the union of the right orbits mu G over mu in G lam
         left = full_group_orbit(group, lam, "left")
         for moved in left.values():
             for h in group.elements:
                 f = definition_act_right(moved, h)
-                seen.setdefault(f.key(), f)
+                seen.setdefault(f.values, f)
     else:
         raise ValueError(which)
     return seen
@@ -979,7 +975,7 @@ def torus_shape_transitivity(r, field, cap=DEFAULT_CAP):
     shp = shape(lam)
     orb = torus_orbit(lam, cap)
     expected = (field.q - 1) ** (lam.algebra.pattern.n - len(shp))
-    shapes_ok = all(shape(f) == shp for f in orb)
+    shapes_ok = all(shape(Functional(lam.algebra, v)) == shp for v in orb)
     return len(orb) == expected and shapes_ok, len(orb), expected
 
 
@@ -1026,7 +1022,7 @@ TABLE_FUNCTIONS = {
         exp_kirillov(group, lam, cap),
     "superchar": lambda algebra, group, lam, cap:
         supercharacter(group, lam, cap),
-    "xi": lambda algebra, group, lam, cap: xi(algebra, lam, group, cap).table,
+    "xi": lambda algebra, group, lam, cap: xi(algebra, lam, group, cap),
 }
 
 
@@ -1047,8 +1043,8 @@ def structured_body(spec):
                     l_bar=ser_subspace(ch.l_bar),
                     s_bar=ser_subspace(ch.s_bar))
     elif spec.command == "orbit":
-        body["orbit"] = [ser_functional(f)
-                         for f in orbit(lam, spec.which, spec.cap)]
+        body["orbit"] = [ser_entries(algebra.pattern.order, v)
+                         for v in orbit(lam, spec.which, spec.cap)]
     else:
         group = GroupTable.from_algebra(algebra, spec.cap)
         fn = TABLE_FUNCTIONS[spec.which](algebra, group, lam, spec.cap)

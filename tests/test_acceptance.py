@@ -21,9 +21,8 @@ from utchar.exotic import (constant_diagonal_algebra, corner_functional,
                            verdict, verify_chain_closed_forms)
 from utchar.scalars import CyclotomicNumber, field_make, in_subfield
 
-from oracles import (brute_force_first_kernels, orbit_keys,
-                     random_closed_pattern, random_quasimonomial,
-                     subspace_dense_rows)
+from oracles import (brute_force_first_kernels, random_closed_pattern,
+                     random_quasimonomial, subspace_dense_rows)
 
 ONE = CyclotomicNumber.one()
 ZERO = CyclotomicNumber.zero()
@@ -156,7 +155,7 @@ def test_criterion_5_orthogonality_suite():
             for _ in range(200):
                 a = Functional(alg4, [rng.randrange(q) for _ in range(6)])
                 b = Functional(alg4, [rng.randrange(q) for _ in range(6)])
-                expected = ONE if a.key() == b.key() else ZERO
+                expected = ONE if a.values == b.values else ZERO
                 assert theta_lambda(group4, a).inner(
                     theta_lambda(group4, b)) == expected
         # Kirillov functions: orthonormal basis of class functions, n <= 3
@@ -169,7 +168,7 @@ def test_criterion_5_orthogonality_suite():
                 for v in itertools.product(range(q), repeat=alg.dim):
                     lam = Functional(alg, v)
                     reps.setdefault(
-                        min(orbit_keys(orbit(lam, "coadjoint"))), lam)
+                        min(orbit(lam, "coadjoint")), lam)
                 psis = [kirillov(group, lam) for lam in reps.values()]
                 for i, f in enumerate(psis):
                     for j, g in enumerate(psis):
@@ -181,14 +180,14 @@ def test_criterion_5_orthogonality_suite():
             qms = [Functional(alg, v) for v in
                    itertools.product(range(2), repeat=alg.dim)
                    if is_quasi_monomial(Functional(alg, v))]
-            chis = {lam.key(): supercharacter(group, lam) for lam in qms}
+            chis = {lam.values: supercharacter(group, lam) for lam in qms}
             for lam in qms:
-                two_sided = orbit_keys(orbit(lam, "two-sided"))
-                overlap = orbit_keys(orbit(lam, "left")) & \
-                    orbit_keys(orbit(lam, "right"))
+                two_sided = set(orbit(lam, "two-sided"))
+                overlap = set(orbit(lam, "left")) & \
+                    set(orbit(lam, "right"))
                 for mu in qms:
-                    got = chis[lam.key()].inner(chis[mu.key()])
-                    if mu.key() in two_sided:
+                    got = chis[lam.values].inner(chis[mu.values])
+                    if mu.values in two_sided:
                         assert got == CyclotomicNumber.rational(len(overlap))
                     else:
                         assert got == ZERO
@@ -288,9 +287,11 @@ def test_criterion_8_inflation_and_torus():
                 image = proj.project_group(g)
                 for big, small in tables:
                     assert big(g) == small(image)
-                assert xi_lam.table(g) == xi_mu.table(image)
-            assert xi_lam.chain.l_bar == xi_mu.chain.l_bar.sum_with(ideal)
-            assert xi_lam.chain.s_bar == xi_mu.chain.s_bar.sum_with(ideal)
+                assert xi_lam(g) == xi_mu(image)
+            lam_chain = chain_compute(u42, lam)
+            mu_chain = chain_compute(sub_alg, mu)
+            assert lam_chain.l_bar == mu_chain.l_bar.sum_with(ideal)
+            assert lam_chain.s_bar == mu_chain.s_bar.sum_with(ideal)
         # torus orbits have size (q-1)^(n - parts), q = 3, n <= 5
         field3 = field_make(3)
         rng = random.Random(83)
@@ -300,7 +301,8 @@ def test_criterion_8_inflation_and_torus():
                 lam = random_quasimonomial(rng, alg)
                 orb = torus_orbit(lam)
                 assert len(orb) == 2 ** (n - len(shape(lam)))
-                assert all(shape(f) == shape(lam) for f in orb)
+                assert all(shape(Functional(alg, v)) == shape(lam)
+                           for v in orb)
 
 
 def test_kirillov_table_on_ut6_2_within_budget():
@@ -312,7 +314,7 @@ def test_kirillov_table_on_ut6_2_within_budget():
     with Timer("UT_6(2) Kirillov table", 30.0):
         group = GroupTable.from_algebra(alg)
         psi = kirillov(group, lam)
-    functionals = orbit(lam, "coadjoint")
+    functionals = [Functional(alg, v) for v in orbit(lam, "coadjoint")]
     assert len(functionals) == 4096
     for g in random.Random(62).sample(group.elements, 200):
         counts = [0, 0]

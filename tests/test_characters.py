@@ -6,8 +6,8 @@ from math import isqrt
 import pytest
 
 from utchar import characters
-from utchar.algebra import (GroupElement, NilAlgebra, NilMatrix, Pattern,
-                            Subspace, VerificationFailed, trunc_exp)
+from utchar.algebra import (CapExceeded, GroupElement, NilAlgebra, NilMatrix,
+                            Pattern, Subspace, VerificationFailed, trunc_exp)
 from utchar.chain import chain_compute
 from utchar.characters import (ClassFunction, GroupTable, abelian_dual,
                                constituents_of_induced_linear, exp_kirillov,
@@ -19,7 +19,7 @@ from utchar.scalars import CyclotomicNumber, field_make
 
 from oracles import (brute_force_character_sums, closed_subspace_algebra,
                      dense_orbit_sum, field_of_values, is_character_linear,
-                     key_index, orbit_keys, random_functional, restrict,
+                     key_index, random_functional, restrict,
                      u4_and_subalgebra, xi_set)
 
 F2 = field_make(2)
@@ -82,7 +82,7 @@ def test_kirillov_orthonormal_on_class_functions():
     for group, alg in ((G32, U32), (G33, U33)):
         reps = {}
         for lam in all_functionals(alg):
-            key = min(orbit_keys(orbit(lam, "coadjoint")))
+            key = min(orbit(lam, "coadjoint"))
             reps.setdefault(key, lam)
         psis = [kirillov(group, lam) for lam in reps.values()]
         assert len(psis) == len(reps)
@@ -97,7 +97,7 @@ def test_exp_kirillov_orthonormal_on_class_functions():
     reps = {}
     for v in itertools.product(range(3), repeat=3):
         lam = Functional(U33, v)
-        reps.setdefault(min(orbit_keys(orbit(lam, "coadjoint"))), lam)
+        reps.setdefault(min(orbit(lam, "coadjoint")), lam)
     psis = [exp_kirillov(G33, lam) for lam in reps.values()]
     for i, f in enumerate(psis):
         for j, g in enumerate(psis):
@@ -132,15 +132,15 @@ def test_supercharacter_inner_products_on_quasimonomials():
     from utchar.duals import is_quasi_monomial
     qms = [lam for lam in all_functionals(U42) if is_quasi_monomial(lam)]
     assert len(qms) == 15  # one per set partition of [4]
-    chis = {lam.key(): supercharacter(G42, lam) for lam in qms}
+    chis = {lam.values: supercharacter(G42, lam) for lam in qms}
     for lam in qms:
-        two_sided = orbit_keys(orbit(lam, "two-sided"))
-        left = orbit_keys(orbit(lam, "left"))
-        right = orbit_keys(orbit(lam, "right"))
+        two_sided = set(orbit(lam, "two-sided"))
+        left = set(orbit(lam, "left"))
+        right = set(orbit(lam, "right"))
         expected = CyclotomicNumber.rational(len(left & right))
         for mu in qms:
-            got = chis[lam.key()].inner(chis[mu.key()])
-            if mu.key() in two_sided:
+            got = chis[lam.values].inner(chis[mu.values])
+            if mu.values in two_sided:
                 assert got == expected
             else:
                 assert got == ZERO
@@ -148,43 +148,34 @@ def test_supercharacter_inner_products_on_quasimonomials():
 
 def test_xi_equals_induced_and_equals_chi_when_irreducible():
     lam = Functional.from_entries(U32, {(1, 3): 1})
-    data = xi(U32, lam, group=G32)
-    assert data.chain.degree_exponent == 1 and data.chain.norm_exponent == 0
-    assert data.chain.norm_exponent == 0  # irreducible
-    assert data.table == supercharacter(G32, lam)
-    assert data.table == kirillov(G32, lam)
+    ch = chain_compute(U32, lam)
+    assert ch.degree_exponent == 1 and ch.norm_exponent == 0
+    assert ch.norm_exponent == 0  # irreducible
+    table = xi(U32, lam, G32)
+    assert table == supercharacter(G32, lam)
+    assert table == kirillov(G32, lam)
+    # 1 + l_bar of e14* on u_4(2) has 16 elements
+    with pytest.raises(CapExceeded, match="^xi value table exceeds the"):
+        xi(U42, Functional.from_entries(U42, {(1, 4): 1}), G42, cap=2)
 
 
 def test_xi_equals_supercharacter_when_s_bar_is_everything():
     for entries in ({}, {(1, 2): 1}, {(2, 3): 1}, {(1, 2): 1, (2, 3): 1}):
         lam = Functional.from_entries(U32, entries)
-        data = xi(U32, lam, group=G32)
-        if data.chain.s_bar == U32.span:
-            assert data.table == supercharacter(G32, lam)
-
-
-def test_xi_without_group_returns_structural_data_only():
-    lam = Functional.from_entries(U42, {(1, 4): 1})
-    data = xi(U42, lam)
-    assert data.table is None
-    assert data.chain.degree_exponent == 2 and data.chain.norm_exponent == 0
-    # the structural report survives a cap too small for the subgroup table
-    capped = xi(U42, lam, group=G42, cap=2)
-    assert capped.table is None
-    assert capped.chain.degree_exponent == 2
+        if chain_compute(U32, lam).s_bar == U32.span:
+            assert xi(U32, lam, G32) == supercharacter(G32, lam)
 
 
 def test_xi_formula_as_orbit_sum():
     lam = Functional.from_entries(U42, {(1, 4): 1, (2, 3): 1})
-    data = xi(U42, lam, group=G42)
-    ch = data.chain
+    ch = chain_compute(U42, lam)
     functionals = xi_set(G42, lam, ch.s_bar)
     size_expected = 2 ** (2 * U42.dim - ch.l_bar.dim - ch.s_bar.dim)
     assert len(functionals) == size_expected
     th = G42.theta
     from fractions import Fraction
     scale = Fraction(2 ** ch.s_bar.dim, G42.size)
-    for g, value in zip(G42.elements, data.table.values):
+    for g, value in zip(G42.elements, xi(U42, lam, G42).values):
         acc = CyclotomicNumber.zero()
         for mu in functionals:
             acc = acc + th(mu.evaluate_group(g))
@@ -194,13 +185,12 @@ def test_xi_formula_as_orbit_sum():
 def test_xi_inner_products():
     lam = Functional.from_entries(U42, {(1, 4): 1, (2, 3): 1})
     mu = Functional.from_entries(U42, {(1, 3): 1})
-    data_l = xi(U42, lam, group=G42)
-    data_m = xi(U42, mu, group=G42)
-    norm = data_l.table.inner(data_l.table)
-    assert norm == CyclotomicNumber.rational(2 ** data_l.chain.norm_exponent)
-    in_xi = mu.key() in {f.key() for f in
-                         xi_set(G42, lam, data_l.chain.s_bar)}
-    cross = data_l.table.inner(data_m.table)
+    ch = chain_compute(U42, lam)
+    table_l, table_m = xi(U42, lam, G42), xi(U42, mu, G42)
+    norm = table_l.inner(table_l)
+    assert norm == CyclotomicNumber.rational(2 ** ch.norm_exponent)
+    in_xi = mu.values in {f.values for f in xi_set(G42, lam, ch.s_bar)}
+    cross = table_l.inner(table_m)
     if in_xi:
         assert cross == norm
     else:
@@ -412,10 +402,10 @@ def test_inflation_identities_u42():
             assert psi_lam(g) == psi_mu(image)
             assert chi_lam(g) == chi_mu(image)
             assert psi_exp_lam(g) == psi_exp_mu(image)
-            assert xi_lam.table(g) == xi_mu.table(image)
+            assert xi_lam(g) == xi_mu(image)
         # l_bar and s_bar pull back through the projection
-        lam_chain = xi_lam.chain
-        mu_chain = xi_mu.chain
+        lam_chain = chain_compute(U42, lam)
+        mu_chain = chain_compute(sub_alg, mu)
         pulled_l = mu_chain.l_bar.sum_with(ideal)
         pulled_s = mu_chain.s_bar.sum_with(ideal)
         assert lam_chain.l_bar == pulled_l
@@ -444,9 +434,14 @@ def exact_values(f):
     return [(v.m, v.coeffs) for v in f.values]
 
 
+def wrap(algebra, points):
+    """The points as Functionals, for the dense oracle's evaluate_group."""
+    return [Functional(algebra, v) for v in points]
+
+
 def check_orbit_sums(group, lam):
     coadjoint = orbit(lam, "coadjoint")
-    psi = dense_orbit_sum(group, coadjoint,
+    psi = dense_orbit_sum(group, wrap(lam.algebra, coadjoint),
                           Fraction(1, isqrt(len(coadjoint))))
     assert exact_values(kirillov(group, lam)) == exact_values(psi)
     index = key_index(group)
@@ -456,7 +451,7 @@ def check_orbit_sums(group, lam):
     assert exact_values(exp_kirillov(group, lam)) == \
         exact_values(ClassFunction(group, psi_exp))
     two = orbit(lam, "two-sided")
-    chi = dense_orbit_sum(group, two,
+    chi = dense_orbit_sum(group, wrap(lam.algebra, two),
                           Fraction(len(orbit(lam, "left")), len(two)))
     assert exact_values(supercharacter(group, lam)) == exact_values(chi)
 
@@ -502,13 +497,14 @@ def test_orbit_sum_of_any_functionals_matches_dense_oracle(pe, rng):
     # repeated functional counts twice
     alg = NilAlgebra.pattern_algebra(Pattern.full(3), field_make(*pe))
     group = GroupTable.from_algebra(alg)
-    pool = all_functionals(alg)
+    pool = [f.values for f in all_functionals(alg)]
     for size in (1, 2, 7, min(40, len(pool))):
         chosen = rng.sample(pool, size)
         chosen.append(chosen[0])
         scale = Fraction(1, size)
-        assert exact_values(characters._orbit_sum(group, chosen, scale)) \
-            == exact_values(dense_orbit_sum(group, chosen, scale))
+        assert exact_values(characters._orbit_sum(group, alg, chosen,
+                                                  scale)) \
+            == exact_values(dense_orbit_sum(group, wrap(alg, chosen), scale))
 
 
 def test_orbit_sum_on_a_subgroup_extends_only_its_prefixes():
@@ -519,17 +515,16 @@ def test_orbit_sum_on_a_subgroup_extends_only_its_prefixes():
         alg.pattern, F2, [NilMatrix.elementary(alg.pattern, F2, *pos)
                           for pos in ((1, 2), (1, 3), (2, 3))])
     sub = GroupTable.from_subspace(alg, span)
-    functionals = orbit(Functional.from_entries(alg, {(1, 6): 1}),
-                        "coadjoint")
+    points = orbit(Functional.from_entries(alg, {(1, 6): 1}), "coadjoint")
     scale = Fraction(1, 16)
     tracemalloc.start()
     try:
-        table = characters._orbit_sum(sub, functionals, scale)
+        table = characters._orbit_sum(sub, alg, points, scale)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert exact_values(table) == \
-        exact_values(dense_orbit_sum(sub, functionals, scale))
+        exact_values(dense_orbit_sum(sub, wrap(alg, points), scale))
     assert len({v.coeffs for v in table.values}) > 1
     assert peak < 1 << 22, peak  # all 2^15 prefixes take over 20 MB
 
@@ -620,11 +615,12 @@ def test_orbit_sum_on_a_shuffled_table_matches_dense_oracle(rng):
         assert group.coords != sorted(group.coords)
         for lam in lams:
             for which in ("coadjoint", "two-sided"):
-                functionals = orbit(lam, which)
-                scale = Fraction(1, len(functionals))
+                points = orbit(lam, which)
+                scale = Fraction(1, len(points))
                 assert exact_values(
-                    characters._orbit_sum(group, functionals, scale)) == \
-                    exact_values(dense_orbit_sum(group, functionals, scale))
+                    characters._orbit_sum(group, alg, points, scale)) == \
+                    exact_values(dense_orbit_sum(group, wrap(alg, points),
+                                                 scale))
 
 
 def test_vanishing_orbit_sum_keeps_conductor_p():

@@ -270,16 +270,46 @@ def test_main_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-def test_unwritable_out_exits_2(tmp_path, capsys):
-    # an --out path that cannot be opened is invalid input (exit 2), not a
-    # verification mismatch (exit 1) with a traceback
-    out = tmp_path / "missing" / "verify.json"
-    assert main(["verify", "--r", "2", "--q", "2", "--out", str(out)]) == 2
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
+    # an --out path that cannot be written is invalid input (exit 2), not a
+    # verification mismatch (exit 1) with a traceback.  It is rejected
+    # before the command runs; an open that fails after the run still
+    # exits 2 with one error line
+    calls = []
+    real = cli.COMMANDS["verify"]
+    monkeypatch.setitem(cli.COMMANDS, "verify",
+                        lambda spec: calls.append(spec) or real(spec))
+    missing = tmp_path / "missing"
+    for out, reason in ((missing / "verify.json", f"no directory {missing}"),
+                        (tmp_path, "it is a directory")):
+        assert main(["verify", "--r", "2", "--q", "2", "--out",
+                     str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {out}: {reason}\n"
+    assert calls == []
+    monkeypatch.setattr(cli, "_out_problem", lambda path: None)
+    assert main(["verify", "--r", "2", "--q", "2", "--out",
+                 str(missing / "verify.json")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert len(captured.err.splitlines()) == 1
-    assert not out.parent.exists()
+    assert len(calls) == 1
+    assert not missing.exists()
+
+
+def test_failed_run_leaves_an_existing_out_file_unchanged(tmp_path, capsys,
+                                                          monkeypatch):
+    # the --out check opens nothing, so a run that exits 1 without a body
+    # does not truncate the file
+    out = tmp_path / "exotic.json"
+    out.write_text("earlier output\n")
+    monkeypatch.setattr(exotic, "verify_chain_closed_forms",
+                        _failing_closed_forms(exotic.verify_chain_closed_forms))
+    assert main(["exotic", "--r", "2", "--q", "2", "--out", str(out)]) == 1
+    assert "closed-form" in capsys.readouterr().err
+    assert out.read_text() == "earlier output\n"
 
 
 def test_command_bodies_are_the_library_results():

@@ -14,7 +14,7 @@ from utchar.scalars import field_make
 
 from oracles import (affine_points_by_row, coordinate_evaluate,
                      definition_act_left, definition_act_right,
-                     full_group_orbit, generator_test_algebras, orbit_keys,
+                     full_group_orbit, generator_test_algebras,
                      per_left_orbit_two_sided, random_element,
                      random_functional, random_subspace_algebra,
                      u4_and_subalgebra)
@@ -96,12 +96,12 @@ def test_orbit_example_u3():
     lam = Functional.from_entries(U33, {(1, 3): 1})
     orb = orbit(lam, "coadjoint")
     assert len(orb) == 9
-    keys = orbit_keys(orb)
+    keys = set(orb)
     for a in range(3):
         for b in range(3):
             mu = Functional.from_entries(
                 U33, {(1, 3): 1, (1, 2): a, (2, 3): b})
-            assert mu.key() in keys
+            assert mu.values in keys
 
 
 def test_orbits_match_full_group_application(rng):
@@ -110,7 +110,7 @@ def test_orbits_match_full_group_application(rng):
     for _ in range(6):
         lam = random_functional(rng, U42)
         for which in ("left", "right", "coadjoint", "two-sided"):
-            bfs = orbit_keys(orbit(lam, which))
+            bfs = set(orbit(lam, which))
             brute = set(full_group_orbit(group, lam, which))
             assert bfs == brute
 
@@ -126,7 +126,7 @@ def test_orbits_match_full_group_on_u4_and_subalgebra(p, e, rng):
             kinds += ("two-sided",)  # the oracle applies |G|^2 pairs
         lam = random_functional(rng, alg)
         for which in kinds:
-            assert orbit_keys(orbit(lam, which)) == \
+            assert set(orbit(lam, which)) == \
                 set(full_group_orbit(group, lam, which))
 
 
@@ -139,7 +139,13 @@ def test_orbits_of_all_kinds_match_full_group(p, e, rng):
         for _ in range(2):
             lam = random_functional(rng, alg)
             for which in ("left", "right", "coadjoint", "two-sided"):
-                assert orbit_keys(orbit(lam, which)) == \
+                points = orbit(lam, which)
+                # the points are value tuples, strictly increasing
+                assert type(points) is list
+                assert all(type(v) is tuple and len(v) == alg.dim
+                           for v in points)
+                assert all(a < b for a, b in zip(points, points[1:]))
+                assert set(points) == \
                     set(full_group_orbit(group, lam, which)), (alg, which)
 
 
@@ -163,7 +169,7 @@ def test_orbits_of_zero_and_sparse_functionals_match_full_group(p, e, rng):
                      sparse_functional(rng, alg, 2)]
         for lam in lams:
             for which in ("left", "right", "coadjoint", "two-sided"):
-                assert orbit_keys(orbit(lam, which)) == \
+                assert set(orbit(lam, which)) == \
                     set(full_group_orbit(group, lam, which)), (alg, which)
 
 
@@ -211,12 +217,12 @@ def test_affine_orbits_match_full_group_without_actions(p, e, rng,
         for lam in (random_functional(rng, alg),
                     Functional.from_entries(alg, {(1, n): 1})):
             left = set(full_group_orbit(group, lam, "left"))
-            assert orbit_keys(orbit(lam, "left")) == left
-            assert orbit_keys(orbit(lam, "right")) == \
+            assert set(orbit(lam, "left")) == left
+            assert set(orbit(lam, "right")) == \
                 set(full_group_orbit(group, lam, "right"))
             if len(left) * group.size <= 60_000:  # the oracle's pairs
                 two_sided += len(left) > 1
-                assert orbit_keys(orbit(lam, "two-sided")) == \
+                assert set(orbit(lam, "two-sided")) == \
                     set(full_group_orbit(group, lam, "two-sided"))
     assert two_sided
 
@@ -244,10 +250,6 @@ def test_affine_orbit_over_cap_raises_before_building_points(monkeypatch):
 WALK_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]
 
 
-def values_of(functionals):
-    return [f.values for f in functionals]
-
-
 @pytest.mark.parametrize("p,e", WALK_FIELDS)
 def test_two_sided_walk_matches_per_left_orbit_walk(p, e, rng):
     # one Gram matrix and the right action of lam G against a Gram matrix
@@ -261,11 +263,11 @@ def test_two_sided_walk_matches_per_left_orbit_walk(p, e, rng):
     sizes = set()
     for _ in range(4):
         lam = random_functional(rng, big)
-        two = values_of(orbit(lam, "two-sided"))
+        two = orbit(lam, "two-sided")
         assert two == per_left_orbit_two_sided(lam)
         sizes.add(len(two))
         lam = random_functional(rng, u3)
-        two = values_of(orbit(lam, "two-sided"))
+        two = orbit(lam, "two-sided")
         assert two == per_left_orbit_two_sided(lam)
         assert set(two) == set(full_group_orbit(group, lam, "two-sided"))
     assert len(sizes) > 1 or max(sizes) > 1
@@ -280,7 +282,7 @@ def test_two_sided_walk_on_subspace_algebras(p, e, rng):
         assert not alg.is_pattern
         for _ in range(3):
             lam = random_functional(rng, alg)
-            two = values_of(orbit(lam, "two-sided"))
+            two = orbit(lam, "two-sided")
             assert two == per_left_orbit_two_sided(lam)
             if alg.size <= 256:
                 group = GroupTable.from_algebra(alg)
@@ -334,8 +336,8 @@ def test_left_and_right_orbits_same_size(rng):
 def test_two_sided_orbit_size_identity(rng):
     for values in itertools.product(range(2), repeat=6):
         lam = Functional(U42, values)
-        left = orbit_keys(orbit(lam, "left"))
-        right = orbit_keys(orbit(lam, "right"))
+        left = set(orbit(lam, "left"))
+        right = set(orbit(lam, "right"))
         two = orbit(lam, "two-sided")
         assert len(two) * len(left & right) == len(left) * len(right)
 
@@ -369,8 +371,8 @@ def test_right_orbit_of_quasimonomial_is_affine():
             for c, p in zip(coeffs, span_pos):
                 if c:
                     mu = mu + Functional.from_entries(u62, {p: c})
-            affine.add(mu.key())
-        assert affine == orbit_keys(orbit(lam, "right"))
+            affine.add(mu.values)
+        assert affine == set(orbit(lam, "right"))
 
 
 def test_quasi_monomial_and_shape():
@@ -433,7 +435,7 @@ def test_torus_orbit_size_formula(rng):
         parts = len(shape(lam))
         orb = torus_orbit(lam)
         assert len(orb) == 2 ** (5 - parts)
-        assert all(shape(f) == shape(lam) for f in orb)
+        assert all(shape(Functional(u5, v)) == shape(lam) for v in orb)
 
 
 def test_functional_on_subspace_algebra_roundtrip():

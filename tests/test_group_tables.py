@@ -141,7 +141,7 @@ def test_xi_table_keeps_both_kinds_of_zero():
     # conductor-1 zero, a class whose values cancel a conductor-5 zero
     group = unitriangular(3, 5)
     lam = Functional.from_entries(group.algebra, {(1, 3): 3})
-    table = xi(group.algebra, lam, group=group).table
+    table = xi(group.algebra, lam, group=group)
     lgroup = GroupTable.from_subspace(
         group.algebra, chain_compute(group.algebra, lam).l_bar)
     assert exact(table) == exact(brute_force_induce(theta_lambda(lgroup, lam),
