@@ -36,7 +36,15 @@ class Pattern:
 
     @classmethod
     def full(cls, n):
-        return cls(n, [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)])
+        """All positions of u_n, listed in row-major order: nothing to
+        check or sort."""
+        pattern = cls.__new__(cls)
+        pattern.n = n
+        pattern.order = tuple((i, j) for i in range(1, n)
+                              for j in range(i + 1, n + 1))
+        pattern.positions = frozenset(pattern.order)
+        pattern.index = dict(zip(pattern.order, range(len(pattern.order))))
+        return pattern
 
     def is_closed(self):
         """(i, j), (j, k) in P imply (i, k) in P: for each (i, j) in P, the
@@ -387,10 +395,9 @@ def null_space(constraint_rows, width, field):
     reduced = rref([{last - c: v for c, v in r.items()}
                     for r in constraint_rows], field)
     neg = field.p.__sub__ if field.e == 1 else field.neg  # p - v for v != 0
-    basis = {c: {c: 1} for c in range(width)}
-    for r in reduced:
-        pivot = last - min(r)
-        del basis[pivot]
+    pivot_rows = {last - min(r): r for r in reduced}
+    basis = {c: {c: 1} for c in range(width) if c not in pivot_rows}
+    for pivot, r in pivot_rows.items():
         for c, v in r.items():  # reduced: other entries are free columns
             if last - c != pivot:
                 basis[last - c][pivot] = neg(v)
@@ -466,7 +473,7 @@ class Subspace:
     @classmethod
     def full(cls, pattern, field):
         return cls(pattern, field,
-                   [{k: 1} for k in range(len(pattern.order))])
+                   [((k, 1),) for k in range(len(pattern.order))])
 
     @property
     def dim(self):
@@ -492,8 +499,10 @@ class Subspace:
 
     def basis_matrices(self):
         if self._mats is None:
+            order = self.pattern.order
             self._mats = tuple(
-                NilMatrix.from_vector(self.pattern, self.field, dict(r))
+                NilMatrix._of(self.pattern, self.field,
+                              {order[c]: v for c, v in r})
                 for r in self.rows)
         return self._mats
 

@@ -103,10 +103,17 @@ def gram_block(algebra, gram, space):
 def restrict_form(form, combos, width, field):
     """K M K^T as sparse rows: the form M, on width coordinates, read on
     the vectors whose coefficients over those coordinates are the rows
-    of K."""
+    of K.  For a unit combination {a: 1} the row of K M is row a of M as
+    it is."""
     cols = transpose(combos, width)
-    return [combine_rows(combine_rows(k, form, field), cols, field)
-            for k in combos]
+    out = []
+    for k in combos:
+        if len(k) == 1 and 1 in k.values():
+            km = form[next(iter(k))]
+        else:
+            km = combine_rows(k, form, field)
+        out.append(combine_rows(km, cols, field))
+    return out
 
 
 def chain_compute(algebra, lam):
@@ -189,7 +196,7 @@ def quasimonomial_kernels(algebra, lam):
     def cut(excluded):
         # unit rows in pattern order are already in reduced echelon form
         return Subspace(pattern, field,
-                        [{k: 1} for k, p in enumerate(pattern.order)
+                        [((k, 1),) for k, p in enumerate(pattern.order)
                          if p not in excluded])
 
     return QuasimonomialKernels(

@@ -20,7 +20,8 @@ from utchar.characters import (ClassFunction, GroupTable, exp_kirillov,
                                theta_lambda, xi)
 from utchar.duals import (Functional, gram_matrix, orbit, shape,
                           torus_orbit)
-from utchar.exotic import constant_diagonal_algebra, exotic_functional_parts
+from utchar.exotic import (_constrained_subspace, closed_form_chain,
+                           constant_diagonal_algebra, exotic_functional_parts)
 from utchar.scalars import (CyclotomicNumber, cyclotomic_polynomial,
                             in_subfield, prime_power_split,
                             root_of_unity_order)
@@ -162,6 +163,15 @@ def two_elimination_restrict_to_zero(space, coords):
     combos = left_kernel(mrows, len(cols), space.field)
     return two_elimination_span(space.pattern, space.field, combos,
                                 basis_rows)
+
+
+def closed_form_subspaces(atlas, algebra):
+    """The six closed forms of `exotic.closed_form_chain` as canonical
+    subspaces, each cut out of the algebra by one elimination, as
+    `verify` built them before it checked the chain by membership and a
+    class count."""
+    return {key: _constrained_subspace(algebra, zero, mirrored, atlas)
+            for key, (zero, mirrored) in closed_form_chain(atlas).items()}
 
 
 def pivot_scan_rref(rows, field):

@@ -1,23 +1,26 @@
 import dataclasses
+import json
 
 import pytest
 
 from utchar import exotic
-from utchar.algebra import NilAlgebra, Pattern, VerificationFailed
+from utchar.algebra import (NilAlgebra, Pattern, Subspace,
+                            VerificationFailed)
 from utchar.cli import main
 from utchar.chain import chain_compute, quasimonomial_kernels
 from utchar.characters import GroupTable, abelian_dual, induce, theta_lambda
 from utchar.duals import is_quasi_monomial, orbit, shape
 from utchar.exotic import (abelian_quotient_split, build_regions,
-                           constant_diagonal_algebra, corner_functional,
-                           corner_character_analysis, exotic_functional_parts,
-                           exotic_report, exotic_shape, verdict,
+                           closed_form_chain, constant_diagonal_algebra,
+                           corner_functional, corner_character_analysis,
+                           exotic_functional_parts, exotic_report,
+                           exotic_shape, is_closed_form, verdict,
                            verify_chain_closed_forms)
-from utchar.scalars import field_make
+from utchar.scalars import field_make, prime_power_split
 
 from oracles import (brute_force_abelian_dual, brute_force_corner_constituents,
-                     exotic_functional, exotic_quasimonomial,
-                     field_of_values, random_functional,
+                     closed_form_subspaces, exotic_functional,
+                     exotic_quasimonomial, field_of_values, random_functional,
                      torus_shape_transitivity)
 
 F2 = field_make(2)
@@ -120,6 +123,80 @@ def test_verify_chain_closed_forms(r, field):
     assert tech["dim_ambient"] - tech["dim_l_bar"] == 5 * r * r - r - 1
     assert tech["dim_ambient"] - tech["dim_s_bar"] == 5 * r * r - 2 * r
     assert tech["stabilization"] == 4
+
+
+CLOSED_FORM_GRID = ([(r, q) for q in (2, 3, 4, 5) for r in range(2, 10)]
+                    + [(r, q) for q in (7, 9) for r in (2, 3)])
+
+
+@pytest.mark.parametrize("r,q", CLOSED_FORM_GRID)
+def test_closed_form_check_matches_subspace_oracle(r, q):
+    # each chain subspace is its own closed form and none of the other
+    # five, by the membership check and by the eliminated subspaces alike
+    field = field_make(*prime_power_split(q))
+    _, ch, atlas = verify_chain_closed_forms(r, field)
+    closed = closed_form_chain(atlas)
+    oracle = closed_form_subspaces(atlas, ch.algebra)
+    spaces = {f"{side}{i}": chain[i] for i in (1, 2, 3)
+              for side, chain in (("l", ch.l_list), ("s", ch.s_list))}
+    for key, space in spaces.items():
+        for form, description in closed.items():
+            assert is_closed_form(space, *description, atlas) \
+                == (space == oracle[form]) == (key == form), (key, form)
+    # a class of the mirror identifications that holds a zero position
+    # adds no dimension: s^2 with one end of a mirrored pair set to zero
+    zero, mirrored = closed["s2"]
+    pinned = (zero | {atlas.mirror[min(atlas.A)]}, mirrored)
+    cut = exotic._constrained_subspace(ch.algebra, *pinned, atlas)
+    assert cut.dim == spaces["s2"].dim - 1
+    assert is_closed_form(cut, *pinned, atlas)
+    assert not is_closed_form(spaces["s2"], *pinned, atlas)
+
+    def rejected(key, rows):
+        space = Subspace.from_vectors(ch.algebra.pattern, field, rows)
+        return (not is_closed_form(space, *closed[key], atlas)
+                and space != oracle[key])
+
+    index = ch.algebra.pattern.index
+    z = index[min(atlas.Z)]
+    for key, space in spaces.items():
+        rows = space.row_dicts()
+        # one row dropped: every row lies in the closed form, one too few
+        assert rejected(key, rows[1:])
+        # an entry on Z
+        assert rejected(key, [{**rows[0], z: 1}] + rows[1:])
+        # a row changed at one end of a mirrored pair, either end
+        pairs = [(index[p], index[atlas.mirror[p]]) for p in closed[key][1]]
+        hit = next(((a, pair) for a, row in enumerate(rows) for pair in pairs
+                    if pair[0] in row and pair[1] in row), None)
+        assert (hit is None) == (not pairs), key
+        if hit:
+            a, pair = hit
+            for end in pair:
+                changed = {**rows[a], end: field.add(rows[a][end], 1)}
+                changed = {c: v for c, v in changed.items() if v}
+                assert rejected(key, rows[:a] + [changed] + rows[a + 1:])
+
+
+def _s2_loses_a_row(real):
+    def compute(algebra, lam):
+        ch = real(algebra, lam)
+        s2 = ch.s_list[2]
+        ch.s_list[2] = Subspace(s2.pattern, s2.field, s2.rows[1:])
+        return ch
+    return compute
+
+
+def test_chain_that_loses_a_row_fails_verify(monkeypatch, capsys):
+    monkeypatch.setattr(exotic, "chain_compute",
+                        _s2_loses_a_row(exotic.chain_compute))
+    tech, _, _ = verify_chain_closed_forms(2, F2)
+    assert tech["matches"] == {"l1": True, "s1": True, "l2": True,
+                               "s2": False, "l3": True, "s3": True}
+    assert not verdict(tech)
+    assert main(["verify", "--r", "2", "--q", "2"]) == 1
+    body = json.loads(capsys.readouterr().out)
+    assert body["pass"] is False and body["matches"]["s2"] is False
 
 
 def test_exotic_chain_satisfies_ideal_laws():
@@ -405,3 +482,27 @@ def test_exotic_checks_survive_optimized_mode(run_optimized):
     out = run_optimized(OPTIMIZED_SCRIPT)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["raised", "raised"]
+
+
+LOST_ROW_SCRIPT = """
+from utchar import exotic
+from utchar.algebra import Subspace
+from utchar.cli import main
+assert False, "assertions are enabled"
+real = exotic.chain_compute
+def compute(algebra, lam):
+    ch = real(algebra, lam)
+    s2 = ch.s_list[2]
+    ch.s_list[2] = Subspace(s2.pattern, s2.field, s2.rows[1:])
+    return ch
+exotic.chain_compute = compute
+print("exit", main(["verify", "--r", "2", "--q", "2"]))
+"""
+
+
+def test_lost_row_fails_verify_in_optimized_mode(run_optimized):
+    out = run_optimized(LOST_ROW_SCRIPT)
+    assert out.returncode == 0, out.stderr
+    body, code = out.stdout.splitlines()
+    assert json.loads(body)["matches"]["s2"] is False
+    assert code == "exit 1"
