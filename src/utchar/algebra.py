@@ -49,7 +49,11 @@ class Pattern:
     def is_closed(self):
         """(i, j), (j, k) in P imply (i, k) in P: for each (i, j) in P, the
         columns of row j lie among those of row i.  One set inclusion per
-        position, not O(|P|^2) pairs."""
+        position, not O(|P|^2) pairs.  A pattern that holds all
+        n(n - 1)/2 positions of u_n contains every (i, k), so it is closed
+        with no inclusion to test."""
+        if len(self.positions) == self.n * (self.n - 1) // 2:
+            return True
         by_row, empty = {}, frozenset()
         for i, j in self.order:
             by_row.setdefault(i, set()).add(j)
@@ -523,6 +527,23 @@ class Subspace:
     def contains_vector(self, vec):
         return self._pivot_entries(vec) is not None
 
+    def annihilator(self):
+        """The covectors that cut the subspace out, as sparse dicts
+        {column: value}, one per non-pivot column c in order of c:
+        x -> x[c] - sum over the rows of x[pivot] * (row entry at c).  The
+        rows are reduced, so a vector lies in the span iff it is the
+        combination of the rows by its pivot entries, that is, iff every
+        one of these covectors vanishes on it."""
+        neg = self.field.p.__sub__ if self.field.e == 1 else self.field.neg
+        pivots = set(self.pivots)
+        covectors = {c: {c: 1} for c in range(len(self.pattern.order))
+                     if c not in pivots}
+        for row in self.rows:
+            pivot = row[0][0]
+            for c, v in row[1:]:
+                covectors[c][pivot] = neg(v)
+        return list(covectors.values())
+
     def contains(self, mat):
         return self.contains_vector(mat.vector())
 
@@ -790,49 +811,66 @@ def ideal_check(sub, ambient):
     return "none"
 
 
-def products_vanish_at(left, right, positions):
-    """Whether (u v)[i, k] = 0 for every u in the basis of the subspace
-    left, every v in the basis of right and every position (i, k).
+def products_vanish_on(left, right, covectors):
+    """Whether c(u v) = 0 for every u in the basis of the subspace left,
+    every v in the basis of right and every covector c, a sparse dict
+    {column: value} over the pattern's position order.
 
-    No matrix product is formed: (u v)[i, k] is the dot product of row i
-    of u with column k of v, so the condition at (i, k) says that the row-i
-    slices of left's basis are orthogonal to the column-k slices of
-    right's.  Each set of slices is reduced once (`rref`) to a basis of
-    its span, and only the pairs of reduced slices are multiplied.
+    No matrix product is formed: c(u v) is the sum of
+    u[i, j] * v[j, k] * c[i, k] over c's positions (i, k) and every j.
+    The echelon rows of left are indexed by matrix row i, those of right
+    by matrix column k and then by j, and each covector adds the terms up
+    per basis pair (a, b).  Over a prime field (field.e == 1, checked once
+    per call) the sums are reduced mod p once, at the end of a covector.
 
-    With h the vectors of a closed subspace S that vanish on a set P of
-    positions, h is a two-sided ideal of S exactly when this holds for
-    (S, h) and for (h, S) on P: u v and v u lie in S, and they lie in h
-    iff they vanish on P.  `ideal_check` is the product-based oracle."""
-    field = left.field
-    by_row, by_col = {}, {}
-    for u in left.basis_matrices():
-        for i, row in u.rows().items():
-            by_row.setdefault(i, []).append(dict(row))
-    for v in right.basis_matrices():
-        cols = {}
-        for (j, k), c in v.entries.items():
-            cols.setdefault(k, {})[j] = c
-        for k, col in cols.items():
-            by_col.setdefault(k, []).append(col)
-    reduced_rows, reduced_cols = {}, {}
-    add, mul = field.add, field.mul
-    for i, k in positions:
-        if i not in by_row or k not in by_col:
-            continue
-        if i not in reduced_rows:
-            reduced_rows[i] = rref(by_row[i], field)
-        if k not in reduced_cols:
-            reduced_cols[k] = rref(by_col[k], field)
-        for a in reduced_rows[i]:
-            for b in reduced_cols[k]:
-                dot = 0
-                for j, x in a.items():
-                    y = b.get(j)
-                    if y:
-                        dot = add(dot, mul(x, y))
-                if dot:
-                    return False
+    With the covectors of `Subspace.annihilator`, this holds for (S, S)
+    iff S is closed under products.  With the unit covectors at a set P of
+    positions it says that every u v vanishes on P: for h the vectors of a
+    closed S that vanish on P, h is a two-sided ideal of S iff that holds
+    for (S, h) and for (h, S).  `ideal_check` and
+    `NilAlgebra.is_closed_under_products` are the product-based
+    oracles."""
+    field, order = left.field, left.pattern.order
+    by_row = {}  # i -> [(a, [(j, u_a[i, j]), ...]), ...]
+    for a, row in enumerate(left.rows):
+        slices = {}
+        for c, x in row:
+            i, j = order[c]
+            slices.setdefault(i, []).append((j, x))
+        for i, piece in slices.items():
+            by_row.setdefault(i, []).append((a, piece))
+    by_col = {}  # k -> {j: [(b, v_b[j, k]), ...]}
+    for b, row in enumerate(right.rows):
+        for c, y in row:
+            j, k = order[c]
+            by_col.setdefault(k, {}).setdefault(j, []).append((b, y))
+    width = right.dim
+    prime, p, add, mul = field.e == 1, field.p, field.add, field.mul
+    for covector in covectors:
+        sums = {}  # a * width + b -> the partial c(u_a v_b)
+        for c, w in covector.items():
+            i, k = order[c]
+            column = by_col.get(k)
+            if column is None:
+                continue
+            for a, piece in by_row.get(i, ()):
+                base = a * width
+                for j, x in piece:
+                    entries = column.get(j)
+                    if entries is None:
+                        continue
+                    if prime:
+                        xw = x * w
+                        for b, y in entries:
+                            key = base + b
+                            sums[key] = sums.get(key, 0) + xw * y
+                    else:
+                        xw = mul(x, w)
+                        for b, y in entries:
+                            key = base + b
+                            sums[key] = add(sums.get(key, 0), mul(xw, y))
+        if any(s % p for s in sums.values()) if prime else any(sums.values()):
+            return False
     return True
 
 

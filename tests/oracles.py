@@ -218,6 +218,16 @@ def pair_scan_is_closed(pattern):
                for (i, j) in pos for (j2, k) in pos if j2 == j)
 
 
+def row_inclusion_is_closed(pattern):
+    """Pattern.is_closed as one set inclusion per position, with no
+    shortcut for the full pattern: row j's columns inside row i's for each
+    (i, j) in P."""
+    by_row, empty = {}, frozenset()
+    for i, j in pattern.order:
+        by_row.setdefault(i, set()).add(j)
+    return all(by_row.get(j, empty) <= by_row[i] for i, j in pattern.order)
+
+
 def definitional_form_matrix(algebra, lam, left_basis, right_basis):
     """The matrix of (X, Y) -> lam(XY) on the given bases, computed by
     actual matrix products."""
@@ -850,6 +860,47 @@ def all_pairs_closed(algebra):
     """algebra.is_closed_under_products, one product per basis pair."""
     basis = algebra.basis()
     return all(algebra.span.contains(u @ v) for u in basis for v in basis)
+
+
+def products_vanish_at(left, right, positions):
+    """Whether (u v)[i, k] = 0 for every u in the basis of the subspace
+    left, every v in the basis of right and every position (i, k), with no
+    matrix product: (u v)[i, k] is the dot product of row i of u with
+    column k of v, so the condition at (i, k) says that the row-i slices of
+    left's basis are orthogonal to the column-k slices of right's.  Each
+    set of slices is reduced once (`rref`) to a basis of its span, and only
+    the pairs of reduced slices are multiplied.  The oracle for
+    `algebra.products_vanish_on` on unit covectors."""
+    field = left.field
+    by_row, by_col = {}, {}
+    for u in left.basis_matrices():
+        for i, row in u.rows().items():
+            by_row.setdefault(i, []).append(dict(row))
+    for v in right.basis_matrices():
+        cols = {}
+        for (j, k), c in v.entries.items():
+            cols.setdefault(k, {})[j] = c
+        for k, col in cols.items():
+            by_col.setdefault(k, []).append(col)
+    reduced_rows, reduced_cols = {}, {}
+    add, mul = field.add, field.mul
+    for i, k in positions:
+        if i not in by_row or k not in by_col:
+            continue
+        if i not in reduced_rows:
+            reduced_rows[i] = rref(by_row[i], field)
+        if k not in reduced_cols:
+            reduced_cols[k] = rref(by_col[k], field)
+        for a in reduced_rows[i]:
+            for b in reduced_cols[k]:
+                dot = 0
+                for j, x in a.items():
+                    y = b.get(j)
+                    if y:
+                        dot = add(dot, mul(x, y))
+                if dot:
+                    return False
+    return True
 
 
 def all_pairs_commutative(algebra):

@@ -5,7 +5,7 @@ from utchar import algebra
 from utchar.algebra import (CapExceeded, GroupElement, NilAlgebra, NilMatrix,
                             Pattern, Subspace, apply_columns, combine_rows,
                             ideal_check, left_kernel, nonzero_products,
-                            null_space, products_vanish_at, quotient_project,
+                            null_space, products_vanish_on, quotient_project,
                             rref, solution_space, sparse_column, trunc_exp)
 from utchar.duals import Functional
 from utchar.scalars import field_make
@@ -16,8 +16,9 @@ from oracles import (all_pairs_closed, all_pairs_commutative,
                      echelon_combinations, elimination_coordinates,
                      generated_group, generator_test_algebras,
                      pair_scan_is_closed, pivot_scan_rref,
-                     random_closed_pattern, random_element,
-                     random_subalgebra, subspace_dense_rows, trunc_log,
+                     products_vanish_at, random_closed_pattern,
+                     random_element, random_subalgebra,
+                     row_inclusion_is_closed, subspace_dense_rows, trunc_log,
                      two_elimination_restrict_to_zero,
                      two_elimination_solution_space, two_elimination_span,
                      u4_and_subalgebra)
@@ -465,6 +466,31 @@ def test_pattern_closure_matches_pair_scan(rng):
         assert closed.is_closed() and pair_scan_is_closed(closed)
 
 
+def test_full_pattern_shortcut_matches_row_inclusion(rng):
+    # a pattern with all n(n - 1)/2 positions is closed at once; one with
+    # any position missing still runs the inclusions
+    patterns = []
+    for n in range(1, 12):
+        positions = [(i, j) for i in range(1, n)
+                     for j in range(i + 1, n + 1)]
+        patterns += [Pattern.full(n), Pattern(n, positions)]
+        for _ in range(30):
+            density = rng.random()
+            patterns.append(Pattern(n, [pos for pos in positions
+                                        if rng.random() < density]))
+        if positions:
+            patterns.append(Pattern(n, positions[:-1]))
+            patterns.append(Pattern(n, rng.sample(positions,
+                                                  len(positions) - 1)))
+    outcomes = set()
+    for pattern in patterns:
+        want = row_inclusion_is_closed(pattern)
+        assert pattern.is_closed() == want
+        outcomes.add((len(pattern) == pattern.n * (pattern.n - 1) // 2,
+                      want))
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
 def test_solution_space_and_restrict_to_zero():
     p4 = Pattern.full(4)
     idx = p4.index
@@ -850,12 +876,13 @@ def test_apply_columns_matches_dense_mat_vec(p, e, rng):
         assert apply_columns(field, pairs, vec, tuple(start)) == tuple(want)
 
 
-@pytest.mark.parametrize("p,e", ECHELON_FIELDS)
-def test_products_vanish_at_matches_basis_products(p, e, rng, monkeypatch):
-    # right is a random subspace, or the solution space of
-    # (u v)[i, k] = 0 for the u in some of left's basis, so that the test
-    # holds, or fails only through the other u
-    field = field_make(p, e)
+def _vanishing_cases(rng, field):
+    """(left, right, positions, want) with want whether (u v)[i, k] = 0 for
+    the basis u of left, v of right and (i, k) in positions.  right is a
+    random subspace, or the solution space of (u v)[i, k] = 0 for the u in
+    some of left's basis, so that the test holds, or fails only through
+    the other u.  The products are formed here, before a test forbids
+    them."""
     cases = []
     for _ in range(60):
         pattern = Pattern.full(rng.randrange(3, 7))
@@ -878,13 +905,122 @@ def test_products_vanish_at_matches_basis_products(p, e, rng, monkeypatch):
                    for i, k in positions)
         cases.append((left, right, positions, want))
     assert {want for *_, want in cases} == {True, False}
+    return cases
 
-    def no_product(*args):
-        raise AssertionError("a NilMatrix product was formed")
 
+def no_product(*args):
+    raise AssertionError("a NilMatrix product was formed")
+
+
+CONTRACTION_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("p,e", CONTRACTION_FIELDS)
+def test_products_vanish_at_matches_basis_products(p, e, rng, monkeypatch):
+    # products_vanish_on with the unit covectors at the positions, and its
+    # slice-rref oracle
+    cases = _vanishing_cases(rng, field_make(p, e))
     monkeypatch.setattr(NilMatrix, "__matmul__", no_product)
     for left, right, positions, want in cases:
+        index = left.pattern.index
+        units = [{index[pos]: 1} for pos in positions]
+        assert products_vanish_on(left, right, units) == want
         assert products_vanish_at(left, right, positions) == want
+
+
+def _covector_value(covector, mat):
+    """c(X) = sum_k c[k] X[order[k]], by field operations."""
+    field, vec = mat.field, mat.vector()
+    acc = 0
+    for k, c in covector.items():
+        acc = field.add(acc, field.mul(c, vec.get(k, 0)))
+    return acc
+
+
+def _random_space(rng, field):
+    """A subspace of u_n(q), 3 <= n <= 5: the span of random elements (half
+    the time), of the elementary matrices at random positions, or a random
+    subalgebra."""
+    alg = NilAlgebra.pattern_algebra(Pattern.full(rng.randrange(3, 6)),
+                                     field)
+    width, kind = alg.dim, rng.randrange(4)
+    if kind == 3:
+        return random_subalgebra(rng, alg, count=rng.choice((1, 2)))
+    if kind == 2:
+        return Subspace.from_vectors(alg.pattern, field, [
+            {c: 1} for c in rng.sample(range(width), rng.randrange(width))])
+    return Subspace.from_matrices(alg.pattern, field, [
+        random_element(rng, alg).body for _ in range(rng.randrange(1, 5))])
+
+
+@pytest.mark.parametrize("p,e", CONTRACTION_FIELDS)
+def test_annihilator_closure_matches_all_pairs(p, e, rng, monkeypatch):
+    field = field_make(p, e)
+    cases = []
+    for _ in range(40):
+        space = _random_space(rng, field)
+        alg = NilAlgebra.from_subspace(space, field)
+        cases.append((space, all_pairs_closed(alg)))
+    open_count = sum(not closed for _, closed in cases)
+    assert 0.3 * len(cases) <= open_count < len(cases)
+    monkeypatch.setattr(NilMatrix, "__matmul__", no_product)
+    for space, closed in cases:
+        assert products_vanish_on(space, space, space.annihilator()) == closed
+
+
+@pytest.mark.parametrize("p,e", CONTRACTION_FIELDS)
+def test_products_vanish_on_matches_basis_products(p, e, rng, monkeypatch):
+    # the covectors are random, or random combinations of the annihilator
+    # of the products' span, which vanish on every product
+    field = field_make(p, e)
+    q, cases = field.q, []
+    for _ in range(40):
+        left, right = _random_space(rng, field), None
+        while right is None or right.pattern.n != left.pattern.n:
+            right = _random_space(rng, field)
+        products = [u @ v for u in left.basis_matrices()
+                    for v in right.basis_matrices()]
+        width = len(left.pattern.order)
+        if rng.random() < 0.5:
+            covectors = random_sparse_rows(rng, field, rng.randrange(4),
+                                           width)
+        else:
+            cut = Subspace.from_matrices(left.pattern, field,
+                                         products).annihilator()
+            covectors = [combine_rows(
+                {a: rng.randrange(1, q)
+                 for a in rng.sample(range(len(cut)),
+                                     rng.randrange(min(3, len(cut)) + 1))},
+                cut, field) for _ in range(rng.randrange(4))]
+        want = all(_covector_value(c, uv) == 0
+                   for c in covectors for uv in products)
+        cases.append((left, right, covectors, want))
+    assert {want for *_, want in cases} == {True, False}
+    monkeypatch.setattr(NilMatrix, "__matmul__", no_product)
+    for left, right, covectors, want in cases:
+        assert products_vanish_on(left, right, covectors) == want
+
+
+@pytest.mark.parametrize("p,e", CONTRACTION_FIELDS)
+def test_annihilator_vanishes_exactly_on_members(p, e, rng, monkeypatch):
+    field = field_make(p, e)
+    q, outcomes = field.q, set()
+    spaces = [_random_space(rng, field) for _ in range(40)]
+    monkeypatch.setattr(NilMatrix, "__matmul__", no_product)
+    for space in spaces:
+        width = len(space.pattern.order)
+        covectors = space.annihilator()
+        assert len(covectors) == width - space.dim
+        members = [space.matrix([rng.randrange(q) for _ in range(space.dim)])
+                   for _ in range(3)]
+        others = [NilMatrix.from_vector(space.pattern, field, vec)
+                  for vec in random_sparse_rows(rng, field, 3, width)]
+        for mat in members + others:
+            inside = space.contains_vector(mat.vector())
+            assert inside == all(_covector_value(cov, mat) == 0
+                                 for cov in covectors)
+            outcomes.add(inside)
+    assert outcomes == {True, False}
 
 
 def h_is_ideal(space, positions):
@@ -892,8 +1028,9 @@ def h_is_ideal(space, positions):
     closed subspace vanishing on the positions, against ideal_check."""
     index = space.pattern.index
     h = space.restrict_to_zero([index[pos] for pos in positions])
-    fast = (products_vanish_at(space, h, positions)
-            and products_vanish_at(h, space, positions))
+    units = [{index[pos]: 1} for pos in positions]
+    fast = (products_vanish_on(space, h, units)
+            and products_vanish_on(h, space, units))
     return fast, ideal_check(h, space) == "two-sided-ideal"
 
 

@@ -540,10 +540,10 @@ def test_invalid_kappa_n_and_cap_exit_2(capsys):
 
 
 def test_s_bar_closure_failure_exits_1(monkeypatch, capsys):
-    # the closure check fails for the computed s_bar span only, so the
-    # split part a and the target a_3(2) still pass it
+    # the closure check, the contraction of s_bar's basis products against
+    # its annihilator, fails for the computed s_bar only
     real_verify = exotic.verify_chain_closed_forms
-    real_closed = NilAlgebra.is_closed_under_products
+    real_vanish = exotic.products_vanish_on
     s_bars = []
 
     def verify(r, field):
@@ -556,8 +556,9 @@ def test_s_bar_closure_failure_exits_1(monkeypatch, capsys):
 
     monkeypatch.setattr(exotic, "verify_chain_closed_forms", verify)
     monkeypatch.setattr(
-        NilAlgebra, "is_closed_under_products",
-        lambda alg: alg.span not in s_bars and real_closed(alg))
+        exotic, "products_vanish_on",
+        lambda left, right, covectors: not (left is right and left in s_bars)
+        and real_vanish(left, right, covectors))
     # the split's ideal test of h assumes a closed s_bar, so the closure
     # check must come first
     monkeypatch.setattr(exotic, "abelian_quotient_split", split)
@@ -578,7 +579,13 @@ def test_nonabelian_corner_group_exits_1(monkeypatch, capsys):
 
 
 def test_false_h_ideal_verdict_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(exotic, "products_vanish_at", lambda *args: False)
+    # only the h test, on (s_bar, h) and (h, s_bar), fails; s_bar's closure
+    # check on (s_bar, s_bar) still runs as it is
+    real_vanish = exotic.products_vanish_on
+    monkeypatch.setattr(
+        exotic, "products_vanish_on",
+        lambda left, right, covectors: left is right
+        and real_vanish(left, right, covectors))
     assert main(["exotic", "--r", "2", "--q", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

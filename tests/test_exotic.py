@@ -226,6 +226,24 @@ def test_quotient_split_r2():
         assert split.h_span.dim == ch.s_bar.dim - 2
 
 
+@pytest.mark.parametrize("order", ["s_bar h", "h s_bar"])
+def test_h_ideal_test_reads_both_orders(order, monkeypatch):
+    # the products of either order alone can fail the h test; the other
+    # checks of the split do not call the helper
+    _, ch, atlas = verify_chain_closed_forms(2, F3)
+    real_vanish = exotic.products_vanish_on
+
+    def vanish(left, right, covectors):
+        if (left, right)[order == "h s_bar"] is ch.s_bar and left is not right:
+            return False
+        return real_vanish(left, right, covectors)
+
+    monkeypatch.setattr(exotic, "products_vanish_on", vanish)
+    checks = abelian_quotient_split(atlas, F3, ch).checks
+    assert {key for key, ok in checks.items() if not ok} == {
+        "h_two_sided_ideal"}
+
+
 def test_quotient_split_r3():
     _, ch, atlas = verify_chain_closed_forms(3, F2)
     split = abelian_quotient_split(atlas, F2, ch)
